@@ -16,9 +16,9 @@ Python.  This module measures the result and pins it:
   faster under the heap core than under the (kept, bit-identical)
   reference loop;
 * 1024- and 4096-query FIFO fleets on 4 shards qualify for the fast
-  path; the 4096 cell must sustain **>= 600k events/s** (3x the PR 5
-  ceiling) under a hard 10 s wall budget, bit-identical to the general
-  heap core;
+  path, bit-identical to the general heap core; at 4096 queries the fast
+  path must run **>= 2.5x** faster than that core (median ratio over ten
+  interleaved in-process pairs) under a hard 10 s wall budget;
 * independent fleets fan out across worker processes
   (``execute_many(parallel=N)``); with >= 4 host cores the aggregate
   scheduling throughput must reach **>= 2.5x** the serial run's;
@@ -33,6 +33,7 @@ per-stream plans are identical across queries, so planning cost is paid
 """
 
 import os
+import statistics
 from time import perf_counter
 
 import pytest
@@ -65,9 +66,12 @@ SPEEDUP_CELL = (256, 4)
 MIN_SPEEDUP = 10.0
 
 #: Acceptance: the vectorized fast path at fleet scale.  FIFO fleets of
-#: single-context queries qualify; 4096 x 4 shards must sustain this.
+#: single-context queries qualify; at 4096 x 4 shards the median ratio of
+#: the general heap core's wall to the fast path's, over this many
+#: interleaved pairs, must reach this.
 FASTPATH_QUERY_COUNTS = (1024, 4096)
-FASTPATH_MIN_EPS = 600_000.0
+FASTPATH_PAIRS = 10
+FASTPATH_MIN_RATIO = 2.5
 FASTPATH_WALL_BUDGET = 10.0
 
 #: Acceptance: multi-core fleet execution.  With at least this many host
@@ -264,29 +268,35 @@ def test_fastpath_fleet_scale(record, bench_metrics, fleet):
 
     FIFO fleets of single-context queries on an uncached store qualify
     for ``repro.query.fastpath``; the dispatch must actually take it,
-    simulate bit-identically to the general heap core, and sustain
-    >= 600k events/s at the 4096 x 4-shard corner under a 10 s wall
-    budget (>= 3x the PR 5 per-event ceiling).
+    simulate bit-identically to the general heap core, and run the
+    4096 x 4-shard corner >= 2.5x faster than that core under a 10 s
+    wall budget.  The gate is a ratio over interleaved in-process pairs,
+    order alternating, like the registry-overhead A/B: an absolute
+    events/s floor measured how busy the shared host was, not the code.
     """
     store, plans = fleet(4)
     lines = [f"{'queries':>8} {'core':>9} {'wall':>9} {'events/s':>10}"]
-    final_eps = 0.0
+    final_ratio = 0.0
     for n in FASTPATH_QUERY_COUNTS:
-        stats = _run_fleet(store, plans, n, "heap", policy=FIFOPolicy())
-        for _ in range(2):  # best of 3: CI workers are noisy
-            candidate = _run_fleet(store, plans, n, "heap",
-                                   policy=FIFOPolicy())
-            if candidate.wall_seconds < stats.wall_seconds:
-                stats = candidate
-        assert stats.core == "fastpath"  # the dispatch must qualify
-        # Bit-parity at scale: the general (batch-drained) heap core
-        # produces the same simulation, only slower.
-        general = _run_fleet(store, plans, n, "heap", policy=FIFOPolicy(),
-                             fastpath=False)
-        assert general.core == "heap"
-        assert general.makespan == stats.makespan
-        assert general.busy_seconds == stats.busy_seconds
-        assert general.events == stats.events
+        fast, heap = [], []
+        for rep in range(FASTPATH_PAIRS):
+            sides = [(fast, True), (heap, False)]
+            for runs, fastpath in sides if rep % 2 == 0 else reversed(sides):
+                runs.append(_run_fleet(store, plans, n, "heap",
+                                       policy=FIFOPolicy(),
+                                       fastpath=fastpath))
+        stats = min(fast, key=lambda s: s.wall_seconds)
+        general = min(heap, key=lambda s: s.wall_seconds)
+        ratio = statistics.median(
+            h.wall_seconds / f.wall_seconds for f, h in zip(fast, heap))
+        # The dispatch must qualify, and the general (batch-drained) heap
+        # core must produce the same simulation, only slower.
+        assert all(s.core == "fastpath" for s in fast)
+        assert all(s.core == "heap" for s in heap)
+        for s in fast + heap:
+            assert s.makespan == stats.makespan
+            assert s.busy_seconds == stats.busy_seconds
+            assert s.events == stats.events
         bench_metrics(
             f"executor_scale/q{n}_s4_fastpath",
             core=stats.core,
@@ -297,16 +307,20 @@ def test_fastpath_fleet_scale(record, bench_metrics, fleet):
             events_per_second=round(stats.events_per_second),
             sim_makespan=round(stats.makespan, 3),
             heap_wall_seconds=round(general.wall_seconds, 4),
+            speedup=round(ratio, 2),
+            pairs=FASTPATH_PAIRS,
         )
         for s, core in ((stats, "fastpath"), (general, "heap")):
             lines.append(f"{n:>8} {core:>9} {s.wall_seconds * 1e3:>7.1f}ms "
                          f"{s.events_per_second:>10,.0f}")
+        lines.append(f"{n:>8} {'ratio':>9} {ratio:>8.2f}x (median of "
+                     f"{FASTPATH_PAIRS} interleaved pairs)")
         assert stats.wall_seconds < FASTPATH_WALL_BUDGET
-        final_eps = stats.events_per_second
+        final_ratio = ratio
     record("Executor scale — vectorized fast path, 1024/4096 FIFO queries "
            "x 4 shards (bit-identical to the general heap core)",
            "\n".join(lines))
-    assert final_eps >= FASTPATH_MIN_EPS
+    assert final_ratio >= FASTPATH_MIN_RATIO
 
 
 def test_parallel_fleet_throughput(record, bench_metrics, fleet):

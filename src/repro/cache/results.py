@@ -1,12 +1,20 @@
 """Cross-query operator-result memoization.
 
-Operator outputs in this reproduction are deterministic per
-``(stream, segment, dataset, operator, fidelity, sampling)`` — they are
-seeded by exactly that tuple — so one query's stage output over a segment
-is every other query's output too.  The result cache exploits that twice:
+Operator outputs in this reproduction are deterministic:
+``QueryEngine._stage_output`` seeds each one by ``(operator, dataset,
+segment, fidelity)`` over the dataset's content model — the stream is
+not part of the seed, so every stream alias of a dataset gets the same
+output — and one query's stage output over a segment is every other
+query's output too.  Results are keyed more finely, by ``(stream,
+segment, dataset, operator, fidelity, sampling)``, because invalidation
+and simulated residency are per stream.  The result cache exploits the
+determinism twice:
 
 * an **output memo** keeps the actual output arrays (byte-bounded, LRU),
-  so planning a repeat query never re-runs the operator's real compute;
+  so planning a repeat query never re-runs the operator's real compute.
+  The query engine keeps its own per-engine memo of stage outcomes in
+  front of it, so ``memo_hits``/``memo_misses`` count only the lookups
+  that engine memo missed;
 * a **committed set** (a :class:`~repro.cache.frames.ByteBudgetCache` over
   the outputs' byte sizes) models which results are resident in simulated
   RAM — only committed results zero the stage's simulated consume cost,

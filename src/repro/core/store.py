@@ -442,18 +442,22 @@ class VStore:
         instant; the events themselves go onto the executor timeline
         observationally (:meth:`ConcurrentExecutor.schedule_failures`) —
         the mutations already happened here, replaying them would
-        double-apply.
+        double-apply.  One plan memo spans the walk and is cleared at
+        every event, so each distinct spec is planned once per
+        shard-health epoch.
         """
         from repro.storage.failures import apply_event, rebuild_jobs
 
         events = list(campaign.events)
         ei = 0
+        plans: dict = {}
 
         def fire_until(t: float) -> None:
             nonlocal ei
             while ei < len(events) and events[ei].t <= t:
                 event = events[ei]
                 work = apply_event(self.disk_array, event)
+                plans.clear()
                 if work and self.segments is not None:
                     for job in rebuild_jobs(self.segments, work):
                         executor.admit_job(job, arrival=event.t)
@@ -461,7 +465,7 @@ class VStore:
 
         for spec in specs:
             fire_until(float(spec["arrival"]))
-            self._admit_specs(executor, [spec])
+            self._admit_specs(executor, [spec], plans)
         fire_until(float("inf"))
         executor.schedule_failures(events)
 
@@ -555,16 +559,40 @@ class VStore:
         return Observability(metrics=self.metrics, last_run=self.last_run)
 
     @staticmethod
-    def _admit_specs(executor: "ConcurrentExecutor", specs) -> None:
+    def _admit_specs(executor: "ConcurrentExecutor", specs,
+                     plans: Optional[dict] = None) -> None:
+        """Admit specs, planning each distinct one once.
+
+        A plan depends on what a spec asks for and on the store's state,
+        never on when it arrives, who sent it or its deadline, so repeats
+        of a spec admit the first one's plan (``admit(plan=...)``).  The
+        ``plans`` memo is keyed by (cascade, dataset, accuracy, t0, t1,
+        stream, contexts, scheme identity); a caller that mutates the
+        store between calls passes its own memo and clears it on every
+        mutation.  Specs that carry a ``plan`` bypass the memo.
+        """
+        plans = {} if plans is None else plans
         for spec in specs:
             spec = dict(spec)
             query = spec.pop("query")
             if isinstance(query, str):
                 query = cascade_for(query)
-            executor.admit(
+            key = None
+            if spec.get("plan") is None:
+                # AlternativeScheme holds a list, so it is keyed by
+                # identity; the memo keeps it alive so the id stays unique.
+                scheme = spec.get("scheme")
+                key = (query, spec["dataset"], spec["accuracy"], spec["t0"],
+                       spec["t1"], spec.get("stream"),
+                       spec.get("contexts", 1), id(scheme))
+                if key in plans:
+                    spec["plan"] = plans[key][1]
+            session = executor.admit(
                 query, spec.pop("dataset"), spec.pop("accuracy"),
                 spec.pop("t0"), spec.pop("t1"), **spec
             )
+            if key is not None:
+                plans[key] = (scheme, session.plan)
 
     # -- online evolution -----------------------------------------------------------
 

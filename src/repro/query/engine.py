@@ -9,7 +9,7 @@ to a simulated clock — the full data path of Figure 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, TYPE_CHECKING
+from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 import numpy as np
 
@@ -115,6 +115,9 @@ class QueryEngine:
         self.cache = cache
         self._content = get_dataset(dataset).content()
         self._sample = self._content.clip(0.0, self.SELECTIVITY_SAMPLE)
+        #: (positive frames, output bytes) per (operator, segment index,
+        #: consumer-fidelity label) — see :meth:`_stage_outcome`.
+        self._outcomes: Dict[tuple, Tuple[int, float]] = {}
 
     # -- analytic estimation --------------------------------------------------------
 
@@ -216,6 +219,12 @@ class QueryEngine:
         is independent of how its tasks are later scheduled.  ``stream``
         lets one content model (this engine's dataset) stand in for footage
         ingested under another stream name (a camera fleet).
+
+        Stage outcomes (positive frames and output bytes per segment) are
+        reused across every plan this engine makes, for any stream: each
+        operator runs at most once per (operator, segment, fidelity) per
+        engine.  Retrieval costs, shard routing and cache hits are
+        assessed afresh on every call.
         """
         from repro.query.scheduler import (
             QueryPlan,
@@ -258,15 +267,14 @@ class QueryEngine:
             ).tolist()
             for segment, (retrieved, access), cost in zip(
                     active, assessed, base_costs):
-                clip = self._content.clip(segment.t0, segment.seconds)
                 rkey = None
                 if self.cache is not None:
                     rkey = self.cache.result_key(
                         stream, segment.index, self.dataset, name,
                         fidelity.label, str(fidelity.sampling),
                     )
-                output = self._stage_output(op, name, clip, fidelity,
-                                            segment.index, rkey)
+                hits, nbytes = self._stage_outcome(op, name, segment,
+                                                   fidelity, rkey)
                 result_hit = False
                 if rkey is not None:
                     if self.cache.results.is_committed(rkey):
@@ -285,8 +293,7 @@ class QueryEngine:
                 # its key is cleared so the executor's single-flight pass
                 # leaves it alone.
                 result_keys.append(None if result_hit else rkey)
-                result_nbytes.append(float(output.nbytes))
-                hits = int(np.asarray(output).sum())
+                result_nbytes.append(nbytes)
                 if hits > 0:
                     survivors.append(segment)
                     n_pos += hits
@@ -342,6 +349,26 @@ class QueryEngine:
             stages=tuple(stages),
             contexts=contexts,
         )
+
+    def _stage_outcome(self, op, name: str, segment, fidelity: Fidelity,
+                       rkey: Optional[tuple]) -> Tuple[int, float]:
+        """(positive frames, output bytes) of one stage over one segment.
+
+        Memoized per engine under (operator, segment index, fidelity
+        label): :meth:`_stage_output` is seeded without the stream, over
+        this engine's deterministic content model, so the outcome holds
+        for every stream alias, store state, shard health and cache
+        plane.  Only a miss clips the content and runs the operator.
+        """
+        key = (name, segment.index, fidelity.label)
+        outcome = self._outcomes.get(key)
+        if outcome is None:
+            clip = self._content.clip(segment.t0, segment.seconds)
+            output = self._stage_output(op, name, clip, fidelity,
+                                        segment.index, rkey)
+            outcome = self._outcomes[key] = (int(np.asarray(output).sum()),
+                                             float(output.nbytes))
+        return outcome
 
     def _stage_output(self, op, name: str, clip, fidelity: Fidelity,
                       index: int, rkey: Optional[tuple]) -> np.ndarray:
