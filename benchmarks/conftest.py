@@ -11,12 +11,20 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from typing import Dict, List
 
 import pytest
 
 from repro.core.config import derive_configuration
 from repro.operators.library import default_library
+
+#: The parity oracles live in ``tests/oracles``; with ``tests/`` on the
+#: path the benchmarks import them as ``oracles``, the way tests do.
+_TESTS_DIR = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "tests")
+if _TESTS_DIR not in sys.path:
+    sys.path.insert(0, _TESTS_DIR)
 
 RESULTS_PATH = os.path.join(os.path.dirname(__file__), "RESULTS.md")
 BENCH_PATH = os.path.join(os.path.dirname(__file__), "BENCH.json")

@@ -13,8 +13,8 @@ Python.  This module measures the result and pins it:
 * the full 16-512 x 1-8 grid runs in seconds (previously minutes), with
   real events/sec recorded per cell in BENCH.json and RESULTS.md;
 * the acceptance cell — 256 queries on 4 shards — must run **>= 10x**
-  faster under the heap core than under the (kept, bit-identical)
-  reference loop;
+  faster under the heap core than under the bit-identical rescan loop
+  kept as the parity oracle in ``tests/oracles``;
 * 1024- and 4096-query FIFO fleets on 4 shards qualify for the fast
   path, bit-identical to the general heap core; at 4096 queries the fast
   path must run **>= 2.5x** faster than that core (median ratio over ten
@@ -34,6 +34,7 @@ per-stream plans are identical across queries, so planning cost is paid
 
 import os
 import statistics
+from contextlib import nullcontext
 from time import perf_counter
 
 import pytest
@@ -50,6 +51,8 @@ from repro.query.scheduler import (
 )
 from repro.storage.disk import DiskBandwidthPool
 from repro.units import GB
+
+from oracles import no_fastpath, reference_loop
 
 SHARD_COUNTS = (1, 4, 8)
 QUERY_COUNTS = (16, 64, 256, 512)
@@ -142,8 +145,7 @@ def fleet(tmp_path_factory):
         store.close()
 
 
-def _run_fleet(store, plans, n_queries, core, policy=None, fastpath=True,
-               **executor_kwargs):
+def _run_fleet(store, plans, n_queries, policy=None, **executor_kwargs):
     """Admit and run one fleet; returns the executor's stats.
 
     ``executor_kwargs`` pass through to ``store.executor`` — the smoke
@@ -155,8 +157,6 @@ def _run_fleet(store, plans, n_queries, core, policy=None, fastpath=True,
         disk_pool=DiskBandwidthPool(1),  # one I/O channel per shard
         decoder_pool=DecoderPool(2),
         operator_pool=OperatorContextPool(4),
-        core=core,
-        fastpath=fastpath,
         **executor_kwargs,
     )
     for i in range(n_queries):
@@ -173,7 +173,7 @@ def test_executor_scale_sweep(record, bench_metrics, fleet):
     for shards in SHARD_COUNTS:
         store, plans = fleet(shards)
         for n in QUERY_COUNTS:
-            stats = _run_fleet(store, plans, n, "heap")
+            stats = _run_fleet(store, plans, n)
             cells[(shards, n)] = stats
             bench_metrics(
                 f"executor_scale/q{n}_s{shards}_heap",
@@ -214,7 +214,7 @@ def test_executor_scale_sweep(record, bench_metrics, fleet):
 
 
 def test_heap_vs_reference_speedup(benchmark, record, bench_metrics, fleet):
-    """Acceptance: >= 10x wall-clock over the legacy loop at 256 x 4.
+    """Acceptance: >= 10x wall-clock over the rescan-loop oracle at 256 x 4.
 
     Best-of-N wall-clock on both sides: the minimum is the standard
     noise-robust estimator, and the heap core's ~70 ms runs are the ones
@@ -224,17 +224,19 @@ def test_heap_vs_reference_speedup(benchmark, record, bench_metrics, fleet):
     store, plans = fleet(shards)
 
     heap_stats = benchmark.pedantic(
-        lambda: _run_fleet(store, plans, n, "heap"),
+        lambda: _run_fleet(store, plans, n),
         rounds=1, iterations=1,
     )
     for _ in range(2):  # best of 3
-        candidate = _run_fleet(store, plans, n, "heap")
+        candidate = _run_fleet(store, plans, n)
         if candidate.wall_seconds < heap_stats.wall_seconds:
             heap_stats = candidate
-    ref_stats = _run_fleet(store, plans, n, "reference")
-    candidate = _run_fleet(store, plans, n, "reference")  # best of 2
+    with reference_loop():
+        ref_stats = _run_fleet(store, plans, n)
+        candidate = _run_fleet(store, plans, n)  # best of 2
     if candidate.wall_seconds < ref_stats.wall_seconds:
         ref_stats = candidate
+    assert heap_stats.core == "heap" and ref_stats.core == "reference"
 
     # Bit-identical simulation, wildly different wall-clock.
     assert heap_stats.makespan == ref_stats.makespan
@@ -280,11 +282,11 @@ def test_fastpath_fleet_scale(record, bench_metrics, fleet):
     for n in FASTPATH_QUERY_COUNTS:
         fast, heap = [], []
         for rep in range(FASTPATH_PAIRS):
-            sides = [(fast, True), (heap, False)]
-            for runs, fastpath in sides if rep % 2 == 0 else reversed(sides):
-                runs.append(_run_fleet(store, plans, n, "heap",
-                                       policy=FIFOPolicy(),
-                                       fastpath=fastpath))
+            sides = [(fast, nullcontext), (heap, no_fastpath)]
+            for runs, dispatch in sides if rep % 2 == 0 else reversed(sides):
+                with dispatch():
+                    runs.append(_run_fleet(store, plans, n,
+                                           policy=FIFOPolicy()))
         stats = min(fast, key=lambda s: s.wall_seconds)
         general = min(heap, key=lambda s: s.wall_seconds)
         ratio = statistics.median(
@@ -418,7 +420,7 @@ def test_perf_smoke_64_queries(bench_metrics, fleet):
     for rep in range(SMOKE_REPEATS):
         sides = [(detached, None), (attached, store.metrics)]
         for runs, registry in sides if rep % 2 == 0 else reversed(sides):
-            runs.append(_run_fleet(store, plans, SMOKE_QUERIES, "heap",
+            runs.append(_run_fleet(store, plans, SMOKE_QUERIES,
                                    metrics=registry))
     for cell, runs, registry in ((SMOKE_CELL_DETACHED, detached, "detached"),
                                  (SMOKE_CELL, attached, "attached")):

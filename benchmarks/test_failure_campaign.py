@@ -14,18 +14,19 @@ second, recover both before the horizon — and gates three things:
   bound holds on any host;
 * **replay equality** — two fresh stores serve the identical campaign
   to identical outcomes (rebuild commits persist placement changes, so
-  each run builds its own store).
+  each run builds its own store), and the rescan-loop parity oracle
+  (``tests/oracles``) serves it to bit-identical outcomes.
 
 The ``failures/smoke_rebuild`` cell lands in BENCH.json with the run's
 events/s; the CI chaos-smoke job gates it through ``bench-diff``
 against the committed baseline like the other smoke cells.
 """
 
-import pytest
-
 from repro.core.store import VStore
 from repro.operators.library import default_library
 from repro.query.workload import ArrivalSpec, QueryMixEntry, TenantSpec
+
+from oracles import reference_loop
 
 SHARDS = 4
 REPLICATION = 2
@@ -69,8 +70,7 @@ def _fresh_store(tmp_path_factory):
 def _serve_campaign(tmp_path_factory):
     store = _fresh_store(tmp_path_factory)
     report = store.serve(TENANTS, horizon=HORIZON, seed=SEED,
-                         failures=CAMPAIGN, cache=None, metrics=None,
-                         core="heap")
+                         failures=CAMPAIGN, cache=None, metrics=None)
     store.close()
     return report
 
@@ -129,16 +129,15 @@ def test_chaos_smoke_rebuild(bench_metrics, tmp_path_factory):
 
 
 def test_campaign_cores_agree(tmp_path_factory):
-    """The heap and reference cores serve the campaign identically."""
-    store = _fresh_store(tmp_path_factory)
-    heap = store.serve(TENANTS, horizon=HORIZON, seed=SEED,
-                       failures=CAMPAIGN, cache=None, metrics=None,
-                       core="heap")
-    store.close()
-    store = _fresh_store(tmp_path_factory)
-    ref = store.serve(TENANTS, horizon=HORIZON, seed=SEED,
-                      failures=CAMPAIGN, cache=None, metrics=None,
-                      core="reference")
-    store.close()
-    assert _outcome_key(heap) == _outcome_key(ref)
-    assert heap.stats.makespan == pytest.approx(ref.stats.makespan)
+    """The heap core and the rescan-loop oracle serve the campaign
+    bit-identically: unrounded finish times, latencies and makespan."""
+    def exact_key(report):
+        return [(o.session.qid, o.session.label, o.session.finished_at,
+                 o.latency) for o in report.outcomes]
+
+    heap = _serve_campaign(tmp_path_factory)
+    with reference_loop():
+        ref = _serve_campaign(tmp_path_factory)
+    assert ref.stats.core == "reference"
+    assert exact_key(heap) == exact_key(ref)
+    assert heap.stats.makespan == ref.stats.makespan

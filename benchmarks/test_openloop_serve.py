@@ -123,7 +123,6 @@ def _serve_fleet(store, plans, n_queries, rate_per_tenant):
                                   queue_policy="edf"),
         cache=None,  # identical service per query: repeat runs bit-equal
         metrics=None,
-        core="heap",
     )
     for i, (t, tenant) in enumerate(_arrival_stream(n_queries,
                                                     rate_per_tenant)):

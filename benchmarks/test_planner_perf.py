@@ -1,9 +1,9 @@
 """Planner performance: the vectorized profiling plane vs the scalar path.
 
 For 5/10/15-consumer workloads, runs heuristic, distance and (where the
-CF count is affordable) exhaustive planning twice — once on the legacy
-per-call scalar surfaces (``use_table=False``) and once on the shared
-:class:`~repro.codec.tables.ProfileTable` — and compares wall time,
+CF count is affordable) exhaustive planning twice — once on the per-call
+scalar surfaces (the ``tests/oracles`` scalar profiler) and once on the
+shared :class:`~repro.codec.tables.ProfileTable` — and compares wall time,
 codec-surface evaluation counts and profiler invocations.  Plans must be
 identical in both modes; the vectorized plane must cut per-call surface
 evaluations by at least 5x on the 10-consumer workload.
@@ -24,6 +24,8 @@ from repro.core.consumption import ConsumptionPlanner
 from repro.operators.library import Consumer
 from repro.profiler.coding_profiler import CodingProfiler
 from repro.profiler.profiler import OperatorProfiler
+
+from oracles import scalar_profiler
 
 #: (operator, profiling dataset) in workload order; consumers are taken
 #: in accuracy-major order below, so prefixes mix fast and slow operators.
@@ -48,12 +50,13 @@ def all_decisions(full_library):
     return decisions
 
 
-def _measure(method, decisions, use_table, cold=True, **kwargs):
+def _measure(method, decisions, table, cold=True, **kwargs):
     if cold:
         clear_profile_table_cache()
     scalar0, grid0 = SURFACE_CALLS.scalar, SURFACE_CALLS.grid
     t0 = time.perf_counter()
-    profiler = CodingProfiler(activity=0.6, use_table=use_table)
+    profiler = (CodingProfiler(activity=0.6) if table
+                else scalar_profiler(activity=0.6))
     plan = getattr(StorageFormatPlanner(profiler), method)(
         decisions, **kwargs
     )
@@ -78,15 +81,15 @@ def test_planner_perf(benchmark, record, full_library, all_decisions):
             methods.append(("exhaustive", "exhaustive", {}))
         for name, method, kwargs in methods:
             plan_s, wall_s, evals_s, stats_s = _measure(
-                method, decisions, use_table=False, **kwargs
+                method, decisions, table=False, **kwargs
             )
             plan_v, wall_v, evals_v, stats_v = _measure(
-                method, decisions, use_table=True, **kwargs
+                method, decisions, table=True, **kwargs
             )
             # Steady state: the shared table is already built (every
             # profiler in a process reuses it), so planning is pure lookups.
             plan_w, wall_w, evals_w, stats_w = _measure(
-                method, decisions, use_table=True, cold=False, **kwargs
+                method, decisions, table=True, cold=False, **kwargs
             )
             assert (sorted(sf.label for sf in plan_w.formats)
                     == sorted(sf.label for sf in plan_v.formats))

@@ -122,7 +122,7 @@ class CacheStats:
     single_flight_seconds_saved: float
     tiering: Optional[TieringStats]
     #: Dependency-blocked tasks released through the executor's event
-    #: queue (0 under the reference rescan core).
+    #: queue (0 under the rescan-loop parity oracle).
     single_flight_wakeups: int = 0
 
     @property
@@ -251,8 +251,8 @@ class CachePlane:
         deduplicated consumes) by decrementing dependency counters when
         their leader completes — no rescan ever rediscovers them.  This
         counter makes that path observable: it tracks how many blocked
-        tasks were released event-driven, which the reference (rescan)
-        core leaves at zero.
+        tasks were released event-driven, which the rescan-loop parity
+        oracle in ``tests/oracles`` leaves at zero.
         """
         self.single_flight_wakeups += count
 

@@ -42,7 +42,7 @@ from repro.errors import BudgetError, ConfigurationError
 from repro.ingest.budget import IngestBudget
 from repro.operators.library import Consumer
 from repro.profiler.coding_profiler import CodingProfiler
-from repro.video.coding import Coding, RAW, SPEED_STEPS, coding_space
+from repro.video.coding import Coding, RAW, SPEED_STEPS
 from repro.video.fidelity import (
     CROP_FACTORS,
     Fidelity,
@@ -115,15 +115,7 @@ class CoalescePlan:
 
 def _storage_rank(profiler: CodingProfiler, fidelity: Fidelity) -> List[Coding]:
     """Encoded coding options ordered by on-disk size, cheapest first."""
-    if profiler.table is not None:
-        return list(profiler.table.storage_rank(fidelity))
-    options = list(coding_space(include_raw=False))
-    options.sort(
-        key=lambda c: profiler.codec.encoded_bytes_per_second(
-            fidelity, c, profiler.activity
-        )
-    )
-    return options
+    return list(profiler.table.storage_rank(fidelity))
 
 
 def coding_is_adequate(

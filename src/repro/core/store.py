@@ -298,20 +298,18 @@ class VStore:
         )
 
     def execute(self, query: str, dataset: str, accuracy: float,
-                t0: float, t1: float, core: str = "heap",
+                t0: float, t1: float,
                 trace: Optional[bool] = None) -> ExecutionResult:
         """Actually run a query over stored segments.
 
-        ``core`` picks the executor engine: the O(log n) ``"heap"`` event
-        loop (default) or the legacy ``"reference"`` rescan loop — the
-        two produce bit-identical results.  ``trace`` forces per-event
-        trace recording on or off (``None`` = automatic by fleet size).
+        ``trace`` forces per-event trace recording on or off (``None`` =
+        automatic by fleet size).
         """
         self._check_open()
         if self.segments is None:
             raise QueryError("execution requires a workdir-backed store")
         return self.engine(dataset).execute(
-            cascade_for(query), accuracy, self.segments, t0, t1, core=core,
+            cascade_for(query), accuracy, self.segments, t0, t1,
             trace=trace,
         )
 
@@ -351,7 +349,7 @@ class VStore:
         in-flight set; its per-tenant quotas and weights default to the
         :class:`~repro.query.workload.TenantSpec` fields when left
         unset.  Remaining keyword arguments configure the executor
-        (``policy``, ``core``, pools — see :meth:`executor`).
+        (``policy``, pools — see :meth:`executor`).
 
         ``failures`` injects a failure campaign into the run: a
         :class:`~repro.storage.failures.FailureCampaign`, a sequence of

@@ -3,8 +3,8 @@
 Three modules, one contract:
 
 * :mod:`repro.obs.trace` — the locked task-event schema, its single
-  shared constructor (used by all three executor cores), and the typed
-  interval/span views built on the raw stream;
+  shared constructor (used by the heap core and the fast path), and the
+  typed interval/span views built on the raw stream;
 * :mod:`repro.obs.metrics` — the always-on counters/gauges/log-bucket
   histograms registry the executor, cache plane, sharded disks and
   drift detector feed;

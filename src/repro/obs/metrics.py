@@ -221,9 +221,7 @@ class MetricsRegistry:
         self.counter("executor.events").inc(stats.events)
         self.gauge("executor.makespan_seconds").set(stats.makespan)
         self.gauge("executor.core").set(
-            {"reference": 0.0, "heap": 1.0, "fastpath": 2.0}.get(
-                stats.core, -1.0
-            )
+            {"heap": 1.0, "fastpath": 2.0}.get(stats.core, -1.0)
         )
         for resource in sorted(stats.busy_seconds):
             util = stats.utilization(resource)

@@ -1,16 +1,16 @@
-"""The typed trace-event model: one schema, one constructor, three cores.
+"""The typed trace-event model: one schema, one constructor.
 
-Before this module, each executor core hand-rolled its own ``{"event":
-..., "t": ...}`` dict — three copies of an implicit schema whose only
+Before this module, each executor loop hand-rolled its own ``{"event":
+..., "t": ...}`` dict — copies of an implicit schema whose only
 guarantee was the golden-trace files happening to agree.  Now the schema
 is *locked* here:
 
 * :data:`TRACE_SCHEMA` is the exact key-set of every task lifecycle
-  event; :func:`task_event` is the one constructor all three cores
-  (reference rescan loop, event-heap core, vectorized fast path) call,
-  so the streams are identical by construction and the cross-core parity
-  test (:mod:`tests.test_obs_trace`) can diff key-sets and full streams
-  mechanically;
+  event; :func:`task_event` is the one constructor the event-heap core,
+  the vectorized fast path and the rescan-loop parity oracle in
+  ``tests/oracles`` call, so the streams are identical by construction
+  and the parity tests (:mod:`tests.test_obs_trace`) can diff key-sets
+  and full streams mechanically;
 * :class:`TraceEvent` is the typed view of one raw event — what analysis
   and export code should consume instead of string-indexing dicts;
 * :class:`TaskInterval` pairs each ``start``/``finish`` event into one
@@ -80,10 +80,10 @@ def task_event(event: str, t: float, query: str, kind: str, operator: str,
                resource: str, duration: float) -> Dict[str, object]:
     """The shared constructor of one task lifecycle event.
 
-    Every executor core emits its ``start``/``finish`` records through
-    this function, so the three streams carry the identical key-set and
-    value layout — the property the golden traces and the cross-core
-    parity tests pin.  It intentionally returns a plain dict (not a
+    The heap core, the fast path and the parity oracle emit their
+    ``start``/``finish`` records through this function, so their streams
+    carry the identical key-set and value layout — the property the
+    golden traces and the parity tests pin.  It intentionally returns a plain dict (not a
     dataclass): tracing is on by default for fleets up to
     ``TRACE_AUTO_QUERIES`` and this runs once per event.
     """

@@ -401,7 +401,6 @@ class QueryEngine:
         clock: Optional[SimClock] = None,
         contexts: int = 1,
         stream: Optional[str] = None,
-        core: str = "heap",
         trace: Optional[bool] = None,
     ) -> ExecutionResult:
         """Stream segments through retrieval into stochastic operator runs.
@@ -412,9 +411,7 @@ class QueryEngine:
         same costs in the same order as the sequential data path of
         Figure 1.  ``contexts`` > 1 scales consumption the way the paper's
         Section-5 scheduler does: segments are dispatched across that many
-        operator contexts and the stage pays the makespan.  ``core``
-        selects the executor engine (``"heap"`` or the legacy
-        ``"reference"`` loop); the two are bit-identical.
+        operator contexts and the stage pays the makespan.
         """
         from repro.query.scheduler import ConcurrentExecutor
 
@@ -427,7 +424,6 @@ class QueryEngine:
             clock=clock,
             engines={self.dataset: self},
             cache=self.cache,
-            core=core,
             trace=trace,
         )
         executor.admit(query, self.dataset, accuracy, t0, t1,
@@ -444,71 +440,4 @@ class QueryEngine:
             speed=float("inf") if compute <= 0 else video_seconds / compute,
             positives_per_stage=outcome.result.positives_per_stage,
             segments_per_stage=outcome.result.segments_per_stage,
-        )
-
-    def _execute_sequential(
-        self,
-        query: QueryCascade,
-        accuracy: float,
-        store: SegmentStore,
-        t0: float,
-        t1: float,
-        scheme: Optional[AlternativeScheme] = None,
-        clock: Optional[SimClock] = None,
-        contexts: int = 1,
-    ) -> ExecutionResult:
-        """Reference implementation: the original single-query loop.
-
-        Kept verbatim so tests can assert that :meth:`execute` — now the
-        N=1 case of the concurrent executor — reproduces it bit-identically.
-        """
-        from repro.query.scheduler import dispatch
-
-        if t1 <= t0:
-            raise QueryError(f"empty query range [{t0}, {t1})")
-        scheme = scheme or vstore_scheme(self.config)
-        clock = clock or SimClock()
-        segments = segments_for_range(self.dataset, t0, t1)
-        active = list(segments)
-        positives: Dict[str, int] = {}
-        touched: Dict[str, int] = {}
-
-        for name in query:
-            op = self.library.get(name)
-            consumer = Consumer(name, accuracy)
-            fidelity = scheme.consumption_fidelity(consumer)
-            fmt = scheme.storage_format(consumer)
-            reader = SegmentReader(store, fmt, fidelity, self.codec, clock)
-            survivors = []
-            n_pos = 0
-            consume_costs = []
-            for segment in active:
-                retrieved = reader.read(self.dataset, segment.index)
-                clip = self._content.clip(segment.t0, segment.seconds)
-                consume_costs.append(
-                    op.cost_per_frame(fidelity) * retrieved.n_frames
-                )
-                rng = rng_for("query", name, self.dataset, segment.index,
-                              fidelity.label)
-                output = op.run(clip, fidelity, rng)
-                hits = int(np.asarray(output).sum())
-                if hits > 0:
-                    survivors.append(segment)
-                    n_pos += hits
-            clock.charge(dispatch(consume_costs, contexts).makespan,
-                         "consume")
-            positives[name] = n_pos
-            touched[name] = len(active)
-            active = survivors
-
-        video_seconds = t1 - t0
-        compute = clock.now
-        return ExecutionResult(
-            query=query.label,
-            dataset=self.dataset,
-            video_seconds=video_seconds,
-            compute_seconds=compute,
-            speed=float("inf") if compute <= 0 else video_seconds / compute,
-            positives_per_stage=positives,
-            segments_per_stage=touched,
         )

@@ -26,12 +26,12 @@ each O(log n) per event:
   ``all(d in completed)`` scan over every waiting task.  Single-flight
   cache followers wake up through exactly this path.
 
-The heap core is bit-identical to the legacy loop by construction: the
-globally minimal fitting entry across the per-resource heaps is the same
-task the full rescan would have granted (heap heads are per-resource
-minima; parked entries cannot fit again until a release because pool usage
-only grows within one grant round), and ties carry the same ``seq``
-tie-break.  The one soundness requirement is that a policy's priority for
+The heap core is bit-identical to the rescan loop (kept as the parity
+oracle in ``tests/oracles``) by construction: the globally minimal
+fitting entry across the per-resource heaps is the same task the full
+rescan would have granted (heap heads are per-resource minima; parked
+entries cannot fit again until a release because pool usage only grows
+within one grant round), and ties carry the same ``seq`` tie-break.  The one soundness requirement is that a policy's priority for
 a waiting task never *decreases* while it waits — true for FIFO (constant),
 EDF (constant) and fair share (attained service only grows; and a session's
 own service cannot change while its single in-flight task waits) — so a
@@ -65,13 +65,14 @@ class TimelineCursor:
     """A sorted stream of timestamped exogenous events, consumed in
     simulated-time order.
 
-    Both executor cores interleave *completions* (endogenous: produced
-    by running tasks) with exogenous timelines — query arrivals and
-    shard failure events.  Each timeline is the same shape: a
+    The heap core (and the rescan-loop parity oracle) interleaves
+    *completions* (endogenous: produced by running tasks) with exogenous
+    timelines — query arrivals and shard failure events.  Each timeline
+    is the same shape: a
     time-sorted list walked front to back, whose head timestamp is
     compared against the other streams' heads and whose same-instant
     entries drain as one batch.  The cursor owns that walk;
-    :meth:`next_t` returns ``+inf`` once drained, so cores ``min()``
+    :meth:`next_t` returns ``+inf`` once drained, so a loop can ``min()``
     several cursors against :meth:`CompletionHeap.next_end` without
     per-stream sentinel bookkeeping.
 

@@ -24,9 +24,10 @@ do — N=1 results are bit-identical by construction.
 
 Scheduling decisions run on the O(log n) event-heap core
 (:mod:`repro.query.eventloop`): per-resource ready heaps with lazy
-priority invalidation, a completion heap, and dependency counters.  The
-original rescan loop survives as ``core="reference"`` — the bit-identical
-parity oracle behind the golden-trace and Hypothesis tests.
+priority invalidation, a completion heap, and dependency counters.
+Fleets the vectorized fast path (:mod:`repro.query.fastpath`) accepts run
+there instead; both are bit-identical to the rescan-loop parity oracle
+that the golden-trace and Hypothesis tests replay (``tests/oracles``).
 """
 
 from __future__ import annotations
@@ -602,7 +603,7 @@ class QuerySession:
     #: can detect a stale priority key (lazy invalidation).
     prio_version: int = 0
     #: Scheduling class: 0 = foreground query, 1 = background evolution
-    #: job.  Both cores prepend it to every policy priority key, so a
+    #: job.  The executor prepends it to every policy priority key, so a
     #: background task is granted only when no foreground task fits the
     #: free capacity.  All-foreground fleets get a constant prefix, which
     #: leaves their schedules (and the golden traces) bit-identical.
@@ -753,9 +754,6 @@ class _Pool:
     in_use: int = 0
     busy_seconds: float = 0.0
 
-    def fits(self, units: int) -> bool:
-        return self.capacity is None or self.in_use + units <= self.capacity
-
     @property
     def free(self) -> Optional[int]:
         """Free units (``None`` = unbounded), for the ready-heap index."""
@@ -849,16 +847,10 @@ class ConcurrentExecutor:
         clock: Optional[SimClock] = None,
         engines: Optional[Dict[str, "QueryEngine"]] = None,
         cache: Optional[CachePlane] = None,
-        core: str = "heap",
         trace: Optional[bool] = None,
-        fastpath: bool = True,
         metrics=None,
         admission: Optional[AdmissionConfig] = None,
     ):
-        if core not in ("heap", "reference"):
-            raise QueryError(
-                f"unknown executor core {core!r}; known: heap, reference"
-            )
         self.config = config
         self.library = library
         self.store = store
@@ -866,10 +858,6 @@ class ConcurrentExecutor:
         self.policy = policy or FIFOPolicy()
         self.clock = clock or SimClock()
         self.cache = cache
-        #: Which event loop :meth:`run` uses: ``"heap"`` is the O(log n)
-        #: engine (:mod:`repro.query.eventloop`); ``"reference"`` keeps the
-        #: original rescan loop as the bit-identical parity oracle.
-        self.core = core
         # A sharded store gets one I/O channel pool per disk shard
         # (``disk_pool.channels`` counts channels *per shard*), so
         # retrievals on different shards genuinely overlap; a single-shard
@@ -902,11 +890,8 @@ class ConcurrentExecutor:
         self._trace_mode = trace
         self._tracing = trace if trace is not None else True
         self._events = 0
-        #: Whether :meth:`run` may lower a qualifying fleet onto the
-        #: vectorized fast path (:mod:`repro.query.fastpath`); the
-        #: general event-heap core is used when it does not qualify.
-        self._fastpath_enabled = fastpath
-        self._core_used = core
+        #: ``"fastpath"`` or ``"heap"``: the core :meth:`run` took.
+        self._core_used = "heap"
         #: Always-on metrics registry
         #: (:class:`~repro.obs.metrics.MetricsRegistry`) the run feeds
         #: aggregates into, or ``None`` to skip — ``VStore.executor()``
@@ -991,11 +976,7 @@ class ConcurrentExecutor:
             raise QueryError("executor already ran; create a new one")
         if contexts <= 0:
             raise QueryError(f"need at least one context: {contexts}")
-        if arrival is not None and arrival < self.clock.now:
-            raise QueryError(
-                f"arrival {arrival} is in the simulated past "
-                f"(clock at {self.clock.now})"
-            )
+        self._check_timing(arrival, deadline)
         wall0 = perf_counter()
         if plan is not None:
             contexts = plan.contexts
@@ -1052,6 +1033,21 @@ class ConcurrentExecutor:
         self._admit_wall_seconds += perf_counter() - wall0
         return session
 
+    def _check_timing(self, arrival: Optional[float],
+                      deadline: Optional[float]) -> None:
+        """Reject timeline inputs the event loop cannot order: an arrival
+        that is not finite or lies in the simulated past, a NaN deadline."""
+        if arrival is not None:
+            if not math.isfinite(arrival):
+                raise QueryError(f"arrival must be finite: {arrival}")
+            if arrival < self.clock.now:
+                raise QueryError(
+                    f"arrival {arrival} is in the simulated past "
+                    f"(clock at {self.clock.now})"
+                )
+        if deadline is not None and math.isnan(deadline):
+            raise QueryError("deadline must not be NaN")
+
     def _tenant_state_for(self, tenant: Optional[str]) -> TenantState:
         name = tenant or ""
         state = self._tenants.get(name)
@@ -1080,11 +1076,7 @@ class ConcurrentExecutor:
             raise QueryError("executor already ran; create a new one")
         if not job.tasks:
             raise QueryError(f"background job {job.name!r} has no tasks")
-        if arrival is not None and arrival < self.clock.now:
-            raise QueryError(
-                f"arrival {arrival} is in the simulated past "
-                f"(clock at {self.clock.now})"
-            )
+        self._check_timing(arrival, deadline)
         wall0 = perf_counter()
         for task in job.tasks:
             pool = self._pools.get(self._resource_name(task))
@@ -1369,11 +1361,11 @@ class ConcurrentExecutor:
     def run(self) -> List[QueryOutcome]:
         """Run all admitted queries to completion; returns them in admit order.
 
-        Dispatches to the O(log n) event-heap core
-        (:mod:`repro.query.eventloop`) or, when constructed with
-        ``core="reference"``, to the original rescan loop — kept verbatim
-        as the parity oracle the golden-trace and Hypothesis tests replay
-        against.  Both cores are bit-identical in outcomes and traces.
+        A fleet the vectorized fast path accepts
+        (:func:`~repro.query.fastpath.lower_fleet`) runs there; every
+        other fleet runs on the O(log n) event-heap core
+        (:mod:`repro.query.eventloop`).  The two are bit-identical in
+        outcomes and traces.
         """
         if self._ran:
             raise QueryError("executor already ran; create a new one")
@@ -1385,17 +1377,14 @@ class ConcurrentExecutor:
             len(self._sessions) <= TRACE_AUTO_QUERIES
             if self._trace_mode is None else self._trace_mode
         )
-        self._core_used = self.core
         # Chain materialization (and, for qualifying fleets, the fast
         # path's array lowering) happens outside the timed window: the
         # wall-clock below measures the executor core itself, the same
-        # methodology the PR 5 scale benchmarks pinned.
-        fleet = None
-        chains = None
-        if self.core == "heap" and self._fastpath_enabled:
-            from repro.query.fastpath import lower_fleet
+        # methodology the scale benchmarks pin.
+        from repro.query.fastpath import lower_fleet, run_fastpath
 
-            fleet = lower_fleet(self)  # None when the fleet disqualifies
+        fleet = lower_fleet(self)  # None when the fleet disqualifies
+        chains = None
         if fleet is None:
             # plan.tasks flattens the stage chains on every access;
             # materialize each chain once (applying the single-flight
@@ -1403,11 +1392,7 @@ class ConcurrentExecutor:
             # linear in the task count.
             chains = self._runtime_chains()
         wall0 = perf_counter()
-        if self.core == "reference":
-            self._run_reference(chains)
-        elif fleet is not None:
-            from repro.query.fastpath import run_fastpath
-
+        if fleet is not None:
             self._core_used = "fastpath"
             run_fastpath(self, fleet)
         else:
@@ -1429,9 +1414,9 @@ class ConcurrentExecutor:
     def _complete(self, done: _Running) -> None:
         """Shared completion bookkeeping: clock, pool, service, trace.
 
-        Called by both cores with the same task in the same order, so the
-        float accumulation (and therefore every downstream number) is
-        identical between them.
+        The rescan-loop parity oracle calls it too, with the same tasks in
+        the same order, so the float accumulation (and therefore every
+        downstream number) is identical between the two.
         """
         # When the completing task started at the current instant (always
         # true for a lone query), charge its exact duration so the N=1
@@ -1474,7 +1459,7 @@ class ConcurrentExecutor:
         seq) with lazy invalidation, completions in one (end, seq) heap,
         and dependency counters wake single-flight followers through the
         event queue — see :mod:`repro.query.eventloop` for the exact
-        equivalence argument against the reference loop.
+        equivalence argument against the rescan-loop parity oracle.
 
         Completions are drained in *same-timestamp batches*
         (:meth:`CompletionHeap.pop_batch`): the clock only moves on the
@@ -1613,8 +1598,8 @@ class ConcurrentExecutor:
             # Interleave completions with arrivals and failure events in
             # simulated-time order; completions win ties, so work
             # finishing at an arrival's (or failure's) instant frees
-            # capacity before admission runs — the reference core breaks
-            # the same ties the same way.  Failure events fire before
+            # capacity before admission runs — the rescan-loop oracle
+            # breaks the same ties the same way.  Failure events fire before
             # arrivals at the same instant: a query arriving as the
             # shard dies sees it dead.
             next_arrival = arrivals.next_t()
@@ -1665,135 +1650,6 @@ class ConcurrentExecutor:
         blocked = list(ready.pending()) + deps.parked()
         if blocked:  # pragma: no cover - guarded by the acyclic dedup graph
             raise self._deadlock_error(blocked)
-        if admission is not None and admission.queued:  # pragma: no cover
-            raise QueryError(
-                f"admission queue stuck with {admission.queued} session(s) "
-                f"and nothing running"
-            )
-
-    def _run_reference(self, chains: Dict[int, List[_RunTask]]) -> None:
-        """The original O(n)-per-event rescan loop — the parity oracle.
-
-        The golden traces were produced by this loop, and the Hypothesis
-        property replays random fleets through both cores.  Do not
-        optimize it: for closed-loop fleets (every arrival at or before
-        the run start, no admission control) the flow below reduces
-        exactly to what PR 2 shipped — ``arrivals`` is empty, ``arrive``
-        is a plain ``submit_next``, and the completion loop is the
-        original ``while running`` — which the golden traces still pin
-        byte-for-byte.  Open-loop fleets interleave future arrivals with
-        completions in simulated-time order, completions winning ties,
-        mirroring the heap core's batching rule.
-        """
-        waiting: List[_Waiting] = []
-        running: List[_Running] = []
-        completed: set = set()  # uids of finished runtime tasks
-        seq = 0
-
-        def submit_next(session: QuerySession) -> None:
-            nonlocal seq
-            tasks = chains[session.qid]
-            if session._cursor >= len(tasks):
-                session.finished_at = self.clock.now
-                return
-            task = tasks[session._cursor]
-            session._cursor += 1
-            waiting.append(_Waiting(session, task, seq, self.clock.now))
-            seq += 1
-
-        def grant() -> None:
-            nonlocal seq
-            while True:
-                fitting = [
-                    w for w in waiting
-                    if self._pools[w.task.resource].fits(w.task.units)
-                    and all(d in completed for d in w.task.deps)
-                ]
-                if not fitting:
-                    return
-                w = min(
-                    fitting,
-                    # The class band mirrors the heap core's: a constant
-                    # prefix for all-foreground fleets, so pre-existing
-                    # schedules are unchanged.
-                    key=lambda w: (
-                        w.session.klass,
-                        self.policy.priority(w.session, w.task, w.seq),
-                        w.seq,
-                    ),
-                )
-                waiting.remove(w)
-                pool = self._pools[w.task.resource]
-                pool.in_use += w.task.units
-                now = self.clock.now
-                w.session.waited_seconds += now - w.since
-                running.append(
-                    _Running(w.session, w.task, now, now + w.task.duration, seq)
-                )
-                self._trace("start", w.session, w.task, now)
-                seq += 1
-
-        admission = self._admission
-        start = self.clock.now
-        arrivals = TimelineCursor(
-            sorted((s for s in self._sessions if s.arrival_at > start),
-                   key=lambda s: (s.arrival_at, s.qid)),
-            timestamp=lambda s: s.arrival_at,
-        )
-
-        def enter_all(entering: List[QuerySession]) -> None:
-            work = list(entering)
-            while work:
-                s = work.pop(0)
-                s.entered_at = self.clock.now
-                s.queued_seconds = self.clock.now - s.arrival_at
-                submit_next(s)
-                if (s.finished_at is not None and admission is not None
-                        and s.klass == 0):
-                    work.extend(admission.finish(s, self.clock.now))
-
-        def arrive(s: QuerySession) -> None:
-            if admission is None or s.klass != 0:
-                enter_all([s])
-            else:
-                enter_all(admission.arrive(s, self.clock.now))
-
-        for session in self._sessions:
-            if session.arrival_at <= start:
-                arrive(session)
-        grant()
-
-        failures = TimelineCursor(self._failure_events,
-                                  timestamp=lambda e: e.t)
-        while running or len(arrivals) or len(failures):
-            done = (min(running, key=lambda r: (r.end, r.seq))
-                    if running else None)
-            next_arrival = arrivals.next_t()
-            next_failure = failures.next_t()
-            if done is not None and (
-                    done.end <= min(next_arrival, next_failure)):
-                running.remove(done)
-                completed.add(done.task.uid)
-                self._complete(done)
-                submit_next(done.session)
-                if (done.session.finished_at is not None
-                        and admission is not None
-                        and done.session.klass == 0):
-                    enter_all(admission.finish(done.session, self.clock.now))
-                grant()
-            elif len(failures) and next_failure <= next_arrival:
-                if next_failure > self.clock.now:
-                    self.clock.advance_to(next_failure, "idle")
-                for event in failures.pop_batch():
-                    self._apply_failure_event(event)
-            else:
-                self.clock.advance_to(next_arrival, "idle")
-                for session in arrivals.pop_batch():
-                    arrive(session)
-                grant()
-
-        if waiting:  # pragma: no cover - guarded by the acyclic dedup graph
-            raise self._deadlock_error(waiting)
         if admission is not None and admission.queued:  # pragma: no cover
             raise QueryError(
                 f"admission queue stuck with {admission.queued} session(s) "

@@ -29,6 +29,7 @@ the simulated instant the copy finished.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
@@ -68,8 +69,10 @@ class FailureEvent:
                 f"unknown failure action {self.action!r}; "
                 f"known: {FAILURE_ACTIONS}"
             )
-        if self.t < 0:
-            raise StorageError(f"event time must be >= 0: {self.t}")
+        if not math.isfinite(self.t) or self.t < 0:
+            raise StorageError(
+                f"event time must be finite and >= 0: {self.t}"
+            )
         if self.shard < 0:
             raise StorageError(f"no such shard: {self.shard}")
         if self.action == "degrade" and self.factor < 1.0:

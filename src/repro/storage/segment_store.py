@@ -80,12 +80,6 @@ def _fmt_key(fmt: StorageFormat) -> str:
 
 
 def _parse_fmt(text: str) -> StorageFormat:
-    if "|" in text:
-        # Legacy stores encoded "/" as a literal "|" (the current encoding
-        # never emits one — it escapes to %7C), so such keys can only come
-        # from a store written before percent-escaping.  They are parsed
-        # here and rewritten once at store open (_migrate_legacy_keys).
-        text = text.replace("|", "%2F")
     fidelity_text, sep, coding_text = text.rpartition(" ")
     if not sep:
         raise StorageError(f"malformed format key: {text!r}")
@@ -116,7 +110,6 @@ class SegmentStore:
         self.cache = None  # Optional[repro.cache.plane.CachePlane]
         self._footprint: Dict[Tuple[str, str], int] = {}
         self._count: Dict[Tuple[str, str], int] = {}
-        self._migrate_legacy_keys()
         self._rollback_uncommitted()
         self._load_footprints()
 
@@ -128,23 +121,6 @@ class SegmentStore:
     def _invalidate_cache(self, stream: str, index: int) -> None:
         if self.cache is not None:
             self.cache.invalidate(stream, index)
-
-    def _migrate_legacy_keys(self) -> None:
-        """Rewrite keys from stores written before percent-escaping.
-
-        The old encoding stored "/" in format labels as a literal "|";
-        the current one never emits "|", so any key containing it in the
-        format part is unambiguously legacy.  Rewriting once at open keeps
-        every lookup (meta/get/contains/indices/delete/...) working on old
-        stores without per-access compatibility paths.
-        """
-        legacy = [key for key in self._data_keys()
-                  if "|" in self._split_key(key)[1]]
-        for key in legacy:
-            stream, fmt_text, index = self._split_key(key)
-            new_key = self._key(stream, _parse_fmt(fmt_text), index)
-            self.kv.put(new_key, self.kv.get(key))
-            self.kv.delete(key)
 
     # -- format epochs (crash-safe online evolution) ----------------------------
 
@@ -202,11 +178,9 @@ class SegmentStore:
             )
             self._count[bucket] = self._count.get(bucket, 0) + 1
             if self.array is not None:
-                # Restore the persisted placement (pre-sharding stores
-                # carry no shard field: everything lived on shard 0).
                 replicas = meta.get("replicas")
                 self.array.adopt(stream, fmt_text, index,
-                                 meta.get("shard", 0), meta["size_bytes"],
+                                 meta["shard"], meta["size_bytes"],
                                  replicas=None if replicas is None
                                  else tuple(replicas))
 
@@ -340,7 +314,7 @@ class SegmentStore:
         if self.array is not None:
             shard = self.shard_of(stream, fmt, index)
         else:
-            shard = meta.get("shard", 0)
+            shard = meta["shard"]
         return StoredSegment(
             stream=stream,
             index=index,

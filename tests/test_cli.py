@@ -109,3 +109,10 @@ def test_trace_export_command(tmp_path, capsys):
 def test_unknown_command_fails():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+@pytest.mark.parametrize("command", ["execute", "serve", "trace", "metrics"])
+def test_core_flag_is_gone(command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--workdir", "w", "--core", "heap"])
+    assert exc.value.code == 2  # argparse: unrecognized arguments

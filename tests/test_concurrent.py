@@ -18,6 +18,8 @@ from repro.query.scheduler import (
 )
 from repro.storage.disk import DiskBandwidthPool
 
+from oracles import _execute_sequential
+
 
 @pytest.fixture(scope="module")
 def store(tmp_path_factory):
@@ -41,8 +43,8 @@ class TestDegenerateParity:
         engine = store.engine("dashcam")
         new = engine.execute(QUERY_B, 0.9, store.segments, 0.0, 64.0,
                              contexts=contexts)
-        ref = engine._execute_sequential(QUERY_B, 0.9, store.segments,
-                                         0.0, 64.0, contexts=contexts)
+        ref = _execute_sequential(engine, QUERY_B, 0.9, store.segments,
+                                  0.0, 64.0, contexts=contexts)
         assert new.compute_seconds == ref.compute_seconds  # bit-identical
         assert new.speed == ref.speed
         assert new.positives_per_stage == ref.positives_per_stage
@@ -53,8 +55,8 @@ class TestDegenerateParity:
         scheme = one_to_one_scheme(store.configuration)
         new = engine.execute(QUERY_A, 0.8, store.segments, 0.0, 32.0,
                              scheme=scheme)
-        ref = engine._execute_sequential(QUERY_A, 0.8, store.segments,
-                                         0.0, 32.0, scheme=scheme)
+        ref = _execute_sequential(engine, QUERY_A, 0.8, store.segments,
+                                  0.0, 32.0, scheme=scheme)
         assert new.compute_seconds == ref.compute_seconds
         assert new.positives_per_stage == ref.positives_per_stage
 
@@ -268,6 +270,15 @@ class TestFacade:
         store.configure()
         with pytest.raises(QueryError):
             store.executor()
+
+    def test_no_executor_core_option(self, store):
+        """One production loop: neither a core nor the fast path is a
+        caller's choice (the parity oracles live in tests/oracles)."""
+        for option in ({"core": "heap"}, {"fastpath": False}):
+            with pytest.raises(TypeError):
+                store.executor(**option)
+        with pytest.raises(TypeError):
+            store.execute("A", "jackson", 0.9, 0.0, 8.0, core="heap")
 
 
 class TestReports:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+
 from repro.codec.decoder import DecoderPool
 from repro.core.evolve import (
     decide_consumers,
@@ -33,6 +34,8 @@ from repro.query.cascade import QUERY_A, QUERY_B
 from repro.query.scheduler import FIFOPolicy, OperatorContextPool
 from repro.storage.disk import DiskBandwidthPool
 
+from oracles import reference_loop
+
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_PATH = GOLDEN_DIR / "trace_drift.json"
 
@@ -45,7 +48,7 @@ def _round(value: float) -> float:
     return round(value, 9)
 
 
-def _run_trace(workdir, core: str = "heap") -> dict:
+def _run_trace(workdir) -> dict:
     """One deterministic mixed run on a fresh store (the re-encode jobs'
     ``on_done`` hooks mutate the store, so every trace gets its own)."""
     lib = default_library(
@@ -76,7 +79,6 @@ def _run_trace(workdir, core: str = "heap") -> dict:
             disk_pool=DiskBandwidthPool(1),
             decoder_pool=DecoderPool(1),
             operator_pool=OperatorContextPool(2),
-            core=core,
         )
         ex.admit(QUERY_A, "jackson", 0.9, 0.0, 16.0)
         ex.admit(QUERY_B, "jackson", 0.9, 0.0, 16.0)
@@ -134,9 +136,11 @@ def test_drift_trace_matches_golden(tmp_path, request):
 
 
 def test_heap_and_reference_cores_agree_on_mixed_fleets(tmp_path):
-    """Priority banding must behave identically in both executor cores."""
-    heap = _canonical_bytes(_run_trace(tmp_path / "heap", "heap"))
-    ref = _canonical_bytes(_run_trace(tmp_path / "ref", "reference"))
+    """Priority banding must behave identically in the heap core and the
+    rescan-loop oracle."""
+    heap = _canonical_bytes(_run_trace(tmp_path / "heap"))
+    with reference_loop():
+        ref = _canonical_bytes(_run_trace(tmp_path / "ref"))
     assert heap == ref
 
 

@@ -1,11 +1,12 @@
-"""The event-heap executor core: parity with the reference loop, the
+"""The event-heap executor core: parity with the rescan-loop oracle, the
 ready-heap index mechanics, dependency wakeups, and plan caching.
 
 The heap core's whole contract is *bit-identical outcomes*: the golden
 traces pin it against committed bytes, and the Hypothesis property here
 replays random fleets — policies x shard widths x pool bounds x cache —
-through both cores and requires the full trace, every per-query float,
-and the pool accounting to agree exactly.
+through the production executor and the oracle (``tests/oracles``) and
+requires the full trace, every per-query float, and the pool accounting
+to agree exactly.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ from repro.query.scheduler import (
     OperatorContextPool,
 )
 from repro.storage.disk import DiskBandwidthPool
+
+from oracles import no_fastpath, reference_loop
 
 
 @pytest.fixture(scope="module")
@@ -66,10 +69,10 @@ POLICIES = (FIFOPolicy, FairSharePolicy, DeadlinePolicy)
           suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_heap_core_matches_reference_on_random_fleets(stores, data):
-    """Random fleet, all three cores, everything equal to the last bit.
+    """Random fleet, all three loops, everything equal to the last bit.
 
-    Each example runs through the reference oracle, the batch-drained
-    heap core with the fast path *disabled* (so the general core is
+    Each example runs through the rescan-loop oracle, the batch-drained
+    heap core with fastpath lowering *disabled* (so the general core is
     exercised even on qualifying fleets), and the default dispatch — and
     asserts the dispatch lowered onto the vectorized fast path exactly
     when the fleet qualifies (no cache plane, static FIFO/EDF priorities,
@@ -101,9 +104,9 @@ def test_heap_core_matches_reference_on_random_fleets(stores, data):
                       st.floats(0.5, 10.0, allow_nan=False)))
         admissions.append((qname, dataset, span, contexts, deadline))
 
-    def run(core, fastpath=True):
+    def run():
         # A fresh cache plane per run: single-flight dedup edges are then
-        # planned identically for both cores (planning only peeks).
+        # planned identically for every run (planning only peeks).
         cache = CachePlane(CacheConfig()) if with_cache else None
         ex = ConcurrentExecutor(
             store.configuration, store.library, store.segments,
@@ -114,17 +117,17 @@ def test_heap_core_matches_reference_on_random_fleets(stores, data):
             operator_pool=(OperatorContextPool(op_ctx)
                            if op_ctx else None),
             cache=cache,
-            core=core,
-            fastpath=fastpath,
         )
         for qname, dataset, span, contexts, deadline in admissions:
             ex.admit(cascade_for(qname), dataset, 0.9, 0.0, span,
                      contexts=contexts, deadline=deadline)
         return ex, ex.run()
 
-    fast_ex, fast_out = run("heap")
-    heap_ex, heap_out = run("heap", fastpath=False)
-    ref_ex, ref_out = run("reference")
+    fast_ex, fast_out = run()
+    with no_fastpath():
+        heap_ex, heap_out = run()
+    with reference_loop():
+        ref_ex, ref_out = run()
 
     assert fast_ex.trace_events == ref_ex.trace_events
     assert heap_ex.trace_events == ref_ex.trace_events
@@ -214,15 +217,17 @@ def test_precomputed_plan_rejects_oversized_gang(stores):
 def test_deadlock_error_names_blocked_sessions(stores, core):
     """A stuck run must say *what* is stuck: (qid, resource, units)."""
     store = stores[1]
-    # fastpath=False: the injected dependency cycle lives in the runtime
-    # chains, which the (dependency-free) fast path never materializes.
-    ex = store.executor(core=core, fastpath=False)
+    ex = store.executor()
     ex.admit(QUERY_B, "dashcam", 0.9, 0.0, 8.0)
     chains = ex._runtime_chains()
     first, last = chains[0][0], chains[0][-1]
     first.deps = (last.uid,)  # an impossible cycle: first waits on last
     ex._runtime_chains = lambda: chains
-    with pytest.raises(QueryError) as err:
+    # Fastpath lowering off: the injected dependency cycle lives in the
+    # runtime chains, which the (dependency-free) fast path never
+    # materializes.
+    loop = reference_loop() if core == "reference" else no_fastpath()
+    with pytest.raises(QueryError) as err, loop:
         ex.run()
     message = str(err.value)
     assert "deadlock" in message

@@ -28,6 +28,8 @@ from repro.storage.failures import (
 )
 from repro.storage.sharding import ShardedDiskArray
 
+from oracles import reference_loop
+
 
 def _array(shards=4, replication=2, **kw):
     kw.setdefault("placement", "round-robin")
@@ -50,8 +52,11 @@ class TestCampaign:
     def test_event_validation(self):
         with pytest.raises(StorageError):
             FailureEvent(t=1.0, action="explode", shard=0)
+        for t in (-1.0, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(StorageError):
+                FailureEvent(t=t, action="fail", shard=0)
         with pytest.raises(StorageError):
-            FailureEvent(t=-1.0, action="fail", shard=0)
+            FailureCampaign.parse("fail@inf:0")
         with pytest.raises(StorageError):
             FailureEvent(t=1.0, action="fail", shard=-1)
         with pytest.raises(StorageError):
@@ -384,9 +389,8 @@ class TestExecutorTimeline:
         assert ex.clock.now == pytest.approx(t)
 
     def test_failure_events_appear_in_trace_both_cores(self, store):
-        def run(core):
-            ex = store.executor(cache=None, metrics=None, core=core,
-                                trace=True)
+        def run():
+            ex = store.executor(cache=None, metrics=None, trace=True)
             from repro.query.cascade import cascade_for
             ex.admit(cascade_for("B"), "jackson", 0.9, 0.0, 16.0)
             ex.schedule_failures([
@@ -396,7 +400,9 @@ class TestExecutorTimeline:
             ex.run()
             return [e for e in ex.trace_events if e["query"] == "failures"]
 
-        heap, ref = run("heap"), run("reference")
+        heap = run()
+        with reference_loop():
+            ref = run()
         assert heap == ref
         assert [e["kind"] for e in heap] == ["degrade", "degrade",
                                              "recover", "recover"]
@@ -478,14 +484,16 @@ class TestServeWithFailures:
         assert run() == run()
 
     def test_serve_cores_agree_under_campaign(self, store):
-        def run(core):
-            r = store.serve(TENANTS, horizon=25.0, seed=8, core=core,
+        def run():
+            r = store.serve(TENANTS, horizon=25.0, seed=8,
                             failures="degrade@4:0:8,recover@20:0")
             store.disk_array.reset_health()
             return [(o.session.qid, o.session.finished_at, o.latency)
                     for o in r.outcomes]
 
-        assert run("heap") == run("reference")
+        heap = run()
+        with reference_loop():
+            assert run() == heap
 
     def test_availability_none_without_campaign(self, store):
         report = store.serve(TENANTS, horizon=10.0, seed=9)

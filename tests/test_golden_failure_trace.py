@@ -29,6 +29,8 @@ from repro.query.scheduler import OperatorContextPool
 from repro.storage.disk import DiskBandwidthPool
 from repro.storage.failures import FailureCampaign
 
+from oracles import reference_loop
+
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_PATH = GOLDEN_DIR / "trace_failure_campaign.json"
 
@@ -75,14 +77,13 @@ def _round(value: float) -> float:
     return round(value, 9)
 
 
-def _run_campaign(build_store, core: str = "heap"):
+def _run_campaign(build_store):
     """One canonical campaign run; returns (payload, raw trace events)."""
     store = build_store()
     ex = store.executor(
         disk_pool=DiskBandwidthPool(1),
         decoder_pool=DecoderPool(1),
         operator_pool=OperatorContextPool(2),
-        core=core,
         trace=True,
     )
     campaign = FailureCampaign.parse(CAMPAIGN)
@@ -160,6 +161,7 @@ def test_campaign_trace_tells_the_whole_story(failure_store):
 
 
 def test_campaign_heap_replays_reference(failure_store):
-    heap, _ = _run_campaign(failure_store, "heap")
-    ref, _ = _run_campaign(failure_store, "reference")
+    heap, _ = _run_campaign(failure_store)
+    with reference_loop():
+        ref, _ = _run_campaign(failure_store)
     assert _canonical_bytes(heap) == _canonical_bytes(ref)

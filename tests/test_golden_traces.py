@@ -34,6 +34,8 @@ from repro.query.scheduler import (
 )
 from repro.storage.disk import DiskBandwidthPool
 
+from oracles import reference_loop
+
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 POLICIES = {
@@ -79,14 +81,13 @@ def _round(value: float) -> float:
     return round(value, 9)
 
 
-def _run_trace(store, policy_name: str, core: str = "heap") -> dict:
+def _run_trace(store, policy_name: str) -> dict:
     """One canonical contended run; returns the JSON-ready payload."""
     ex = store.executor(
         policy=POLICIES[policy_name](),
         disk_pool=DiskBandwidthPool(1),
         decoder_pool=DecoderPool(1),
         operator_pool=OperatorContextPool(2),
-        core=core,
     )
     ex.admit(QUERY_A, "jackson", 0.9, 0.0, 16.0)
     ex.admit(QUERY_B, "dashcam", 0.9, 0.0, 16.0, deadline=3.0)
@@ -177,10 +178,10 @@ def test_traces_differ_across_policies(trace_store):
 
 @pytest.mark.parametrize("policy_name", sorted(POLICIES))
 def test_heap_core_replays_reference_trace(trace_store, policy_name):
-    """The event-heap core and the legacy rescan loop must emit the very
+    """The event-heap core and the rescan-loop oracle must emit the very
     same byte stream — the golden files pin one of them, this pins them
     to each other on both shard widths."""
-    heap = _canonical_bytes(_run_trace(trace_store, policy_name, "heap"))
-    ref = _canonical_bytes(_run_trace(trace_store, policy_name,
-                                      "reference"))
+    heap = _canonical_bytes(_run_trace(trace_store, policy_name))
+    with reference_loop():
+        ref = _canonical_bytes(_run_trace(trace_store, policy_name))
     assert heap == ref

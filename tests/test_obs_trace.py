@@ -1,14 +1,14 @@
 """The locked trace-event schema and its typed views.
 
-Satellite 1 of the observability PR: the schema is a *contract* — every
-executor core emits events through one shared constructor
-(:func:`repro.obs.trace.task_event`), so the key-set can never drift
-between the reference loop, the event-heap core and the vectorized fast
-path.  These tests pin the contract from both ends:
+The schema is a *contract* — every executor loop emits events through
+one shared constructor (:func:`repro.obs.trace.task_event`), so the
+key-set can never drift between the event-heap core, the vectorized fast
+path and the rescan-loop oracle.  These tests pin the contract from both
+ends:
 
 * key-set lock: every recorded event carries exactly ``TRACE_SCHEMA``'s
-  keys, in schema order, on every core and policy;
-* stream parity: the three cores emit byte-identical streams on the same
+  keys, in schema order, on every loop and policy;
+* stream parity: the three loops emit byte-identical streams on the same
   fleet (the fast path compared on a qualifying FIFO/EDF single-context
   fleet, since that is the only fleet it accepts);
 * the typed views (intervals, spans) reconstruct submission instants via
@@ -40,6 +40,8 @@ from repro.query.scheduler import (
 )
 from repro.storage.disk import DiskBandwidthPool
 
+from oracles import no_fastpath, reference_loop
+
 POLICIES = {
     "fifo": FIFOPolicy,
     "fair": FairSharePolicy,
@@ -59,15 +61,12 @@ def obs_store(tmp_path_factory):
         yield store
 
 
-def _contended_executor(store, policy_name: str, core: str = "heap",
-                        fastpath: bool = True):
+def _contended_executor(store, policy_name: str):
     ex = store.executor(
         policy=POLICIES[policy_name](),
         disk_pool=DiskBandwidthPool(1),
         decoder_pool=DecoderPool(1),
         operator_pool=OperatorContextPool(2),
-        core=core,
-        fastpath=fastpath,
     )
     ex.admit(QUERY_A, "jackson", 0.9, 0.0, 16.0)
     ex.admit(QUERY_B, "dashcam", 0.9, 0.0, 16.0, deadline=3.0)
@@ -75,8 +74,7 @@ def _contended_executor(store, policy_name: str, core: str = "heap",
     return ex
 
 
-def _fastpath_fleet(store, policy_name: str, core: str = "heap",
-                    fastpath: bool = True):
+def _fastpath_fleet(store, policy_name: str):
     """A fleet the vectorized fast path accepts: single-context, no cache."""
     engine = store.engine("jackson")
     plan = engine.plan(QUERY_A, 0.9, store.segments, 0.0, 16.0)
@@ -85,8 +83,6 @@ def _fastpath_fleet(store, policy_name: str, core: str = "heap",
         disk_pool=DiskBandwidthPool(1),
         decoder_pool=DecoderPool(1),
         operator_pool=OperatorContextPool(2),
-        core=core,
-        fastpath=fastpath,
     )
     for i in range(6):
         deadline = 10.0 - i if policy_name == "edf" else None
@@ -121,11 +117,22 @@ def test_validate_events_rejects_schema_breaks(bad):
         validate_events([bad])
 
 
+def _run(ex, core: str = "heap"):
+    """Run ``ex`` (on the rescan-loop oracle for ``core="reference"``)
+    and check that ``core`` is the loop that ran."""
+    if core == "reference":
+        with reference_loop():
+            ex.run()
+    else:
+        ex.run()
+    assert ex.stats().core == core
+    return ex
+
+
 @pytest.mark.parametrize("policy_name", sorted(POLICIES))
 @pytest.mark.parametrize("core", ["heap", "reference"])
 def test_every_core_emits_exact_schema(obs_store, policy_name, core):
-    ex = _contended_executor(obs_store, policy_name, core)
-    ex.run()
+    ex = _run(_contended_executor(obs_store, policy_name), core)
     assert ex.trace_events
     for e in ex.trace_events:
         assert tuple(e) == TRACE_SCHEMA
@@ -154,23 +161,17 @@ def _stream_bytes(ex) -> bytes:
 
 @pytest.mark.parametrize("policy_name", sorted(POLICIES))
 def test_heap_and_reference_streams_identical(obs_store, policy_name):
-    a = _contended_executor(obs_store, policy_name, "heap")
-    b = _contended_executor(obs_store, policy_name, "reference")
-    a.run()
-    b.run()
+    a = _run(_contended_executor(obs_store, policy_name))
+    b = _run(_contended_executor(obs_store, policy_name), "reference")
     assert _stream_bytes(a) == _stream_bytes(b)
 
 
 @pytest.mark.parametrize("policy_name", ["fifo", "edf"])
 def test_fastpath_stream_identical_to_both_cores(obs_store, policy_name):
-    fast = _fastpath_fleet(obs_store, policy_name)
-    heap = _fastpath_fleet(obs_store, policy_name, fastpath=False)
-    ref = _fastpath_fleet(obs_store, policy_name, core="reference")
-    fast.run()
-    heap.run()
-    ref.run()
-    assert fast.stats().core == "fastpath"
-    assert heap.stats().core == "heap"
+    fast = _run(_fastpath_fleet(obs_store, policy_name), "fastpath")
+    with no_fastpath():
+        heap = _run(_fastpath_fleet(obs_store, policy_name))
+    ref = _run(_fastpath_fleet(obs_store, policy_name), "reference")
     assert _stream_bytes(fast) == _stream_bytes(heap) == _stream_bytes(ref)
 
 

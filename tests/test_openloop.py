@@ -3,9 +3,10 @@ control, tenant quotas and weights, honest latency, and the SLO report.
 
 The closed-loop contract (everything at t=0, no admission) is pinned by
 the golden traces; these tests pin the open-loop extension — and the
-cross-core property at the bottom replays random multi-tenant open-loop
-fleets through the heap and reference cores, requiring bit-identical
-traces and per-query accounting.
+parity property at the bottom replays random multi-tenant open-loop
+fleets, background jobs and failure events included, through the
+production executor and the rescan-loop oracle (``tests/oracles``),
+requiring bit-identical traces and per-query accounting.
 """
 
 from __future__ import annotations
@@ -30,6 +31,9 @@ from repro.query.scheduler import (
     WeightedFairSharePolicy,
 )
 from repro.query.workload import ArrivalSpec, QueryMixEntry, TenantSpec
+from repro.storage.failures import FAILURE_ACTIONS, FailureEvent
+
+from oracles import reference_loop
 
 
 @pytest.fixture(scope="module")
@@ -93,10 +97,22 @@ def test_future_arrival_waits_and_latency_is_honest(store):
 
 
 def test_arrival_in_the_simulated_past_is_rejected(store):
+    """So is every timeline input the event loop cannot order: a
+    non-finite arrival, or a NaN deadline, for queries and jobs alike."""
+    job = BackgroundJob(name="reencode", stream="dashcam", kind="reencode",
+                        tasks=JOB_TASKS[:1])
     ex = make_ex(store)
     ex.clock.advance_to(5.0, "idle")
+    for arrival in (1.0, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(QueryError):
+            admit_b(ex, arrival=arrival)
+        with pytest.raises(QueryError):
+            ex.admit_job(job, arrival=arrival)
     with pytest.raises(QueryError):
-        admit_b(ex, arrival=1.0)
+        admit_b(ex, deadline=float("nan"))
+    with pytest.raises(QueryError):
+        ex.admit_job(job, deadline=float("nan"))
+    assert ex.sessions == []
 
 
 def test_arrivals_interleave_with_execution(store):
@@ -337,7 +353,7 @@ def test_serve_end_to_end_is_deterministic(store):
 
 
 # ---------------------------------------------------------------------------
-# Cross-core parity on open-loop fleets
+# Parity with the rescan-loop oracle on open-loop fleets
 # ---------------------------------------------------------------------------
 
 
@@ -349,12 +365,32 @@ POLICIES = (
 )
 
 
+#: Instants arrivals, job arrivals and failure events are drawn from.
+TIMELINE = (0.0, 0.25, 0.5, 1.0, 4.0)
+
+#: Background-job task shapes (disk reads/writes, a decoder transcode).
+JOB_TASKS = (
+    ResourceTask(kind="read", resource="disk", units=1, duration=0.25,
+                 category="disk", operator="reencode"),
+    ResourceTask(kind="transcode", resource="decoder", units=1,
+                 duration=0.5, category="decode", operator="reencode"),
+    ResourceTask(kind="write", resource="disk", units=1, duration=1.0,
+                 category="disk", operator="reencode"),
+)
+
+
 @settings(max_examples=20, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_heap_core_matches_reference_on_open_loop_fleets(store, data):
-    """Random mixed-tenant open-loop fleet, both general cores, every
-    trace byte and per-query float equal."""
+    """Random mixed-tenant open-loop fleet, production executor vs the
+    rescan-loop oracle, every trace byte and per-query float equal.
+
+    Background jobs exercise the scheduling-class-1 priority band, and
+    observational failure events the failure timeline cursor; both draw
+    their instants from the arrival grid so they collide with arrivals
+    and completions.
+    """
     policy_factory = data.draw(st.sampled_from(POLICIES), label="policy")
     decoder_ctx = data.draw(st.sampled_from((None, 1, 2)), label="decoder")
     if data.draw(st.booleans(), label="admission"):
@@ -374,26 +410,43 @@ def test_heap_core_matches_reference_on_open_loop_fleets(store, data):
         qname = data.draw(st.sampled_from(("A", "B")))
         dataset = {"A": "jackson", "B": "dashcam"}[qname]
         # Coarse grid so arrivals collide with completions and each other.
-        arrival = data.draw(st.sampled_from((0.0, 0.25, 0.5, 1.0, 4.0)))
+        arrival = data.draw(st.sampled_from(TIMELINE))
         tenant = data.draw(st.sampled_from((None, "gold", "bronze")))
         deadline = data.draw(st.sampled_from((None, 2.0, 10.0)))
         admissions.append((qname, dataset, arrival, tenant, deadline))
+    jobs = [
+        (BackgroundJob(name=f"job{i}", stream="dashcam", kind="reencode",
+                       tasks=tuple(data.draw(st.lists(
+                           st.sampled_from(JOB_TASKS), min_size=1,
+                           max_size=3)))),
+         data.draw(st.sampled_from((None,) + TIMELINE)))
+        for i in range(data.draw(st.integers(0, 2), label="jobs"))
+    ]
+    events = [
+        FailureEvent(t=data.draw(st.sampled_from(TIMELINE)),
+                     action=data.draw(st.sampled_from(FAILURE_ACTIONS)),
+                     shard=0)
+        for _ in range(data.draw(st.integers(0, 2), label="events"))
+    ]
 
-    def run(core):
+    def run():
         ex = make_ex(
             store,
             policy=policy_factory(),
             decoder_pool=DecoderPool(decoder_ctx) if decoder_ctx else None,
             admission=admission,
-            core=core,
         )
         for qname, dataset, arrival, tenant, deadline in admissions:
             ex.admit(cascade_for(qname), dataset, 0.9, 0.0, 16.0,
                      arrival=arrival, tenant=tenant, deadline=deadline)
+        for job, arrival in jobs:
+            ex.admit_job(job, arrival=arrival)
+        ex.schedule_failures(events)  # no array: trace and clock only
         return ex, ex.run()
 
-    heap_ex, heap_out = run("heap")
-    ref_ex, ref_out = run("reference")
+    heap_ex, heap_out = run()
+    with reference_loop():
+        ref_ex, ref_out = run()
 
     assert heap_ex.trace_events == ref_ex.trace_events
     assert heap_ex.admission_timeline == ref_ex.admission_timeline

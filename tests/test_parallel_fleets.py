@@ -18,6 +18,7 @@ from repro.core.store import VStore
 from repro.errors import QueryError
 from repro.operators.library import default_library
 from repro.query.parallel import merge_reports, run_fleets
+from repro.query.scheduler import FairSharePolicy
 
 
 @pytest.fixture(scope="module")
@@ -65,8 +66,8 @@ class TestDeterminism:
 
     def test_executor_kwargs_reach_the_workers(self, store):
         reports = store.execute_many(FLEETS[:2], parallel=2,
-                                     core="reference")
-        assert all(r.core == "reference" for r in reports)
+                                     policy=FairSharePolicy())
+        assert all(r.policy == "fair" for r in reports)
 
     def test_store_survives_the_forks(self, store):
         # The parent's backing log must stay usable after flush + forks.

@@ -11,6 +11,8 @@ from repro.ingest.budget import IngestBudget
 from repro.operators.library import Consumer
 from repro.profiler.coding_profiler import CodingProfiler
 
+from oracles import scalar_profiler
+
 #: The Table-3 workload: six operators at the four declared accuracies.
 _JACKSON_OPS = ("Diff", "S-NN", "NN")
 _DASHCAM_OPS = ("Motion", "License", "OCR")
@@ -38,11 +40,12 @@ def small_decisions(dashcam_profiler):
             for op in _DASHCAM_OPS for acc in (0.95, 0.8)]
 
 
-def _planner(use_table, cores=None):
-    return StorageFormatPlanner(
-        CodingProfiler(activity=0.6, use_table=use_table),
-        IngestBudget(cores),
-    )
+def _planner(table, cores=None):
+    """A planner on the shared profile table, or (``table=False``) on the
+    scalar-surface oracle."""
+    profiler = (CodingProfiler(activity=0.6) if table
+                else scalar_profiler(activity=0.6))
+    return StorageFormatPlanner(profiler, IngestBudget(cores))
 
 
 def _assert_plans_identical(a, b, decisions):

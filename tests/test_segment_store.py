@@ -204,47 +204,6 @@ class TestFormatKeyRoundtrip:
         with pytest.raises(StorageError):
             _parse_fmt("no-space-separator")
 
-    def test_legacy_pipe_encoded_keys_still_parse(self):
-        """Stores written before percent-escaping encoded '/' as '|'; the
-        current encoding never emits a literal '|', so such keys are
-        unambiguous and must keep reading."""
-        for fmt in (FMT_A, FMT_B,
-                    StorageFormat(Fidelity.parse("best-720p-1/2-75%"),
-                                  Coding("slowest", 250))):
-            legacy_key = fmt.label.replace("/", "|")
-            assert _parse_fmt(legacy_key) == fmt
-
-    def test_legacy_store_migrates_and_stays_fully_readable(self, tmp_path):
-        """Opening a store written with the old '|' key encoding rewrites
-        its keys once, so every lookup — not just format listing — works."""
-        import json
-
-        encoded = _encode(FMT_A, 3)
-        meta = {"size_bytes": encoded.size_bytes,
-                "n_frames": encoded.n_frames,
-                "activity": encoded.activity,
-                "seconds": encoded.segment.seconds,
-                "payload": False}
-        legacy_key = f"cam/{FMT_A.label.replace('/', '|')}/{3:012d}"
-        assert "|" in legacy_key  # FMT_A's sampling fraction contains '/'
-
-        path = str(tmp_path / "legacy.log")
-        kv = KVStore(path)
-        kv.put(legacy_key, json.dumps(meta).encode("utf-8") + b"\x00")
-        kv.close()
-
-        kv = KVStore(path)
-        store = SegmentStore(kv, DiskModel(clock=SimClock()))
-        assert all("|" not in key for key in kv.keys())
-        assert store.contains("cam", FMT_A, 3)
-        assert store.meta("cam", FMT_A, 3).size_bytes == encoded.size_bytes
-        assert store.indices("cam", FMT_A) == [3]
-        assert store.footprint("cam", FMT_A) == encoded.size_bytes
-        assert store.segment_count("cam", FMT_A) == 1
-        assert [f.label for f in store.formats("cam")] == [FMT_A.label]
-        assert store.delete("cam", FMT_A, 3)
-        kv.close()
-
     def test_raw_and_sampled_formats_store_and_list(self, store):
         """End to end through the store: a RAW format and a '/'-sampled
         fidelity coexist and are listed back as the exact same formats."""
