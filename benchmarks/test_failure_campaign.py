@@ -129,7 +129,7 @@ def test_chaos_smoke_rebuild(bench_metrics, tmp_path_factory):
 
 
 def test_campaign_cores_agree(tmp_path_factory):
-    """The heap core and the rescan-loop oracle serve the campaign
+    """The production loop and the rescan-loop oracle serve the campaign
     bit-identically: unrounded finish times, latencies and makespan."""
     def exact_key(report):
         return [(o.session.qid, o.session.label, o.session.finished_at,

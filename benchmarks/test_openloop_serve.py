@@ -4,7 +4,7 @@ The executor-scale sweep measures the *closed-loop* regime (everything
 admitted at t=0); this module pushes the open-loop serving plane — two
 tenants with deterministic Poisson arrival streams, SLO deadlines on the
 gold tenant, EDF admission control bounding the in-flight set — through
-the heap core and records the operator-facing numbers alongside the raw
+the executor and records the operator-facing numbers alongside the raw
 scheduler throughput:
 
 * 1k- and 10k-query cells land in BENCH.json with p50/p95/p99 latency,
@@ -175,7 +175,7 @@ def test_openloop_serve_scale(record, bench_metrics, fleet):
         assert o.p50_latency <= o.p95_latency <= o.p99_latency
         assert report.queue_timeline[-1][1:] == (0, 0)  # drained clean
         assert report.peak_queued > 0  # admission control actually bound
-        assert stats.core == "heap"  # open loop never takes the fastpath
+        assert stats.core == "heap"  # the one production loop
         assert stats.wall_seconds < SCALE_WALL_BUDGET
         bench_metrics(f"workload/serve_q{n}",
                       **_cell_fields(stats, report, n, SCALE_RATE))

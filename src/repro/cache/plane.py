@@ -247,7 +247,7 @@ class CachePlane:
     def note_wakeups(self, count: int) -> None:
         """Dependency-blocked tasks were woken through the event queue.
 
-        The heap executor core wakes single-flight followers (and
+        The executor's event loop wakes single-flight followers (and
         deduplicated consumes) by decrementing dependency counters when
         their leader completes — no rescan ever rediscovers them.  This
         counter makes that path observable: it tracks how many blocked

@@ -3,7 +3,7 @@
 Three modules, one contract:
 
 * :mod:`repro.obs.trace` — the locked task-event schema, its single
-  shared constructor (used by the heap core and the fast path), and the
+  shared constructor (used by the executor's event loop), and the
   typed interval/span views built on the raw stream;
 * :mod:`repro.obs.metrics` — the always-on counters/gauges/log-bucket
   histograms registry the executor, cache plane, sharded disks and

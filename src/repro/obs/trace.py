@@ -6,9 +6,9 @@ guarantee was the golden-trace files happening to agree.  Now the schema
 is *locked* here:
 
 * :data:`TRACE_SCHEMA` is the exact key-set of every task lifecycle
-  event; :func:`task_event` is the one constructor the event-heap core,
-  the vectorized fast path and the rescan-loop parity oracle in
-  ``tests/oracles`` call, so the streams are identical by construction
+  event; :func:`task_event` is the one constructor the executor's event
+  loop and the parity oracles in ``tests/oracles`` call, so the streams
+  are identical by construction
   and the parity tests (:mod:`tests.test_obs_trace`) can diff key-sets
   and full streams mechanically;
 * :class:`TraceEvent` is the typed view of one raw event — what analysis
@@ -80,11 +80,11 @@ def task_event(event: str, t: float, query: str, kind: str, operator: str,
                resource: str, duration: float) -> Dict[str, object]:
     """The shared constructor of one task lifecycle event.
 
-    The heap core, the fast path and the parity oracle emit their
+    The executor's event loop and the parity oracles emit their
     ``start``/``finish`` records through this function, so their streams
     carry the identical key-set and value layout — the property the
-    golden traces and the parity tests pin.  It intentionally returns a plain dict (not a
-    dataclass): tracing is on by default for fleets up to
+    golden traces and the parity tests pin.  It intentionally returns a
+    plain dict (not a dataclass): tracing is on by default for fleets up to
     ``TRACE_AUTO_QUERIES`` and this runs once per event.
     """
     return {

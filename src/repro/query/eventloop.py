@@ -1,338 +1,156 @@
-"""Event-heap core of the concurrent executor: O(log n) scheduling.
+"""The executor's flat task layout: task chains lowered to parallel arrays.
 
-The original :meth:`ConcurrentExecutor.run
-<repro.query.scheduler.ConcurrentExecutor.run>` loop rescanned the whole
-waiting list on every grant (``min`` over a filtered list comprehension)
-and picked completions with ``min``/``remove`` over a Python list, so one
-simulated run cost O(T * W) in total task count T and waiting-set size W —
-quadratic once hundreds of queries queue on a few bounded pools, and the
-simulator's wall-clock became scheduler-bound rather than hardware-bound.
+:class:`~repro.query.scheduler.ConcurrentExecutor` drains every fleet on
+one loop whose per-event work is a few list index operations and one
+``heapq`` push/pop.  This module holds what that loop reads:
 
-This module holds the three data structures that replace those scans,
-each O(log n) per event:
+* :class:`_RunTask` — a planned task as actually scheduled in one run.
+  Without a cache plane it mirrors the planned
+  :class:`~repro.query.scheduler.ResourceTask`, routed onto its pool;
+  with one, the single-flight dedup may rewrite it (see
+  ``ConcurrentExecutor._runtime_chains``);
+* :class:`Chain` — one serial task chain as parallel arrays: pool index,
+  routed pool name, duration, units, clock category, trace fields and
+  completion hook per task, plus two accumulations the loop would
+  otherwise redo per session — the chain-order service per pool (exactly
+  the floats per-completion ``service_by_resource`` updates would leave)
+  and each task's fair-share key (the service the chain already attained
+  on that task's pool when the task is submitted);
+* :func:`plan_chain` — lowers a plan once and caches the chain on the
+  plan, keyed on the stage tuple's identity and the executor's pool
+  layout, so a fleet admitting one plan thousands of times lowers it
+  once.  With a cache plane attached, chains are lowered per session
+  from the single-flight runtime tasks instead: every completion then
+  carries cache bookkeeping, and with single-flight on, every repeat of
+  a plan is rewritten into a follower of the first.
 
-* :class:`CompletionHeap` — a ``heapq`` of running tasks keyed by
-  ``(end, seq)``, replacing the ``min(running, ...)`` scan;
-* :class:`ReadyHeapIndex` — one ready heap per registered resource, keyed
-  by ``(policy priority, seq)``, with *lazy invalidation*: fair-share
-  priorities grow as a session accumulates service, so entries carry the
-  session's priority-version stamp and a stale head is re-keyed and
-  re-pushed instead of rescanning the heap.  Entries that do not fit the
-  pool's current free capacity are *parked* per resource and re-admitted
-  only when that resource releases units — the backfilling semantics of
-  the original scan without its repeated passes;
-* :class:`DependencyTracker` — per-task dependency counters (decrement on
-  completion, hand back for enqueueing at zero), replacing the
-  ``all(d in completed)`` scan over every waiting task.  Single-flight
-  cache followers wake up through exactly this path.
-
-The heap core is bit-identical to the rescan loop (kept as the parity
-oracle in ``tests/oracles``) by construction: the globally minimal
-fitting entry across the per-resource heaps is the same task the full
-rescan would have granted (heap heads are per-resource minima; parked
-entries cannot fit again until a release because pool usage only grows
-within one grant round), and ties carry the same ``seq`` tie-break.  The one soundness requirement is that a policy's priority for
-a waiting task never *decreases* while it waits — true for FIFO (constant),
-EDF (constant) and fair share (attained service only grows; and a session's
-own service cannot change while its single in-flight task waits) — so a
-stale entry can only have risen in priority key and is corrected when it
-surfaces at a heap head.
+Accumulation *order* is what float parity with the rescan-loop oracle
+(``tests/oracles``) depends on, and every array here is built in chain
+order: a session's chain is serial, so its completion order is chain
+order.
 """
 
 from __future__ import annotations
 
-import heapq
+from dataclasses import dataclass
 from typing import (
+    TYPE_CHECKING,
     Callable,
     Dict,
-    Iterable,
-    Iterator,
     List,
     Optional,
+    Sequence,
     Tuple,
 )
 
-__all__ = [
-    "CompletionHeap",
-    "DependencyTracker",
-    "ReadyHeapIndex",
-    "TimelineCursor",
-    "blocked_triples",
-]
+from repro.errors import QueryError
+
+if TYPE_CHECKING:  # pragma: no cover - type-only imports
+    from repro.cache.plane import RetrievalAccess
+    from repro.query.scheduler import QueryPlan, ResourceTask
+
+__all__ = ["Chain", "plan_chain"]
+
+#: Attribute a plan's lowered chain is cached under (``object.__setattr__``
+#: on the frozen plan, like ``QueryPlan.tasks`` caches its flattening).
+_CACHE_ATTR = "_lowered_chain"
 
 
-class TimelineCursor:
-    """A sorted stream of timestamped exogenous events, consumed in
-    simulated-time order.
+@dataclass
+class _RunTask:
+    """A planned task as actually scheduled in one run.
 
-    The heap core (and the rescan-loop parity oracle) interleaves
-    *completions* (endogenous: produced by running tasks) with exogenous
-    timelines — query arrivals and shard failure events.  Each timeline
-    is the same shape: a
-    time-sorted list walked front to back, whose head timestamp is
-    compared against the other streams' heads and whose same-instant
-    entries drain as one batch.  The cursor owns that walk;
-    :meth:`next_t` returns ``+inf`` once drained, so a loop can ``min()``
-    several cursors against :meth:`CompletionHeap.next_end` without
-    per-stream sentinel bookkeeping.
-
-    ``items`` must already be sorted by ``timestamp`` — the cursor
-    consumes, it does not sort.
+    Without a cache plane this mirrors the planned :class:`ResourceTask`
+    exactly.  With one, the executor's single-flight transformation may
+    rewrite a retrieval that duplicates an earlier query's in-flight miss
+    into a RAM-tier read that *depends on* the leader's task, and zero the
+    deduplicated share of a stage consume — so the runtime resource,
+    duration and dependency edges live here, while the plan stays intact.
     """
 
-    def __init__(self, items: Iterable[object],
-                 timestamp: Callable[[object], float]) -> None:
-        self._items: List[object] = list(items)
-        self._timestamp = timestamp
-        self._i = 0
+    task: "ResourceTask"  # the planned task (kept for reference/accounting)
+    resource: str
+    units: int
+    duration: float
+    category: str
+    uid: int
+    deps: Tuple[int, ...] = ()  # uids that must complete before this starts
+    commit_access: Optional["RetrievalAccess"] = None  # leader: insert on done
+    follower_access: Optional["RetrievalAccess"] = None  # follower: unpin
+    note_access: Optional["RetrievalAccess"] = None  # tier heat on done
+    #: (key, saved seconds, output bytes) per result this task computes
+    produced_results: Tuple[Tuple[tuple, float, float], ...] = ()
+    hit_results: Tuple[Tuple[tuple, float], ...] = ()  # committed result hits
+    dedup_count: int = 0  # segment consumes deduplicated onto earlier tasks
+    dedup_saved: float = 0.0
 
-    def __len__(self) -> int:
-        """Events not yet consumed."""
-        return len(self._items) - self._i
+    @property
+    def kind(self) -> str:
+        return self.task.kind
 
-    def next_t(self) -> float:
-        """The head event's timestamp, or ``+inf`` when drained."""
-        if self._i >= len(self._items):
-            return float("inf")
-        return self._timestamp(self._items[self._i])
-
-    def pop_batch(self) -> List[object]:
-        """Every event sharing the head timestamp, in stream order.
-
-        Same-instant events form one batch so the caller advances the
-        clock once and processes the whole instant in a single pass —
-        the exogenous mirror of :meth:`CompletionHeap.pop_batch`.
-        """
-        items, stamp = self._items, self._timestamp
-        t = stamp(items[self._i])
-        batch = [items[self._i]]
-        self._i += 1
-        while self._i < len(items) and stamp(items[self._i]) == t:
-            batch.append(items[self._i])
-            self._i += 1
-        return batch
+    @property
+    def operator(self) -> str:
+        return self.task.operator
 
 
-class CompletionHeap:
-    """Running tasks keyed by ``(end, seq)``: next completion in O(log n).
+class Chain:
+    """One task chain as parallel arrays (see the module docstring)."""
 
-    ``seq`` is the executor's grant sequence number, so simultaneous
-    completions pop in exactly the order the legacy ``min(running,
-    key=(end, seq))`` scan chose them.
+    __slots__ = ("tasks", "res", "names", "dur", "units", "cat", "kind", "op",
+                 "post", "service", "fair", "wide", "n")
+
+    def __init__(self, tasks: Sequence[_RunTask], pool_index: Dict[str, int],
+                 post: Sequence[Optional[Callable[[], None]]]) -> None:
+        self.tasks = list(tasks)  # the records, for policies that read them
+        self.names = [t.resource for t in tasks]  # routed pool names
+        res: List[int] = []
+        for name in self.names:
+            r = pool_index.get(name)
+            if r is None:
+                raise QueryError(f"task needs unknown resource {name!r}")
+            res.append(r)
+        self.res = res
+        self.dur = [t.duration for t in tasks]
+        self.units = [t.units for t in tasks]
+        self.cat = [t.category for t in tasks]
+        self.kind = [t.kind for t in tasks]  # trace fields
+        self.op = [t.operator for t in tasks]
+        #: Completion hook per task (a background job's store commit, or
+        #: the cache plane's bookkeeping), ``None`` for most tasks.
+        self.post = list(post)
+        service: Dict[str, float] = {}
+        fair: List[float] = []
+        for name, duration in zip(self.names, self.dur):
+            attained = service.get(name, 0.0)
+            fair.append(attained)
+            service[name] = attained + duration
+        self.service = service
+        self.fair = fair
+        self.wide = any(u > 1 for u in self.units)  # a gang may park
+        self.n = len(self.dur)
+
+
+def plan_chain(plan: "QueryPlan", layout: Tuple[str, ...],
+               disk_shards: int, pool_index: Dict[str, int]) -> Chain:
+    """Lower one plan's chain, cached on the plan.
+
+    ``layout`` (the executor's pool names, in order) keys the cache with
+    the stage tuple's identity: routing ``"disk"`` tasks onto per-shard
+    channel pools and numbering the pools are the only executor-dependent
+    parts of the lowering.
     """
-
-    def __init__(self) -> None:
-        self._heap: List[Tuple[float, int, object]] = []
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def push(self, end: float, seq: int, item: object) -> None:
-        heapq.heappush(self._heap, (end, seq, item))
-
-    def pop(self) -> object:
-        """The running task with the smallest ``(end, seq)``."""
-        return heapq.heappop(self._heap)[2]
-
-    def next_end(self) -> float:
-        """Completion instant of the head entry (heap must be non-empty);
-        the open-loop executor compares it against the next arrival to
-        interleave the two event streams in simulated-time order."""
-        return self._heap[0][0]
-
-    def pop_batch(self) -> List[object]:
-        """All running tasks sharing the smallest ``end``, in seq order.
-
-        This is the batch-drain entry point: same-timestamp completions
-        are popped together so the executor advances the clock once and
-        accounts for the whole batch in a single pass.  Tasks *granted
-        while the batch is being processed* (zero-duration tasks can
-        complete at the very same instant) are not in the returned batch —
-        they carry a larger ``seq`` than every popped entry, so the next
-        ``pop_batch`` call yields them in exactly the order the one-at-a-
-        time ``pop`` loop would have.
-        """
-        heap = self._heap
-        end, _, first = heapq.heappop(heap)
-        batch = [first]
-        while heap and heap[0][0] == end:
-            batch.append(heapq.heappop(heap)[2])
-        return batch
-
-
-class ReadyHeapIndex:
-    """Per-resource ready heaps with lazy invalidation and capacity parking.
-
-    ``priority(w)`` returns the policy's sort key for a waiting entry (it
-    must be non-decreasing over the entry's waiting lifetime — see the
-    module docstring), ``version(w)`` the entry's current priority-version
-    stamp (bumped by the executor whenever a session's policy-relevant
-    state changes), and ``free_units(resource)`` the pool's free capacity
-    (``None`` for an unbounded pool).
-
-    Waiting entries are duck-typed: ``w.seq`` (admission sequence) and
-    ``w.task.units`` are read here; everything else is opaque.
-    """
-
-    def __init__(
-        self,
-        priority: Callable[[object], tuple],
-        version: Callable[[object], int],
-        free_units: Callable[[str], Optional[int]],
-    ) -> None:
-        self._priority = priority
-        self._version = version
-        self._free = free_units
-        #: resource -> heap of ((priority, seq), version, waiting)
-        self._heaps: Dict[str, List[tuple]] = {}
-        #: resource -> entries whose units exceed the pool's free capacity
-        self._parked: Dict[str, List[tuple]] = {}
-        self._size = 0
-
-    def __len__(self) -> int:
-        return self._size
-
-    def register(self, resource: str) -> None:
-        """Pre-register a resource (e.g. one per disk shard channel pool)."""
-        self._heaps.setdefault(resource, [])
-        self._parked.setdefault(resource, [])
-
-    def push(self, resource: str, waiting: object) -> None:
-        """Enqueue a ready (dependency-free) entry on its resource heap."""
-        self.register(resource)
-        entry = ((self._priority(waiting), waiting.seq),
-                 self._version(waiting), waiting)
-        heapq.heappush(self._heaps[resource], entry)
-        self._size += 1
-
-    def _head(self, resource: str) -> Optional[tuple]:
-        """The minimal *fitting* entry of one resource, or ``None``.
-
-        Stale heads (version mismatch) are re-keyed at the current
-        priority and re-sifted; heads that do not fit the pool's free
-        capacity are parked — pool usage only grows until the next
-        release, so they cannot fit before then either.
-        """
-        heap = self._heaps[resource]
-        if not heap:
-            return None
-        free = self._free(resource)
-        if free is not None and free <= 0:
-            return None  # nothing fits a full pool (units are >= 1)
-        parked = self._parked[resource]
-        while heap:
-            key, version, waiting = heap[0]
-            current = self._version(waiting)
-            if version != current:
-                heapq.heapreplace(
-                    heap,
-                    ((self._priority(waiting), waiting.seq), current, waiting),
-                )
-                continue
-            if free is not None and waiting.task.units > free:
-                parked.append(heapq.heappop(heap))
-                continue
-            return heap[0]
-        return None
-
-    def pop_best(self, resources: Optional[Iterable[str]] = None
-                 ) -> Optional[object]:
-        """Remove and return the globally minimal fitting waiting entry.
-
-        Scans the per-resource heads (a handful of pools) and compares
-        their ``(priority, seq)`` keys — exactly the order the legacy
-        full-list ``min`` produced, at O(resources + log n) per grant.
-
-        ``resources`` restricts the scan to the given *dirty* pools — the
-        batch-drain loop passes only the resources whose state changed
-        since the last grant round (capacity freed, or entries pushed).
-        Every other pool is *grant-stable*: its previous round ended with
-        no fitting head and nothing has changed since, so skipping it
-        returns the same entry the full scan would.  Callers own that
-        invariant; passing ``None`` always scans everything.
-        """
-        best_key: Optional[tuple] = None
-        best_resource: Optional[str] = None
-        for resource in (self._heaps if resources is None else resources):
-            entry = self._head(resource)
-            if entry is not None and (best_key is None or entry[0] < best_key):
-                best_key = entry[0]
-                best_resource = resource
-        if best_resource is None:
-            return None
-        entry = heapq.heappop(self._heaps[best_resource])
-        self._size -= 1
-        return entry[2]
-
-    def release(self, resource: str) -> None:
-        """Capacity was freed on a resource: re-admit its parked entries."""
-        parked = self._parked.get(resource)
-        if parked:
-            heap = self._heaps[resource]
-            for entry in parked:
-                heapq.heappush(heap, entry)
-            parked.clear()
-
-    def pending(self) -> Iterator[object]:
-        """Every entry still enqueued or parked (deadlock reporting)."""
-        for resource, heap in self._heaps.items():
-            for _, _, waiting in heap:
-                yield waiting
-            for _, _, waiting in self._parked[resource]:
-                yield waiting
-
-
-class DependencyTracker:
-    """Dependency counters over runtime-task uids.
-
-    Built once from the materialized chains: ``pending[uid]`` counts the
-    task's unfinished dependencies and ``dependents[uid]`` lists who waits
-    on it.  :meth:`submit` parks an entry whose counter is still positive;
-    :meth:`complete` decrements dependents and hands back the parked
-    entries that just became ready — the executor pushes those onto the
-    ready-heap index, which is how single-flight cache followers are woken
-    through the event queue instead of being rediscovered by a scan.
-    """
-
-    def __init__(self, chains: Iterable[Iterable[object]]) -> None:
-        self._pending: Dict[int, int] = {}
-        self._dependents: Dict[int, List[int]] = {}
-        self._parked: Dict[int, object] = {}
-        for chain in chains:
-            for task in chain:
-                if task.deps:
-                    self._pending[task.uid] = len(task.deps)
-                    for dep in task.deps:
-                        self._dependents.setdefault(dep, []).append(task.uid)
-
-    def submit(self, waiting: object) -> bool:
-        """True when the entry is ready now; otherwise park it."""
-        uid = waiting.task.uid
-        if self._pending.get(uid, 0) == 0:
-            return True
-        self._parked[uid] = waiting
-        return False
-
-    def complete(self, uid: int) -> List[object]:
-        """A task finished: release parked entries whose last dep this was."""
-        released: List[object] = []
-        for dependent in self._dependents.pop(uid, ()):
-            remaining = self._pending[dependent] - 1
-            self._pending[dependent] = remaining
-            if remaining == 0:
-                waiting = self._parked.pop(dependent, None)
-                if waiting is not None:
-                    released.append(waiting)
-        return released
-
-    def parked(self) -> List[object]:
-        """Entries still blocked on dependencies (deadlock reporting)."""
-        return list(self._parked.values())
-
-
-def blocked_triples(waiting: Iterable[object]) -> List[Tuple[int, str, int]]:
-    """Sorted ``(qid, resource, units)`` triples of stuck waiting entries,
-    the payload of the executor's deadlock diagnostics."""
-    return sorted(
-        (w.session.qid, w.task.resource, w.task.units) for w in waiting
-    )
+    cached = plan.__dict__.get(_CACHE_ATTR)
+    if (cached is not None and cached[0] is plan.stages
+            and cached[1] == layout):
+        return cached[2]
+    tasks = []
+    for uid, task in enumerate(plan.tasks):
+        name = task.resource
+        if name == "disk" and disk_shards > 1 and task.kind != "consume":
+            name = f"disk:{task.shard % disk_shards}"
+        tasks.append(_RunTask(task=task, resource=name, units=task.units,
+                              duration=task.duration, category=task.category,
+                              uid=uid))
+    chain = Chain(tasks, pool_index, [t.on_done for t in plan.tasks])
+    object.__setattr__(plan, _CACHE_ATTR, (plan.stages, layout, chain))
+    return chain

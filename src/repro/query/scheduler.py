@@ -22,12 +22,13 @@ pools the event loop degenerates to charging each task's duration in
 order, which is exactly what the sequential ``QueryEngine.execute`` used to
 do — N=1 results are bit-identical by construction.
 
-Scheduling decisions run on the O(log n) event-heap core
-(:mod:`repro.query.eventloop`): per-resource ready heaps with lazy
-priority invalidation, a completion heap, and dependency counters.
-Fleets the vectorized fast path (:mod:`repro.query.fastpath`) accepts run
-there instead; both are bit-identical to the rescan-loop parity oracle
-that the golden-trace and Hypothesis tests replay (``tests/oracles``).
+Every fleet drains on one event loop over flat arrays
+(:meth:`ConcurrentExecutor._drain`): chains lowered once per plan
+(:mod:`repro.query.eventloop`), per-pool ready heaps of plain tuples, one
+completion heap, and dependency counters for the cache plane's
+single-flight edges.  It is bit-identical to the rescan-loop parity
+oracle that the golden-trace and Hypothesis tests replay
+(``tests/oracles``).
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
+from functools import partial
+from heapq import heappop, heappush, heapreplace
 from time import perf_counter
 from typing import (
     TYPE_CHECKING,
@@ -52,13 +55,7 @@ from repro.codec.decoder import DecoderPool
 from repro.codec.model import CodecModel, DEFAULT_CODEC
 from repro.errors import QueryError
 from repro.obs.trace import task_event
-from repro.query.eventloop import (
-    CompletionHeap,
-    DependencyTracker,
-    ReadyHeapIndex,
-    TimelineCursor,
-    blocked_triples,
-)
+from repro.query.eventloop import Chain, _RunTask, plan_chain
 from repro.storage.disk import DiskBandwidthPool
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
@@ -346,11 +343,12 @@ class WeightedFairSharePolicy(SchedulingPolicy):
     weight-2 tenant is entitled to twice the service rate of a weight-1
     tenant under contention.
 
-    Sound under the heap core's lazy invalidation: a tenant's attained
-    service only grows while a task waits, so priorities are
-    non-decreasing; the ready-heap version stamp additionally folds in
-    the tenant's service stamp, so stale keys are re-keyed before they
-    can win a grant.
+    The one built-in policy whose key can change while a task waits: the
+    tenant's other sessions keep finishing work.  The executor keys ready
+    entries lazily — a tenant's attained service only grows, so keys
+    never fall, and an entry whose tenant service stamp moved since it
+    was keyed is re-keyed when it surfaces at a heap head, before it can
+    win a grant.
     """
 
     name = "wfair"
@@ -389,11 +387,11 @@ class TenantState:
 
     name: str
     #: Attained service across all resources (simulated seconds), updated
-    #: by ``_complete`` on every task finish.
+    #: on every task finish of a run whose scheduling policy or admission
+    #: order reads it (weighted fair share, custom policies).
     service: float = 0.0
-    #: Version stamp bumped with every service change — folded into the
-    #: ready-heap entry version so tenant-level priorities are re-keyed
-    #: lazily, exactly like per-session ``prio_version``.
+    #: Version stamp bumped with every service change, so ready entries
+    #: keyed on an older stamp are re-keyed lazily.
     stamp: int = 0
     #: Queries of this tenant currently inside the executor (admitted
     #: past admission control, not yet finished).
@@ -597,11 +595,6 @@ class QuerySession:
     queued_seconds: float = 0.0
     waited_seconds: float = 0.0  # time spent queued for busy resources
     service_by_resource: Dict[str, float] = field(default_factory=dict)
-    _cursor: int = 0  # index of the next task in the plan
-    #: Version stamp of this session's policy-relevant state; the executor
-    #: bumps it whenever attained service changes, so ready-heap entries
-    #: can detect a stale priority key (lazy invalidation).
-    prio_version: int = 0
     #: Scheduling class: 0 = foreground query, 1 = background evolution
     #: job.  The executor prepends it to every policy priority key, so a
     #: background task is granted only when no foreground task fits the
@@ -754,67 +747,42 @@ class _Pool:
     in_use: int = 0
     busy_seconds: float = 0.0
 
-    @property
-    def free(self) -> Optional[int]:
-        """Free units (``None`` = unbounded), for the ready-heap index."""
-        return None if self.capacity is None else self.capacity - self.in_use
-
     def clamp(self, units: int) -> int:
         return units if self.capacity is None else min(units, self.capacity)
 
 
-@dataclass
-class _RunTask:
-    """A planned task as actually scheduled in one run.
+class _Fleet:
+    """A fleet lowered for :meth:`ConcurrentExecutor._drain`.
 
-    Without a cache plane this mirrors the planned :class:`ResourceTask`
-    exactly.  With one, the executor's single-flight transformation may
-    rewrite a retrieval that duplicates an earlier query's in-flight miss
-    into a RAM-tier read that *depends on* the leader's task, and zero the
-    deduplicated share of a stage consume — so the runtime resource,
-    duration and dependency edges live here, while the plan stays intact.
+    ``chains[s]`` is session ``s``'s chain (shared by every session on the
+    same plan unless the cache plane lowered it per session); task ``i``
+    of session ``s`` has the dependency uid ``base[s] + i``.  ``pending``
+    counts each uid's unfinished dependencies and ``dependents`` lists who
+    waits on a uid — both empty without single-flight edges.
     """
 
-    task: ResourceTask  # the planned task (kept for reference/accounting)
-    resource: str
-    units: int
-    duration: float
-    category: str
-    uid: int
-    deps: Tuple[int, ...] = ()  # uids that must complete before this starts
-    commit_access: Optional[RetrievalAccess] = None  # leader: insert on done
-    follower_access: Optional[RetrievalAccess] = None  # follower: unpin on done
-    note_access: Optional[RetrievalAccess] = None  # tier heat on done
-    #: (key, saved seconds, output bytes) per result this task computes
-    produced_results: Tuple[Tuple[tuple, float, float], ...] = ()
-    hit_results: Tuple[Tuple[tuple, float], ...] = ()  # committed result hits
-    dedup_count: int = 0  # segment consumes deduplicated onto earlier tasks
-    dedup_saved: float = 0.0
+    __slots__ = ("chains", "base", "pending", "dependents")
 
-    @property
-    def kind(self) -> str:
-        return self.task.kind
-
-    @property
-    def operator(self) -> str:
-        return self.task.operator
+    def __init__(self, chains: List[Chain], pending: Dict[int, int],
+                 dependents: Dict[int, List[int]]) -> None:
+        self.chains = chains
+        base, uid = [], 0
+        for chain in chains:
+            base.append(uid)
+            uid += chain.n
+        self.base = base
+        self.pending = pending
+        self.dependents = dependents
 
 
-@dataclass
-class _Waiting:
-    session: QuerySession
-    task: _RunTask
-    seq: int
-    since: float
-
-
-@dataclass
-class _Running:
-    session: QuerySession
-    task: _RunTask
-    start: float
-    end: float
-    seq: int
+def _check_duration(task: ResourceTask, owner: str) -> None:
+    """Reject a task duration the simulated clock cannot charge."""
+    if not (math.isfinite(task.duration) and task.duration >= 0):
+        raise QueryError(
+            f"{owner} has a {task.kind!r} task on {task.resource!r} with "
+            f"duration {task.duration}; durations must be finite and "
+            f"non-negative"
+        )
 
 
 class ConcurrentExecutor:
@@ -890,7 +858,9 @@ class ConcurrentExecutor:
         self._trace_mode = trace
         self._tracing = trace if trace is not None else True
         self._events = 0
-        #: ``"fastpath"`` or ``"heap"``: the core :meth:`run` took.
+        #: The loop :meth:`run` took, for ``ExecutorStats.core``: always
+        #: ``"heap"`` in production (the parity oracles in
+        #: ``tests/oracles`` report their own name).
         self._core_used = "heap"
         #: Always-on metrics registry
         #: (:class:`~repro.obs.metrics.MetricsRegistry`) the run feeds
@@ -913,6 +883,10 @@ class ConcurrentExecutor:
         self._wall_seconds = 0.0
         self._admit_wall_seconds = 0.0
         self._frame_followers: Dict[tuple, int] = {}
+        #: Precomputed plans (by id, holding the plan so the id stays
+        #: unique) whose tasks already passed admission's checks: a fleet
+        #: admitting one plan thousands of times checks it once.
+        self._checked_plans: Dict[int, QueryPlan] = {}
         #: Scheduled shard failure events (:mod:`repro.storage.failures`)
         #: merged into the run's timeline, and the array (if any) whose
         #: health they flip at their instants — see
@@ -970,7 +944,9 @@ class ConcurrentExecutor:
         context count (the ``contexts`` argument is ignored): the
         single-flight dedup re-dispatches remaining segment costs across
         ``session.contexts``, so a mismatch would silently simulate a
-        different machine.
+        different machine.  Every task of a supplied plan must also have
+        a finite, non-negative duration; each distinct plan is checked
+        once per executor.
         """
         if self._ran:
             raise QueryError("executor already ran; create a new one")
@@ -1003,8 +979,9 @@ class ConcurrentExecutor:
                 scheme=scheme,
                 contexts=effective_contexts,
             )
-        else:
+        elif id(plan) not in self._checked_plans:
             for task in plan.tasks:
+                _check_duration(task, "precomputed plan")
                 pool = self._pools.get(task.resource)
                 if (pool is not None and pool.capacity is not None
                         and task.units > pool.capacity):
@@ -1013,6 +990,7 @@ class ConcurrentExecutor:
                         f"{task.resource!r} but the pool holds only "
                         f"{pool.capacity}; re-plan with fewer contexts"
                     )
+            self._checked_plans[id(plan)] = plan
         session = QuerySession(
             qid=len(self._sessions),
             query=query,
@@ -1071,6 +1049,8 @@ class ConcurrentExecutor:
         does for queries: the run leaves it untouched until the clock
         reaches that instant.  Re-replication jobs use this to start at
         the simulated moment their shard failed, not at admit time.
+        Every task must fit its pool and have a finite, non-negative
+        duration.
         """
         if self._ran:
             raise QueryError("executor already ran; create a new one")
@@ -1079,6 +1059,7 @@ class ConcurrentExecutor:
         self._check_timing(arrival, deadline)
         wall0 = perf_counter()
         for task in job.tasks:
+            _check_duration(task, f"background job {job.name!r}")
             pool = self._pools.get(self._resource_name(task))
             if (pool is not None and pool.capacity is not None
                     and task.units > pool.capacity):
@@ -1313,21 +1294,6 @@ class ConcurrentExecutor:
                         hit_results=stage.result_hits,
                         dedup_count=dedup_count, dedup_saved=dedup_saved)
 
-    def _trace(self, event: str, session: QuerySession, rt: _RunTask,
-               t: float) -> None:
-        """Append one task lifecycle event to the run's trace.
-
-        Always counts the event (``stats().events`` stays honest for
-        untraced runs); the dict is only allocated when tracing is on.
-        """
-        self._events += 1
-        if not self._tracing:
-            return
-        self.trace_events.append(task_event(
-            event, t, session.label, rt.kind, rt.operator, rt.resource,
-            rt.duration,
-        ))
-
     def _task_completed(self, rt: _RunTask) -> None:
         """Cache/job bookkeeping when a runtime task finishes in simulated
         time."""
@@ -1361,11 +1327,9 @@ class ConcurrentExecutor:
     def run(self) -> List[QueryOutcome]:
         """Run all admitted queries to completion; returns them in admit order.
 
-        A fleet the vectorized fast path accepts
-        (:func:`~repro.query.fastpath.lower_fleet`) runs there; every
-        other fleet runs on the O(log n) event-heap core
-        (:mod:`repro.query.eventloop`).  The two are bit-identical in
-        outcomes and traces.
+        ``ExecutorStats.wall_seconds`` times lowering the fleet to flat
+        arrays (:meth:`_lower`), the drain loop (:meth:`_drain`) and the
+        metrics fold — everything but the cache plane's tier sweep.
         """
         if self._ran:
             raise QueryError("executor already ran; create a new one")
@@ -1377,26 +1341,8 @@ class ConcurrentExecutor:
             len(self._sessions) <= TRACE_AUTO_QUERIES
             if self._trace_mode is None else self._trace_mode
         )
-        # Chain materialization (and, for qualifying fleets, the fast
-        # path's array lowering) happens outside the timed window: the
-        # wall-clock below measures the executor core itself, the same
-        # methodology the scale benchmarks pin.
-        from repro.query.fastpath import lower_fleet, run_fastpath
-
-        fleet = lower_fleet(self)  # None when the fleet disqualifies
-        chains = None
-        if fleet is None:
-            # plan.tasks flattens the stage chains on every access;
-            # materialize each chain once (applying the single-flight
-            # dedup when a cache plane is attached) so the loop stays
-            # linear in the task count.
-            chains = self._runtime_chains()
         wall0 = perf_counter()
-        if fleet is not None:
-            self._core_used = "fastpath"
-            run_fastpath(self, fleet)
-        else:
-            self._run_heap(chains)
+        self._drain(self._lower())
         if self.metrics is not None:
             # Fold aggregates inside the timed window so the CI overhead
             # gate (metrics-on vs metrics-off smoke, diffed at 5%)
@@ -1411,245 +1357,382 @@ class ConcurrentExecutor:
             self.cache.sweep_tiers(self.clock, self.store.disk)
         return [self._outcome(s) for s in self._sessions]
 
-    def _complete(self, done: _Running) -> None:
-        """Shared completion bookkeeping: clock, pool, service, trace.
+    def _lower(self) -> _Fleet:
+        """Lower every admitted session's chain to flat arrays.
 
-        The rescan-loop parity oracle calls it too, with the same tasks in
-        the same order, so the float accumulation (and therefore every
-        downstream number) is identical between the two.
+        Without a cache plane a session runs its plan's chain, lowered
+        once and cached on the plan (:func:`~repro.query.eventloop.
+        plan_chain`).  With one, chains come from the single-flight
+        transformation (:meth:`_runtime_chains`) and are lowered per
+        session, each task's cache bookkeeping as its completion hook and
+        the dedup edges as the fleet's dependency counters.
         """
-        # When the completing task started at the current instant (always
-        # true for a lone query), charge its exact duration so the N=1
-        # path accumulates the same floats as sequential execution.
-        if self.clock.now == done.start:
-            self.clock.charge(done.task.duration, done.task.category)
-        else:
-            self.clock.advance_to(done.end, done.task.category)
-        pool = self._pools[done.task.resource]
-        pool.in_use -= done.task.units
-        pool.busy_seconds += done.task.units * done.task.duration
-        session = done.session
-        service = session.service_by_resource
-        service[done.task.resource] = (
-            service.get(done.task.resource, 0.0) + done.task.duration
-        )
-        session.prio_version += 1  # attained service moved: stamp it
-        tenant = session.tenant_state
-        if tenant is not None:
-            tenant.service += done.task.duration
-            tenant.stamp += 1
-        self._trace("finish", session, done.task, self.clock.now)
-        self._task_completed(done.task)
+        layout = tuple(self._pools)
+        pool_index = {name: r for r, name in enumerate(layout)}
+        chains: List[Chain] = []
+        pending: Dict[int, int] = {}
+        dependents: Dict[int, List[int]] = {}
+        if self.cache is None:
+            lowered: Dict[int, Chain] = {}
+            for session in self._sessions:
+                chain = lowered.get(id(session.plan))
+                if chain is None:
+                    chain = lowered[id(session.plan)] = plan_chain(
+                        session.plan, layout, self._disk_shards, pool_index)
+                chains.append(chain)
+            return _Fleet(chains, pending, dependents)
+        runtime = self._runtime_chains()
+        for session in self._sessions:
+            tasks = runtime[session.qid]
+            chains.append(Chain(
+                tasks, pool_index,
+                [partial(self._task_completed, rt) for rt in tasks],
+            ))
+            for rt in tasks:
+                if rt.deps:
+                    pending[rt.uid] = len(rt.deps)
+                    for dep in rt.deps:
+                        dependents.setdefault(dep, []).append(rt.uid)
+        return _Fleet(chains, pending, dependents)
 
-    def _deadlock_error(self, blocked: List[_Waiting]) -> QueryError:
+    def _deadlock_error(self, blocked: List[Tuple[int, str, int]]
+                        ) -> QueryError:
         """Name the stuck work: every blocked (qid, resource, units) triple."""
         triples = ", ".join(
             f"(q{qid}, {resource}, {units})"
-            for qid, resource, units in blocked_triples(blocked)
+            for qid, resource, units in sorted(blocked)
         )
         return QueryError(
             f"deadlock: {len(blocked)} waiting task(s) but nothing "
             f"running; blocked (qid, resource, units): {triples}"
         )
 
-    def _run_heap(self, chains: Dict[int, List[_RunTask]]) -> None:
-        """The event-heap core: every scheduling decision is O(log n).
+    def _drain(self, fleet: _Fleet) -> None:
+        """The event loop: run a lowered fleet to completion.
 
-        Ready tasks live in per-resource heaps keyed by (policy priority,
-        seq) with lazy invalidation, completions in one (end, seq) heap,
-        and dependency counters wake single-flight followers through the
-        event queue — see :mod:`repro.query.eventloop` for the exact
-        equivalence argument against the rescan-loop parity oracle.
+        Mutable state lives in flat locals — per-pool ready heaps of
+        ``(key, seq, s)`` tuples, one completion heap of ``(end, seq, s,
+        start)``, per-session lists — written back onto the clock, pools
+        and sessions once, after the drain.  It is bit-identical to the
+        rescan-loop oracle (``tests/oracles``) by construction:
 
-        Completions are drained in *same-timestamp batches*
-        (:meth:`CompletionHeap.pop_batch`): the clock only moves on the
-        batch's first entry, and the remaining entries skip the heap's
-        per-pop bookkeeping.  Two orderings inside a batch are sacred and
-        deliberately **not** batched, because collapsing them diverges
-        from the reference loop:
+        * one ``seq`` counter increments on every submission and grant,
+          as in the oracle, so every tie-break agrees;
+        * a grant takes the minimal ``(key, seq)`` over the pools' fitting
+          heads, ``key`` ordering like the policy's class-banded priority:
+          static per session for FIFO and EDF, the chain's attained
+          service on the task's pool for fair share, asked of the policy
+          at submission otherwise.  Only :class:`WeightedFairSharePolicy`
+          keys rise while a task waits; a head keyed on an outdated
+          tenant stamp is re-keyed before it can win;
+        * a gang wider than its pool's free units parks until a task on
+          that pool completes, so smaller tasks backfill;
+        * a grant round scans only the pools the last event touched: every
+          other pool ended the previous round without a fitting head;
+        * completions pop in ``(end, seq)`` order and charge the clock
+          float-for-float like ``SimClock.charge``/``advance_to``, guards
+          included; they win ties against failure events, which fire
+          before arrivals at the same instant;
+        * a task with unfinished single-flight dependencies parks on their
+          counters until the last one completes.
 
-        * each completion runs its own grant round before the next
-          completion's units are released — with parked multi-unit gangs,
-          a small task legitimately backfills after a partial release
-          even though the batch's *aggregate* release would have fitted
-          the gang first;
-        * each completion submits its session's successor (taking the
-          next ``seq``) before later batch entries are processed, so
-          same-timestamp tie-breaks keep the reference's seq order.
-
-        What makes the batch pass cheap is that each grant round only
-        scans the *dirty* resources — the pools whose free capacity grew
-        or that received new ready entries since the previous round; all
-        other pools provably have no fitting head (their last round ended
-        empty-handed and nothing changed), so the restricted scan grants
-        exactly what the full scan would at a fraction of the cost.
+        Per-session service is precomputed per chain (a chain completes in
+        order) unless the policy reads it live; tenant service is tracked
+        only when the policy or the admission order reads it.
         """
-        policy = self.policy
-        pools = self._pools
-        ready = ReadyHeapIndex(
-            # The scheduling class bands the policy key: background
-            # evolution jobs (klass 1) sort after every foreground task.
-            priority=lambda w: (
-                (w.session.klass,)
-                + tuple(policy.priority(w.session, w.task, w.seq))
-            ),
-            # Tenant-level service (WeightedFairSharePolicy's key) moves
-            # without the session's own stamp moving, so under that
-            # policy the entry version folds in the tenant stamp.  Every
-            # other policy keys off per-session state only; the plain
-            # int version keeps the per-validation cost off the hot path.
-            version=(
-                (lambda w: (
-                    w.session.prio_version,
-                    w.session.tenant_state.stamp
-                    if w.session.tenant_state is not None else 0,
-                ))
-                if isinstance(policy, WeightedFairSharePolicy)
-                else (lambda w: w.session.prio_version)
-            ),
-            free_units=lambda resource: pools[resource].free,
-        )
-        for name in pools:
-            ready.register(name)
-        deps = DependencyTracker(chains.values())
-        completions = CompletionHeap()
+        sessions = self._sessions
+        n = len(sessions)
+        chains, base = fleet.chains, fleet.base
+        pending, dependents = fleet.pending, fleet.dependents
+        deps = bool(pending or dependents)
+        dep_parked: Dict[int, Tuple[int, int]] = {}  # uid -> (s, seq)
+        cache = self.cache
+        admission = self._admission
+        clock = self.clock
+        now = start = clock.now
+        by_cat = clock.by_category
+        tolerance = clock.BACKWARDS_TOLERANCE
+        tracing = self._tracing
+        trace = self.trace_events
+        labels = [s.label for s in sessions] if tracing else None
+        pools = list(self._pools.values())
+        free = [math.inf if p.capacity is None else p.capacity - p.in_use
+                for p in pools]
+        busy = [p.busy_seconds for p in pools]
+        ready: List[list] = [[] for _ in pools]
+        parked: List[list] = [[] for _ in pools]  # gangs too wide to fit
+        completions: list = []
+        cursor = [0] * n  # 1 + index of the session's outstanding task
+        since = [0.0] * n  # submission instant of that task
+        waited = [s.waited_seconds for s in sessions]
+        klass = [s.klass for s in sessions]
         seq = 0
 
-        def submit_next(session: QuerySession) -> Optional[str]:
-            """Submit the session's next task; returns the resource it
-            became ready on (``None`` when the chain ended or the task
-            parked on unfinished dependencies)."""
-            nonlocal seq
-            tasks = chains[session.qid]
-            if session._cursor >= len(tasks):
-                session.finished_at = self.clock.now
-                return None
-            task = tasks[session._cursor]
-            session._cursor += 1
-            w = _Waiting(session, task, seq, self.clock.now)
-            seq += 1
-            if deps.submit(w):
-                ready.push(task.resource, w)
-                return task.resource
+        policy = self.policy
+        banded = any(klass)  # background jobs sort after every query
+        static = None
+        if type(policy) is FIFOPolicy:
+            static = klass
+        elif type(policy) is DeadlinePolicy:
+            static = [math.inf if s.deadline is None else s.deadline
+                      for s in sessions]
+            if banded:
+                static = list(zip(klass, static))
+        fair = type(policy) is FairSharePolicy
+        live = static is None and not fair  # the policy reads live state
+        rekey = isinstance(policy, WeightedFairSharePolicy)
+        stamp = [0] * n  # tenant service stamp each entry was keyed at
+        tenants = None
+        if live or (admission is not None
+                    and admission.config.queue_policy == "wfair"):
+            tenants = [s.tenant_state for s in sessions]
+        gangs = any(chain.wide for chain in chains)
+        slow = gangs or rekey
+
+        def key_of(s: int, i: int, sq: int):
+            if fair:
+                attained = chains[s].fair[i]
+                return (klass[s], attained) if banded else attained
+            session = sessions[s]
+            if rekey:
+                ts = session.tenant_state
+                stamp[s] = 0 if ts is None else ts.stamp
+            return (session.klass,) + tuple(
+                policy.priority(session, chains[s].tasks[i], sq))
+
+        def push(s: int, i: int, sq: int) -> int:
+            key = static[s] if static is not None else key_of(s, i, sq)
+            r = chains[s].res[i]
+            heappush(ready[r], (key, sq, s))
+            return r
+
+        def settle(r: int):
+            """Pool ``r``'s minimal fitting entry, re-keying stale heads
+            and parking gangs wider than its free units."""
+            q = ready[r]
+            while q:
+                head = q[0]
+                s = head[2]
+                if rekey:
+                    ts = sessions[s].tenant_state
+                    if ts is not None and ts.stamp != stamp[s]:
+                        heapreplace(q, (key_of(s, cursor[s] - 1, head[1]),
+                                        head[1], s))
+                        continue
+                if chains[s].units[cursor[s] - 1] > free[r]:
+                    parked[r].append(heappop(q))
+                    continue
+                return head
             return None
 
-        def grant(dirty=None) -> None:
-            nonlocal seq
-            while True:
-                w = ready.pop_best(dirty)
-                if w is None:
-                    return
-                pool = pools[w.task.resource]
-                pool.in_use += w.task.units
-                now = self.clock.now
-                w.session.waited_seconds += now - w.since
-                completions.push(
-                    now + w.task.duration, seq,
-                    _Running(w.session, w.task, now, now + w.task.duration,
-                             seq),
-                )
-                self._trace("start", w.session, w.task, now)
-                seq += 1
-
-        admission = self._admission
-        start = self.clock.now
-        arrivals = TimelineCursor(
-            sorted((s for s in self._sessions if s.arrival_at > start),
-                   key=lambda s: (s.arrival_at, s.qid)),
-            timestamp=lambda s: s.arrival_at,
-        )
-
-        def enter_all(entering: List[QuerySession], dirty=None) -> None:
-            """Admit sessions into the executor proper: stamp their entry,
-            submit their first tasks.  A session whose (empty) chain
-            finishes instantly releases its admission slot immediately,
-            which may let further queued sessions in — hence the work
-            list instead of recursion."""
+        def enter(entering, now: float, seq: int, dirty: list) -> int:
+            """Pass sessions into the executor proper: stamp their entry
+            and submit their first tasks; returns the next ``seq``.  An
+            empty chain finishes at once and releases its admission slot,
+            which may let further queued sessions in."""
             work = list(entering)
             while work:
-                s = work.pop(0)
-                s.entered_at = self.clock.now
-                s.queued_seconds = self.clock.now - s.arrival_at
-                resource = submit_next(s)
-                if resource is not None:
-                    if dirty is not None:
-                        dirty.add(resource)
-                elif (s.finished_at is not None and admission is not None
-                        and s.klass == 0):
-                    work.extend(admission.finish(s, self.clock.now))
+                session = work.pop(0)
+                session.entered_at = now
+                session.queued_seconds = now - session.arrival_at
+                s = session.qid
+                if chains[s].n == 0:
+                    session.finished_at = now
+                    if admission is not None and session.klass == 0:
+                        work.extend(admission.finish(session, now))
+                    continue
+                cursor[s] = 1
+                since[s] = now
+                if deps and pending.get(base[s]):
+                    dep_parked[base[s]] = (s, seq)
+                else:
+                    dirty.append(push(s, 0, seq))
+                seq += 1
+            return seq
 
-        def arrive(s: QuerySession, dirty=None) -> None:
-            if admission is None or s.klass != 0:
-                # Closed-loop flow, or a background job: admission
-                # control never gates scheduling class 1.
-                enter_all([s], dirty)
-            else:
-                enter_all(admission.arrive(s, self.clock.now), dirty)
+        def arrive(session: QuerySession, now: float, seq: int,
+                   dirty: list) -> int:
+            # Admission control never gates background jobs (class 1).
+            if admission is None or session.klass != 0:
+                return enter((session,), now, seq, dirty)
+            return enter(admission.arrive(session, now), now, seq, dirty)
 
-        for session in self._sessions:
+        for session in sessions:
             if session.arrival_at <= start:
-                arrive(session)
-        grant()
+                seq = arrive(session, now, seq, [])
+        arrivals = sorted((s for s in sessions if s.arrival_at > start),
+                          key=lambda s: (s.arrival_at, s.qid))
+        failures = self._failure_events
+        ai = fi = 0
+        next_arrival = arrivals[0].arrival_at if arrivals else math.inf
+        next_failure = failures[0].t if failures else math.inf
+        horizon = min(next_arrival, next_failure)
+        dirty = range(len(pools))  # the first grant round scans them all
 
-        cache = self.cache
-        failures = TimelineCursor(self._failure_events,
-                                  timestamp=lambda e: e.t)
-        while len(completions) or len(arrivals) or len(failures):
-            # Interleave completions with arrivals and failure events in
-            # simulated-time order; completions win ties, so work
-            # finishing at an arrival's (or failure's) instant frees
-            # capacity before admission runs — the rescan-loop oracle
-            # breaks the same ties the same way.  Failure events fire before
-            # arrivals at the same instant: a query arriving as the
-            # shard dies sees it dead.
-            next_arrival = arrivals.next_t()
-            next_failure = failures.next_t()
-            if len(completions) and (
-                    completions.next_end()
-                    <= min(next_arrival, next_failure)):
-                for done in completions.pop_batch():
-                    self._complete(done)
-                    resource = done.task.resource
-                    dirty = {resource}
-                    released = deps.complete(done.task.uid)
-                    if released:
-                        # Single-flight followers (and deduplicated
-                        # consumes) wake up here, through the event queue
-                        # — never via a rescan.
-                        if cache is not None:
-                            cache.note_wakeups(len(released))
-                        for w in released:
-                            ready.push(w.task.resource, w)
-                            dirty.add(w.task.resource)
-                    ready.release(resource)
-                    next_resource = submit_next(done.session)
-                    if next_resource is not None:
-                        dirty.add(next_resource)
-                    elif (done.session.finished_at is not None
-                            and admission is not None
-                            and done.session.klass == 0):
-                        enter_all(
-                            admission.finish(done.session, self.clock.now),
-                            dirty,
+        while True:
+            # -- grant round: minimal (key, seq) over fitting heads --
+            while True:
+                best = None
+                for r in dirty:
+                    q = ready[r]
+                    if q and free[r] > 0:
+                        head = settle(r) if slow else q[0]
+                        if head is not None and (best is None or head < best):
+                            best = head
+                            chosen = r
+                if best is None:
+                    break
+                heappop(ready[chosen])
+                s = best[2]
+                chain = chains[s]
+                i = cursor[s] - 1
+                d = chain.dur[i]
+                free[chosen] -= chain.units[i]
+                waited[s] += now - since[s]
+                heappush(completions, (now + d, seq, s, now))
+                if tracing:
+                    trace.append(task_event(
+                        "start", now, labels[s], chain.kind[i], chain.op[i],
+                        chain.names[i], d,
+                    ))
+                seq += 1
+
+            if completions and completions[0][0] <= horizon:
+                # -- the next completion, in (end, seq) order --
+                end, _, s, begun = heappop(completions)
+                chain = chains[s]
+                i = cursor[s] - 1
+                d = chain.dur[i]
+                category = chain.cat[i]
+                r = chain.res[i]
+                if now == begun:
+                    if d < 0:
+                        raise ValueError(f"cannot charge negative time: {d}")
+                    now += d
+                    by_cat[category] = by_cat.get(category, 0.0) + d
+                else:
+                    delta = end - now
+                    if delta > 0:
+                        now += delta
+                        by_cat[category] = by_cat.get(category, 0.0) + delta
+                    elif delta < 0 and delta < -tolerance * max(1.0,
+                                                                abs(now)):
+                        raise ValueError(
+                            f"clock cannot run backwards: advance_to({end}) "
+                            f"from {now}"
                         )
-                    grant(dirty)
-            elif len(failures) and next_failure <= next_arrival:
-                if next_failure > self.clock.now:
-                    self.clock.advance_to(next_failure, "idle")
-                for event in failures.pop_batch():
-                    self._apply_failure_event(event)
+                units = chain.units[i]
+                free[r] += units
+                busy[r] += units * d
+                if live:
+                    service = sessions[s].service_by_resource
+                    name = chain.names[i]
+                    service[name] = service.get(name, 0.0) + d
+                if tenants is not None:
+                    ts = tenants[s]
+                    if ts is not None:
+                        ts.service += d
+                        ts.stamp += 1
+                if tracing:
+                    trace.append(task_event(
+                        "finish", now, labels[s], chain.kind[i], chain.op[i],
+                        chain.names[i], d,
+                    ))
+                hook = chain.post[i]
+                if hook is not None:
+                    # Background jobs commit their store side effect here,
+                    # at the simulated instant the work completed.
+                    clock.now = now
+                    hook()
+                dirty = [r]
+                if deps:
+                    woken = []
+                    for uid in dependents.pop(base[s] + i, ()):
+                        pending[uid] -= 1
+                        if not pending[uid] and uid in dep_parked:
+                            woken.append(dep_parked.pop(uid))
+                    if woken:
+                        # Single-flight followers (and deduplicated
+                        # consumes) wake up through the counters.
+                        if cache is not None:
+                            cache.note_wakeups(len(woken))
+                        for waiter, sq in woken:
+                            dirty.append(push(waiter, cursor[waiter] - 1, sq))
+                if gangs and parked[r]:
+                    for entry in parked[r]:
+                        heappush(ready[r], entry)
+                    parked[r].clear()
+                # -- submit the session's next task --
+                i += 1
+                if i < chain.n:
+                    cursor[s] = i + 1
+                    since[s] = now
+                    if deps and pending.get(base[s] + i):
+                        dep_parked[base[s] + i] = (s, seq)
+                    elif static is not None:
+                        r = chain.res[i]
+                        heappush(ready[r], (static[s], seq, s))
+                        dirty.append(r)
+                    else:
+                        dirty.append(push(s, i, seq))
+                    seq += 1
+                else:
+                    session = sessions[s]
+                    session.finished_at = now
+                    if admission is not None and klass[s] == 0:
+                        seq = enter(admission.finish(session, now), now, seq,
+                                    dirty)
+                continue
+
+            # -- an exogenous instant: failure events, then arrivals --
+            if horizon == math.inf:
+                break  # nothing running, arriving or scheduled
+            delta = horizon - now
+            if delta > 0:
+                now += delta
+                by_cat["idle"] = by_cat.get("idle", 0.0) + delta
+            elif delta < -tolerance * max(1.0, abs(now)):
+                raise ValueError(
+                    f"clock cannot run backwards: advance_to({horizon}) "
+                    f"from {now}"
+                )
+            if next_failure <= next_arrival:
+                clock.now = now
+                while fi < len(failures) and failures[fi].t == horizon:
+                    self._apply_failure_event(failures[fi])
+                    fi += 1
+                next_failure = (failures[fi].t if fi < len(failures)
+                                else math.inf)
                 # A health flip frees no pool capacity and readies no
                 # task, so no grant round is needed.
+                dirty = ()
             else:
-                self.clock.advance_to(next_arrival, "idle")
-                dirty: set = set()
-                for session in arrivals.pop_batch():
-                    arrive(session, dirty)
-                grant(dirty)
+                dirty = []
+                while (ai < len(arrivals)
+                       and arrivals[ai].arrival_at == horizon):
+                    seq = arrive(arrivals[ai], now, seq, dirty)
+                    ai += 1
+                next_arrival = (arrivals[ai].arrival_at
+                                if ai < len(arrivals) else math.inf)
+            horizon = min(next_arrival, next_failure)
 
-        blocked = list(ready.pending()) + deps.parked()
-        if blocked:  # pragma: no cover - guarded by the acyclic dedup graph
-            raise self._deadlock_error(blocked)
+        # -- write the results back, once --
+        clock.now = now
+        for r, pool in enumerate(pools):
+            pool.busy_seconds = busy[r]
+        for s, session in enumerate(sessions):
+            session.waited_seconds = waited[s]
+            if not live:
+                session.service_by_resource = dict(chains[s].service)
+        self._events += 2 * sum(chain.n for chain in chains)
+
+        stuck = [s for heap in ready + parked for _, _, s in heap]
+        stuck += [s for s, _ in dep_parked.values()]
+        if stuck:  # pragma: no cover - guarded by the acyclic dedup graph
+            raise self._deadlock_error([
+                (s, chains[s].names[cursor[s] - 1],
+                 chains[s].units[cursor[s] - 1]) for s in stuck
+            ])
         if admission is not None and admission.queued:  # pragma: no cover
             raise QueryError(
                 f"admission queue stuck with {admission.queued} session(s) "

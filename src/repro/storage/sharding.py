@@ -275,10 +275,11 @@ class ShardedDiskArray:
     def io_resources(self) -> List[str]:
         """Executor resource names of this array's I/O channel pools.
 
-        The concurrent executor builds one bounded channel pool per name
-        and registers each with its ready-heap index
-        (:class:`~repro.query.eventloop.ReadyHeapIndex`), so retrievals
-        queued on different spindles wait in different heaps and overlap.
+        The concurrent executor builds one bounded channel pool per name,
+        each with its own ready heap in the event loop
+        (:meth:`~repro.query.scheduler.ConcurrentExecutor._drain`), so
+        retrievals queued on different spindles wait in different heaps
+        and overlap.
         A one-shard array keeps the pre-sharding ``"disk"`` name so its
         traces and stats stay bit-compatible with a plain
         :class:`DiskModel`.

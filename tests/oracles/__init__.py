@@ -5,12 +5,13 @@ Tests import this package as ``oracles``; ``benchmarks/conftest.py`` puts
 ``tests/`` on ``sys.path`` so the benchmarks import it the same way.
 """
 
-from .executor import _execute_sequential, no_fastpath, reference_loop
+from .executor import _execute_sequential, reference_loop
+from .fastpath import fastpath_loop
 from .profiler import scalar_profiler
 
 __all__ = [
     "_execute_sequential",
-    "no_fastpath",
+    "fastpath_loop",
     "reference_loop",
     "scalar_profiler",
 ]

@@ -7,75 +7,68 @@ through an oracle and require bit-identical results:
 
 * :func:`_run_reference` is the O(n)-per-event rescan loop that produced
   the golden traces.  Inside :func:`reference_loop` it replaces the
-  event-heap core of every executor that runs, including the ones
-  ``VStore.serve`` and ``VStore.execute`` build internally;
+  production loop of every executor that runs, including the ones
+  ``VStore.serve`` and ``VStore.execute`` build internally.  The pieces
+  only it still needs — the per-task ``_Waiting``/``_Running`` records,
+  the shared completion bookkeeping ``_complete``, the trace helper
+  ``_trace`` and the ``TimelineCursor`` over arrivals and failure events
+  — moved here verbatim from the retired event-heap core;
 * :func:`_execute_sequential` is the original single-query loop that
   ``QueryEngine.execute`` (the N=1 case of the concurrent executor) must
   reproduce; call it with the engine as its first argument.
 
-:func:`no_fastpath` only turns fastpath lowering off, so qualifying
-fleets run on the general heap core for comparison with the fast path.
+The retired closed-loop fast path lives in :mod:`.fastpath`.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterable, Iterator, List, Optional
+
 from unittest import mock
 
 import numpy as np
 
 from repro.clock import SimClock
 from repro.errors import QueryError
+from repro.obs.trace import task_event
 from repro.operators.library import Consumer
-from repro.query import fastpath
 from repro.query.alternatives import AlternativeScheme, vstore_scheme
 from repro.query.cascade import QueryCascade
 from repro.query.engine import ExecutionResult
-from repro.query.eventloop import TimelineCursor
-from repro.query.scheduler import (
-    ConcurrentExecutor,
-    QuerySession,
-    _Pool,
-    _Running,
-    _RunTask,
-    _Waiting,
-)
+from repro.query.eventloop import _RunTask
+from repro.query.scheduler import ConcurrentExecutor, QuerySession, _Pool
 from repro.retrieval.reader import SegmentReader
 from repro.rng import rng_for
 from repro.storage.segment_store import SegmentStore
 from repro.video.segment import segments_for_range
 
-__all__ = ["no_fastpath", "reference_loop", "_execute_sequential",
-           "_run_reference"]
-
-
-@contextmanager
-def no_fastpath() -> Iterator[None]:
-    """Run every fleet inside the block on the general heap core.
-
-    Fastpath lowering reports each fleet as disqualified, so qualifying
-    fleets take the heap core they would otherwise skip.
-    """
-    with mock.patch.object(fastpath, "lower_fleet", lambda executor: None):
-        yield
+__all__ = ["reference_loop", "_execute_sequential", "_run_reference"]
 
 
 @contextmanager
 def reference_loop() -> Iterator[None]:
     """Run every executor inside the block on the rescan-loop oracle.
 
-    ``run()`` keeps its own bookkeeping (chain materialization, the timed
-    window, metrics); only the loop it calls is swapped, with fastpath
-    lowering off so every fleet reaches that loop.  Runs report
-    ``ExecutorStats.core == "reference"``.
+    ``run()`` keeps its own bookkeeping (the timed window, metrics); the
+    lowering and the loop it calls are swapped — the oracle drains the
+    single-flight runtime chains (``_runtime_chains``) instead of flat
+    arrays.  Runs report ``ExecutorStats.core == "reference"``.
     """
+    def lower(self):
+        return self._runtime_chains()
+
     def loop(self, chains):
         self._core_used = "reference"
         _run_reference(self, chains)
 
-    with no_fastpath(), \
-            mock.patch.object(ConcurrentExecutor, "_run_heap", loop), \
+    with mock.patch.object(ConcurrentExecutor, "_lower", lower), \
+            mock.patch.object(ConcurrentExecutor, "_drain", loop), \
+            mock.patch.object(ConcurrentExecutor, "_complete", _complete,
+                              create=True), \
+            mock.patch.object(ConcurrentExecutor, "_trace", _trace,
+                              create=True), \
             mock.patch.object(_Pool, "fits", fits, create=True):
         yield
 
@@ -84,6 +77,109 @@ def fits(self, units: int) -> bool:
     """``_Pool.fits``, the rescan loop's capacity test (installed on the
     pool class by :func:`reference_loop`)."""
     return self.capacity is None or self.in_use + units <= self.capacity
+
+
+@dataclass
+class _Waiting:
+    session: QuerySession
+    task: _RunTask
+    seq: int
+    since: float
+
+
+@dataclass
+class _Running:
+    session: QuerySession
+    task: _RunTask
+    start: float
+    end: float
+    seq: int
+
+
+class TimelineCursor:
+    """A sorted stream of timestamped exogenous events, consumed in
+    simulated-time order.
+
+    The rescan loop interleaves *completions* (endogenous: produced by
+    running tasks) with exogenous timelines — query arrivals and shard
+    failure events.  Each timeline is the same shape: a time-sorted list
+    walked front to back, whose head timestamp is compared against the
+    other streams' heads and whose same-instant entries drain as one
+    batch.  The cursor owns that walk; :meth:`next_t` returns ``+inf``
+    once drained, so a loop can ``min()`` several cursors without
+    per-stream sentinel bookkeeping.
+
+    ``items`` must already be sorted by ``timestamp`` — the cursor
+    consumes, it does not sort.
+    """
+
+    def __init__(self, items: Iterable[object],
+                 timestamp: Callable[[object], float]) -> None:
+        self._items: List[object] = list(items)
+        self._timestamp = timestamp
+        self._i = 0
+
+    def __len__(self) -> int:
+        """Events not yet consumed."""
+        return len(self._items) - self._i
+
+    def next_t(self) -> float:
+        """The head event's timestamp, or ``+inf`` when drained."""
+        if self._i >= len(self._items):
+            return float("inf")
+        return self._timestamp(self._items[self._i])
+
+    def pop_batch(self) -> List[object]:
+        """Every event sharing the head timestamp, in stream order."""
+        items, stamp = self._items, self._timestamp
+        t = stamp(items[self._i])
+        batch = [items[self._i]]
+        self._i += 1
+        while self._i < len(items) and stamp(items[self._i]) == t:
+            batch.append(items[self._i])
+            self._i += 1
+        return batch
+
+
+def _trace(self, event: str, session: QuerySession, rt: _RunTask,
+           t: float) -> None:
+    """Append one task lifecycle event to the run's trace.
+
+    Always counts the event (``stats().events`` stays honest for
+    untraced runs); the dict is only allocated when tracing is on.
+    """
+    self._events += 1
+    if not self._tracing:
+        return
+    self.trace_events.append(task_event(
+        event, t, session.label, rt.kind, rt.operator, rt.resource,
+        rt.duration,
+    ))
+
+
+def _complete(self, done: _Running) -> None:
+    """Shared completion bookkeeping: clock, pool, service, trace."""
+    # When the completing task started at the current instant (always
+    # true for a lone query), charge its exact duration so the N=1
+    # path accumulates the same floats as sequential execution.
+    if self.clock.now == done.start:
+        self.clock.charge(done.task.duration, done.task.category)
+    else:
+        self.clock.advance_to(done.end, done.task.category)
+    pool = self._pools[done.task.resource]
+    pool.in_use -= done.task.units
+    pool.busy_seconds += done.task.units * done.task.duration
+    session = done.session
+    service = session.service_by_resource
+    service[done.task.resource] = (
+        service.get(done.task.resource, 0.0) + done.task.duration
+    )
+    tenant = session.tenant_state
+    if tenant is not None:
+        tenant.service += done.task.duration
+        tenant.stamp += 1
+    self._trace("finish", session, done.task, self.clock.now)
+    self._task_completed(done.task)
 
 
 def _run_reference(self, chains: Dict[int, List[_RunTask]]) -> None:
@@ -99,21 +195,23 @@ def _run_reference(self, chains: Dict[int, List[_RunTask]]) -> None:
     original ``while running`` — which the golden traces still pin
     byte-for-byte.  Open-loop fleets interleave future arrivals with
     completions in simulated-time order, completions winning ties,
-    mirroring the heap core's batching rule.
+    mirroring the production loop's tie rule.
     """
     waiting: List[_Waiting] = []
     running: List[_Running] = []
     completed: set = set()  # uids of finished runtime tasks
+    cursor: Dict[int, int] = {}  # qid -> index of the next task
     seq = 0
 
     def submit_next(session: QuerySession) -> None:
         nonlocal seq
         tasks = chains[session.qid]
-        if session._cursor >= len(tasks):
+        i = cursor.get(session.qid, 0)
+        if i >= len(tasks):
             session.finished_at = self.clock.now
             return
-        task = tasks[session._cursor]
-        session._cursor += 1
+        task = tasks[i]
+        cursor[session.qid] = i + 1
         waiting.append(_Waiting(session, task, seq, self.clock.now))
         seq += 1
 
@@ -129,7 +227,7 @@ def _run_reference(self, chains: Dict[int, List[_RunTask]]) -> None:
                 return
             w = min(
                 fitting,
-                # The class band mirrors the heap core's: a constant
+                # The class band mirrors the production loop's: a constant
                 # prefix for all-foreground fleets, so pre-existing
                 # schedules are unchanged.
                 key=lambda w: (
@@ -209,7 +307,9 @@ def _run_reference(self, chains: Dict[int, List[_RunTask]]) -> None:
             grant()
 
     if waiting:  # pragma: no cover - guarded by the acyclic dedup graph
-        raise self._deadlock_error(waiting)
+        raise self._deadlock_error(
+            [(w.session.qid, w.task.resource, w.task.units) for w in waiting]
+        )
     if admission is not None and admission.queued:  # pragma: no cover
         raise QueryError(
             f"admission queue stuck with {admission.queued} session(s) "

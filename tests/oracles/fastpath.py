@@ -1,19 +1,24 @@
-"""Vectorized fleet fast path: the executor's hot loop on flat arrays.
+"""The retired closed-loop fast path, kept as a speed and parity oracle.
 
-The general event-heap core (:meth:`ConcurrentExecutor._run_heap
-<repro.query.scheduler.ConcurrentExecutor._run_heap>`) pays real per-event
-Python even after PR 5 made every decision O(log n): a ``_Waiting`` and a
-``_Running`` dataclass per task, policy-callback indirection per priority,
-dict traffic for service accounting, and attribute chases on every grant
-and completion.  For the fleets the scale benchmarks and the planned
-open-loop harness actually run — thousands of *independent* queries, no
-cache plane, static priorities — none of that machinery changes the
-schedule, so this module lowers the fleet onto flat parallel arrays once
-at ``run()`` entry and drains it with a loop whose per-event work is a few
-list index operations and one ``heapq`` push/pop.
+Before the executor had one flat-array loop, fleets that qualified ran on
+this vectorized fast path and every other fleet on an event-heap core.
+It is kept here verbatim — :func:`lower_fleet` and :func:`run_fastpath`
+with their qualification rules — except that the write-back no longer
+touches two session fields the production loop retired (the per-session
+priority version and task cursor).  Inside :func:`fastpath_loop` it
+replaces the production lowering and loop of every executor that runs;
+a fleet it does not qualify raises instead of falling back, so a test
+always knows which loop ran.  Runs report ``ExecutorStats.core ==
+"fastpath"``.
 
-Qualification (checked once, recorded as ``ExecutorStats.core ==
-"fastpath"``; any miss falls back to the general heap core):
+It serves closed fleets where the rescan-loop oracle is too slow: the
+4096-query speed gate in ``benchmarks/test_executor_scale.py`` compares
+the production loop against it, and parity tests require bit-identical
+traces and outcomes.
+
+Its original design notes follow.
+
+Qualification (checked once; any miss disqualifies):
 
 * no cache plane — so runtime chains are the plan chains verbatim: no
   single-flight rewrite, no dependency edges, no wakeups;
@@ -26,18 +31,16 @@ Qualification (checked once, recorded as ``ExecutorStats.core ==
   ``free > 0`` and capacity parking cannot occur;
 * every session is foreground (class 0) and no task carries an
   ``on_done`` hook — background evolution jobs band the priority key and
-  commit store mutations at completion, both of which only the general
-  core implements.
+  commit store mutations at completion.
 
 Lowering happens per *plan*, not per session, and is cached on the plan
 object (keyed on the stage tuple's identity and the store's shard
 layout): a benchmark fleet admitting one plan 4096 times lowers it once.
 
-Bit-parity with the heap core (and therefore the reference oracle) is by
-construction, not by approximation:
+Bit-parity with the rescan-loop oracle is by construction:
 
 * the single ``seq`` counter increments on every submission *and* every
-  grant, exactly as in the general cores, so all tie-breaks agree;
+  grant, so all tie-breaks agree;
 * grants pick the globally minimal ``(k0, seq)`` over the per-resource
   ready heaps — the same total order the policy callbacks produce;
 * completions pop in ``(end, seq)`` order and replicate
@@ -48,25 +51,43 @@ construction, not by approximation:
   service accumulates in chain order (a session's chain is serial, so
   its completion order *is* chain order — which is why service can be
   precomputed during lowering and shared by every session on the plan).
-
-Trace recording honours the executor's tracing switch: a traced fastpath
-run emits the identical event dicts the general cores would, which is how
-the Hypothesis parity suite replays qualifying fleets through all three
-cores and diffs the traces.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from unittest import mock
+
 import math
 from heapq import heappop, heappush
-from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Dict, Iterator, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.obs.trace import task_event
+from repro.query.scheduler import ConcurrentExecutor
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (scheduler ↔ here)
-    from repro.query.scheduler import ConcurrentExecutor, QueryPlan
+if TYPE_CHECKING:  # pragma: no cover - type-only imports
+    from repro.query.scheduler import QueryPlan
 
-__all__ = ["lower_fleet", "run_fastpath"]
+__all__ = ["fastpath_loop", "lower_fleet", "run_fastpath"]
+
+
+@contextmanager
+def fastpath_loop() -> Iterator[None]:
+    """Run every executor inside the block on the retired fast path."""
+    def lower(self):
+        fleet = lower_fleet(self)
+        if fleet is None:
+            raise AssertionError("fleet does not qualify for the fast path")
+        return fleet
+
+    def loop(self, fleet):
+        self._core_used = "fastpath"
+        run_fastpath(self, fleet)
+
+    with mock.patch.object(ConcurrentExecutor, "_lower", lower), \
+            mock.patch.object(ConcurrentExecutor, "_drain", loop):
+        yield
+
 
 #: Attribute the per-plan lowering is cached under (``object.__setattr__``
 #: on the frozen plan, like ``QueryPlan.tasks`` caches its flattening).
@@ -321,8 +342,6 @@ def run_fastpath(executor: "ConcurrentExecutor", fleet: _Fleet) -> None:
         session.entered_at = run_start
         session.waited_seconds = waited[s]
         session.service_by_resource = dict(chain.service)
-        session.prio_version += chain.n  # one bump per completion
-        session._cursor = chain.n
         events += 2 * chain.n  # one start + one finish per task
     for r, pool in enumerate(pools):
         pool.busy_seconds = busy[r]

@@ -1,15 +1,25 @@
-"""The event-heap executor core: parity with the rescan-loop oracle, the
-ready-heap index mechanics, dependency wakeups, and plan caching.
+"""The executor's event loop: parity with the rescan-loop oracle, its
+scheduling mechanics pinned at executor level, and plan caching.
 
-The heap core's whole contract is *bit-identical outcomes*: the golden
-traces pin it against committed bytes, and the Hypothesis property here
-replays random fleets — policies x shard widths x pool bounds x cache —
-through the production executor and the oracle (``tests/oracles``) and
-requires the full trace, every per-query float, and the pool accounting
-to agree exactly.
+The loop's whole contract is *bit-identical outcomes*: the golden traces
+pin it against committed bytes, and the Hypothesis property here replays
+random fleets — policies x shard widths x pool bounds x cache — through
+the production executor and the oracle (``tests/oracles``) and requires
+the full trace, every per-query float, and the pool accounting to agree
+exactly.  Fleets the retired closed-loop fast path accepted are also
+replayed through it (``fastpath_loop``).
+
+The mechanics classes keep the names of the structures the loop's flat
+arrays replaced — the ready-heap index, the completion heap, the
+dependency counters — and drive each behaviour through hand-built plans
+whose durations are chosen so the behaviour decides the schedule, then
+require the oracle to produce the same trace.
 """
 
 from __future__ import annotations
+
+import time
+from contextlib import nullcontext
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -21,22 +31,21 @@ from repro.core.store import VStore
 from repro.errors import QueryError
 from repro.operators.library import default_library
 from repro.query.cascade import QUERY_A, QUERY_B, cascade_for
-from repro.query.eventloop import (
-    CompletionHeap,
-    DependencyTracker,
-    ReadyHeapIndex,
-    blocked_triples,
-)
 from repro.query.scheduler import (
+    BackgroundJob,
     ConcurrentExecutor,
     DeadlinePolicy,
     FIFOPolicy,
     FairSharePolicy,
     OperatorContextPool,
+    QueryPlan,
+    ResourceTask,
+    StagePlan,
+    WeightedFairSharePolicy,
 )
 from repro.storage.disk import DiskBandwidthPool
 
-from oracles import no_fastpath, reference_loop
+from oracles import fastpath_loop, reference_loop
 
 
 @pytest.fixture(scope="module")
@@ -69,26 +78,16 @@ POLICIES = (FIFOPolicy, FairSharePolicy, DeadlinePolicy)
           suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_heap_core_matches_reference_on_random_fleets(stores, data):
-    """Random fleet, all three loops, everything equal to the last bit.
+    """Random fleet, production loop vs the oracles, equal to the last bit.
 
-    Each example runs through the rescan-loop oracle, the batch-drained
-    heap core with fastpath lowering *disabled* (so the general core is
-    exercised even on qualifying fleets), and the default dispatch — and
-    asserts the dispatch lowered onto the vectorized fast path exactly
-    when the fleet qualifies (no cache plane, static FIFO/EDF priorities,
-    every session single-context).  Half the examples are *forced* to
-    qualify so the fast path sees deep coverage, not just lucky draws.
+    Every example runs through the production loop and the rescan-loop
+    oracle; a fleet the retired fast path accepts (no cache plane, FIFO
+    or EDF, every session single-context) runs through it as well.
     """
     shards = data.draw(st.sampled_from((1, 4)), label="shards")
     store = stores[shards]
-    qualify = data.draw(st.booleans(), label="force-fastpath-qualifying")
-    if qualify:
-        policy_cls = data.draw(st.sampled_from((FIFOPolicy, DeadlinePolicy)),
-                               label="policy")
-        with_cache = False
-    else:
-        policy_cls = data.draw(st.sampled_from(POLICIES), label="policy")
-        with_cache = data.draw(st.booleans(), label="cache")
+    policy_cls = data.draw(st.sampled_from(POLICIES), label="policy")
+    with_cache = data.draw(st.booleans(), label="cache")
     disk_channels = data.draw(st.sampled_from((None, 1, 2)), label="disk")
     decoder_ctx = data.draw(st.sampled_from((None, 1, 2)), label="decoder")
     op_ctx = data.draw(st.sampled_from((None, 2, 4)), label="operators")
@@ -98,7 +97,7 @@ def test_heap_core_matches_reference_on_random_fleets(stores, data):
         qname = data.draw(st.sampled_from(("A", "B")))
         dataset = {"A": "jackson", "B": "dashcam"}[qname]
         span = data.draw(st.sampled_from((8.0, 16.0, 32.0)))
-        contexts = 1 if qualify else data.draw(st.integers(1, 3))
+        contexts = data.draw(st.integers(1, 3))
         deadline = data.draw(
             st.one_of(st.none(),
                       st.floats(0.5, 10.0, allow_nan=False)))
@@ -123,33 +122,28 @@ def test_heap_core_matches_reference_on_random_fleets(stores, data):
                      contexts=contexts, deadline=deadline)
         return ex, ex.run()
 
-    fast_ex, fast_out = run()
-    with no_fastpath():
-        heap_ex, heap_out = run()
+    runs = [run()]
     with reference_loop():
         ref_ex, ref_out = run()
-
-    assert fast_ex.trace_events == ref_ex.trace_events
-    assert heap_ex.trace_events == ref_ex.trace_events
-    for h, f, r in zip(heap_out, fast_out, ref_out):
-        for out in (h, f):
-            assert out.session.finished_at == r.session.finished_at
-            assert out.session.waited_seconds == r.session.waited_seconds
-            assert (out.session.service_by_resource
+    if (not with_cache and policy_cls in (FIFOPolicy, DeadlinePolicy)
+            and all(a[3] == 1 for a in admissions)):
+        with fastpath_loop():
+            runs.append(run())
+    ref_stats = ref_ex.stats()
+    assert ref_stats.core == "reference"
+    for ex, out in runs:
+        assert ex.trace_events == ref_ex.trace_events
+        for o, r in zip(out, ref_out):
+            assert o.session.finished_at == r.session.finished_at
+            assert o.session.waited_seconds == r.session.waited_seconds
+            assert (o.session.service_by_resource
                     == r.session.service_by_resource)
-    fast_stats = fast_ex.stats()
-    heap_stats, ref_stats = heap_ex.stats(), ref_ex.stats()
-    for stats in (heap_stats, fast_stats):
+        stats = ex.stats()
         assert stats.makespan == ref_stats.makespan
         assert stats.busy_seconds == ref_stats.busy_seconds
         assert stats.events == ref_stats.events
-    # The dispatch must take the fast path exactly when the fleet
-    # qualifies: any silent fallback (or over-eager lowering) is a bug.
-    expect_fast = (not with_cache
-                   and policy_cls in (FIFOPolicy, DeadlinePolicy)
-                   and all(a[3] == 1 for a in admissions))
-    assert fast_stats.core == ("fastpath" if expect_fast else "heap")
-    assert heap_stats.core == "heap" and ref_stats.core == "reference"
+    assert [ex.stats().core for ex, _ in runs] == (
+        ["heap", "fastpath"][:len(runs)])
 
 
 def test_precomputed_plan_admission_matches_planned(stores):
@@ -208,9 +202,86 @@ def test_precomputed_plan_rejects_oversized_gang(stores):
         ex.admit(QUERY_A, "jackson", 0.9, 0.0, 32.0, plan=wide)
 
 
+@pytest.mark.parametrize("entry", ["plan", "job"])
+@pytest.mark.parametrize("duration", [-5.0, float("nan"), float("inf")])
+def test_bad_task_duration_rejected_at_admission(stores, duration, entry):
+    """A duration the clock cannot charge is refused at admission, the
+    same way on both entry points, before any run can act on it."""
+    ex = stores[1].executor(metrics=None)
+    task = _task("operators", duration)
+    with pytest.raises(QueryError, match="finite and non-negative"):
+        if entry == "plan":
+            ex.admit(QUERY_A, "jackson", 0.9, 0.0, 8.0,
+                     plan=_plan(_task("decoder", 1.0), task))
+        else:
+            ex.admit_job(BackgroundJob(name="j", stream="jackson",
+                                       kind="reencode", tasks=(task,)))
+    assert ex.sessions == []
+
+
+def test_precomputed_plan_checked_once_per_executor(stores, monkeypatch):
+    """Repeat admissions of one plan skip the per-task checks."""
+    from repro.query import scheduler
+
+    checked = []
+    real = scheduler._check_duration
+    monkeypatch.setattr(scheduler, "_check_duration",
+                        lambda task, owner: (checked.append(task),
+                                             real(task, owner)))
+    plan = _plan(_task("decoder", 1.0), _task("operators", 2.0))
+    ex = stores[1].executor(metrics=None)
+    for _ in range(5):
+        ex.admit(QUERY_A, "jackson", 0.9, 0.0, 8.0, plan=plan)
+    assert len(checked) == 2
+    other = stores[1].executor(metrics=None)  # pools differ per executor
+    other.admit(QUERY_A, "jackson", 0.9, 0.0, 8.0, plan=plan)
+    assert len(checked) == 4
+
+
+def test_wall_seconds_covers_lowering(stores, monkeypatch):
+    """``run()``'s timed window starts before the fleet is lowered."""
+    lower = ConcurrentExecutor._lower
+
+    def slow_lower(self):
+        time.sleep(0.05)
+        return lower(self)
+
+    monkeypatch.setattr(ConcurrentExecutor, "_lower", slow_lower)
+    ex = stores[1].executor(metrics=None)
+    ex.admit(QUERY_B, "dashcam", 0.9, 0.0, 8.0)
+    ex.run()
+    assert ex.stats().wall_seconds >= 0.05
+
+
 # ---------------------------------------------------------------------------
 # Deadlock diagnostics
 # ---------------------------------------------------------------------------
+
+
+def _inject(ex, core: str, edges):
+    """Add dependency edges — runtime task ``(waiter, i)`` waits on ``(qid,
+    j)`` for each ``((waiter, i), (qid, j))`` — the way the single-flight
+    dedup adds them: to the production lowering, or to the oracle's
+    runtime chains.  Returns each session's runtime tasks."""
+    if core == "reference":
+        chains = ex._runtime_chains()
+        for (waiter, i), (qid, j) in edges:
+            task = chains[waiter][i]
+            task.deps = task.deps + (chains[qid][j].uid,)
+        ex._runtime_chains = lambda: chains
+        return chains
+    fleet = ex._lower()
+    for (waiter, i), (qid, j) in edges:
+        uid = fleet.base[waiter] + i % fleet.chains[waiter].n
+        fleet.pending[uid] = fleet.pending.get(uid, 0) + 1
+        fleet.dependents.setdefault(
+            fleet.base[qid] + j % fleet.chains[qid].n, []).append(uid)
+    ex._lower = lambda: fleet
+    return [chain.tasks for chain in fleet.chains]
+
+
+def _loop(core: str):
+    return reference_loop() if core == "reference" else nullcontext()
 
 
 @pytest.mark.parametrize("core", ["heap", "reference"])
@@ -219,229 +290,259 @@ def test_deadlock_error_names_blocked_sessions(stores, core):
     store = stores[1]
     ex = store.executor()
     ex.admit(QUERY_B, "dashcam", 0.9, 0.0, 8.0)
-    chains = ex._runtime_chains()
-    first, last = chains[0][0], chains[0][-1]
-    first.deps = (last.uid,)  # an impossible cycle: first waits on last
-    ex._runtime_chains = lambda: chains
-    # Fastpath lowering off: the injected dependency cycle lives in the
-    # runtime chains, which the (dependency-free) fast path never
-    # materializes.
-    loop = reference_loop() if core == "reference" else no_fastpath()
-    with pytest.raises(QueryError) as err, loop:
+    with pytest.raises(QueryError) as err, _loop(core):
+        chains = _inject(ex, core, [((0, 0), (0, -1))])
         ex.run()
+    first = chains[0][0]
     message = str(err.value)
     assert "deadlock" in message
     assert f"(q0, {first.resource}, {first.units})" in message
 
 
+def test_blocked_triples_sorted(stores):
+    """Two sessions waiting on each other: the message lists both blocked
+    tasks, sorted by qid, on the production loop and the oracle alike."""
+    for core in ("heap", "reference"):
+        ex = stores[1].executor()
+        ex.admit(QUERY_B, "dashcam", 0.9, 0.0, 8.0)
+        ex.admit(QUERY_A, "jackson", 0.9, 0.0, 8.0)
+        with pytest.raises(QueryError) as err, _loop(core):
+            chains = _inject(ex, core, [((1, 0), (0, -1)),
+                                        ((0, 0), (1, -1))])
+            ex.run()
+        triples = ", ".join(f"(q{q}, {chains[q][0].resource}, "
+                            f"{chains[q][0].units})" for q in (0, 1))
+        assert str(err.value).endswith(f"(qid, resource, units): {triples}")
+
+
 # ---------------------------------------------------------------------------
-# Heap mechanics (exercised directly: the built-in policies cannot
-# produce stale entries, but the index must survive policies that do)
+# Loop mechanics, pinned at executor level against the oracle
 # ---------------------------------------------------------------------------
 
 
-class _FakeSession:
-    def __init__(self, qid):
-        self.qid = qid
-        self.prio_version = 0
+def _task(resource: str, duration: float, units: int = 1) -> ResourceTask:
+    category = {"decoder": "decode", "operators": "consume"}[resource]
+    kind = "consume" if resource == "operators" else "retrieve"
+    return ResourceTask(kind=kind, resource=resource, units=units,
+                        duration=duration, category=category, operator="op")
 
 
-class _FakeTask:
-    def __init__(self, resource, units=1, uid=0, deps=()):
-        self.resource = resource
-        self.units = units
-        self.uid = uid
-        self.deps = deps
+def _plan(*tasks: ResourceTask) -> QueryPlan:
+    return QueryPlan(label="synthetic", dataset="jackson", stream="jackson",
+                     video_seconds=1.0,
+                     stages=(StagePlan(operator="op", tasks=tasks,
+                                       touched=len(tasks), positives=0),))
 
 
-class _FakeWaiting:
-    def __init__(self, session, task, seq):
-        self.session = session
-        self.task = task
-        self.seq = seq
+def _replay(store, chains, deps=(), policy=FIFOPolicy, decoder=None,
+            operators=None, **admit):
+    """Run hand-built chains (one ``_plan`` per session, ``admit``'s
+    per-session keyword lists alongside) on the production loop and the
+    oracle; require identical traces and per-session floats, and return
+    the production executor.  ``deps`` are extra ``((waiter, i), (qid,
+    j))`` dependency edges, as the single-flight dedup would add them."""
+    def run(core):
+        ex = store.executor(
+            cache=None, metrics=None, policy=policy(),
+            decoder_pool=DecoderPool(decoder) if decoder else None,
+            operator_pool=(OperatorContextPool(operators) if operators
+                           else None),
+        )
+        for s, tasks in enumerate(chains):
+            kwargs = {k: v[s] for k, v in admit.items()}
+            ex.admit(QUERY_A, "jackson", 0.9, 0.0, 8.0, plan=_plan(*tasks),
+                     **kwargs)
+        with _loop(core):
+            if deps:
+                _inject(ex, core, deps)
+            ex.run()
+        return ex
+
+    ex, ref = run("heap"), run("reference")
+    assert ex.trace_events == ref.trace_events
+    for a, b in zip(ex.sessions, ref.sessions):
+        assert (a.finished_at, a.waited_seconds) == (b.finished_at,
+                                                     b.waited_seconds)
+    assert ex.stats().busy_seconds == ref.stats().busy_seconds
+    return ex
+
+
+def _events(ex, event: str):
+    """``(qid, t, resource)`` of every ``event`` record, in trace order."""
+    return [(int(e["query"].split(":")[0][1:]), e["t"], e["resource"])
+            for e in ex.trace_events if e["event"] == event]
 
 
 class TestReadyHeapIndex:
-    def _index(self, priorities, free):
-        return ReadyHeapIndex(
-            priority=lambda w: (priorities[w.seq],),
-            version=lambda w: w.session.prio_version,
-            free_units=lambda r: free.get(r),
+    """The per-pool ready heaps: grant order, lazy re-keying, parking."""
+
+    def test_orders_by_priority_then_seq(self, stores):
+        """EDF on one decoder: the earliest deadline wins, and equal
+        deadlines go in submission (seq) order."""
+        ex = _replay(stores[1], [[_task("decoder", 1.0)]] * 3,
+                     policy=DeadlinePolicy, decoder=1,
+                     deadline=[5.0, 1.0, 1.0])
+        assert [q for q, _, _ in _events(ex, "start")] == [1, 2, 0]
+
+    def test_stale_head_is_rekeyed_not_rescanned(self, stores):
+        """Weighted fair share: gold's service rises (q3 finishes on the
+        operators) while gold's q1 waits on the decoder behind bronze's
+        q0.  Keyed at submission, q1 would beat bronze's q2 on seq; the
+        re-keyed entry yields to bronze's lower weighted service."""
+        ex = _replay(
+            stores[1],
+            [[_task("decoder", 3.0)], [_task("decoder", 1.0)],
+             [_task("decoder", 1.0)], [_task("operators", 2.0)]],
+            policy=lambda: WeightedFairSharePolicy(weights={"bronze": 10.0}),
+            decoder=1, tenant=["bronze", "gold", "bronze", "gold"],
         )
+        decoder = [(q, t) for q, t, r in _events(ex, "start")
+                   if r == "decoder"]
+        assert decoder == [(0, 0.0), (2, 3.0), (1, 4.0)]
 
-    def test_orders_by_priority_then_seq(self):
-        prios = {0: 2.0, 1: 1.0, 2: 1.0}
-        index = self._index(prios, {})
-        session = _FakeSession(0)
-        entries = [_FakeWaiting(session, _FakeTask("r"), seq)
-                   for seq in range(3)]
-        for w in entries:
-            index.push("r", w)
-        assert [index.pop_best().seq for _ in range(3)] == [1, 2, 0]
-        assert index.pop_best() is None
+    def test_capacity_parking_and_release(self, stores):
+        """A 2-unit gang that does not fit parks; a 1-unit task behind it
+        backfills; the gang runs once a release fits it."""
+        ex = _replay(
+            stores[1],
+            [[_task("operators", 2.0)], [_task("operators", 1.0, units=2)],
+             [_task("operators", 1.0)]],
+            operators=2,
+        )
+        assert [(q, t) for q, t, _ in _events(ex, "start")] == [
+            (0, 0.0), (2, 0.0), (1, 2.0)]
 
-    def test_stale_head_is_rekeyed_not_rescanned(self):
-        """Lazy invalidation: a priority bump (with a version stamp) moves
-        the stale head back down the heap instead of granting it."""
-        prios = {0: 0.0, 1: 5.0}
-        free = {}
-        index = self._index(prios, free)
-        hot, cold = _FakeSession(0), _FakeSession(1)
-        index.push("r", _FakeWaiting(hot, _FakeTask("r"), 0))
-        index.push("r", _FakeWaiting(cold, _FakeTask("r"), 1))
-        # hot's attained service grows past cold's before the next grant
-        prios[0] = 9.0
-        hot.prio_version += 1
-        assert index.pop_best().seq == 1
-        assert index.pop_best().seq == 0
+    def test_full_pool_grants_nothing(self, stores):
+        """A task waits for as long as its pool is full."""
+        ex = _replay(stores[1], [[_task("decoder", 2.0)],
+                                 [_task("decoder", 1.0)]], decoder=1)
+        assert [s.waited_seconds for s in ex.sessions] == [0.0, 2.0]
 
-    def test_capacity_parking_and_release(self):
-        """An entry too big for the pool parks; freeing capacity re-admits
-        it without disturbing smaller backfilled entries."""
-        prios = {0: 0.0, 1: 1.0}
-        free = {"r": 1}
-        index = self._index(prios, free)
-        session = _FakeSession(0)
-        gang = _FakeWaiting(session, _FakeTask("r", units=2), 0)
-        small = _FakeWaiting(session, _FakeTask("r", units=1), 1)
-        index.push("r", gang)
-        index.push("r", small)
-        # the gang (better priority) does not fit: the small task backfills
-        assert index.pop_best() is small
-        assert index.pop_best() is None
-        assert [w.seq for w in index.pending()] == [0]
-        free["r"] = 2
-        index.release("r")
-        assert index.pop_best() is gang
+    def test_gang_stays_parked_through_partial_release(self, stores):
+        """A 3-unit gang waits on a full 3-unit pool.  Releases of one
+        unit (t=1, t=2) and two units (first of the t=3 pair) re-park it,
+        while q4's 1-unit task backfills the unit freed at t=1; only the
+        release that fits it grants the gang."""
+        ex = _replay(
+            stores[1],
+            [[_task("operators", 1.0)], [_task("operators", 3.0)],
+             [_task("operators", 3.0)], [_task("operators", 1.0, units=3)],
+             [_task("decoder", 1.0), _task("operators", 1.0)]],
+            operators=3,
+        )
+        ops = [(q, t) for q, t, r in _events(ex, "start") if r == "operators"]
+        assert ops == [(0, 0.0), (1, 0.0), (2, 0.0), (4, 1.0), (3, 3.0)]
 
-    def test_full_pool_grants_nothing(self):
-        free = {"r": 0}
-        index = self._index({0: 0.0}, free)
-        index.push("r", _FakeWaiting(_FakeSession(0), _FakeTask("r"), 0))
-        assert index.pop_best() is None
-        assert len(index) == 1
-
-    def test_gang_stays_parked_through_partial_release(self):
-        """A multi-unit gang parks, and a release that frees *some* units
-        — but still fewer than the gang needs — must re-park it; only the
-        release that actually fits the gang grants it.  This is the exact
-        ordering batch-drain must preserve: releases are applied one
-        completion at a time, so a batch's partial releases can each wake
-        (and re-park) the gang before the final one fits it."""
-        prios = {0: 0.0, 1: 1.0, 2: 2.0}
-        free = {"r": 0}
-        index = self._index(prios, free)
-        session = _FakeSession(0)
-        gang = _FakeWaiting(session, _FakeTask("r", units=3), 0)
-        small = _FakeWaiting(session, _FakeTask("r", units=1), 1)
-        index.push("r", gang)
-        assert index.pop_best() is None  # full pool: nothing moves
-        free["r"] = 1  # partial release: 1 of the 3 units the gang needs
-        index.release("r")
-        assert index.pop_best() is None  # gang re-parks, does not grant
-        index.push("r", small)
-        assert index.pop_best() is small  # backfill overtakes the gang
-        free["r"] = 0
-        assert index.pop_best() is None
-        free["r"] = 3  # full release: now the gang fits
-        index.release("r")
-        assert index.pop_best() is gang
-        assert index.pop_best() is None
-
-    def test_dirty_resource_restriction_matches_full_scan(self):
-        """pop_best(resources) must return the full scan's pick whenever
-        the skipped pools are grant-stable (no fitting head)."""
-        prios = {0: 5.0, 1: 1.0}
-        free = {"a": 1, "b": 0}
-        index = self._index(prios, free)
-        session = _FakeSession(0)
-        worse = _FakeWaiting(session, _FakeTask("a"), 0)
-        better = _FakeWaiting(session, _FakeTask("b"), 1)
-        index.push("a", worse)
-        index.push("b", better)  # better priority, but pool "b" is full
-        # Pool "b" has no fitting head, so restricting the scan to the
-        # dirty pool {"a"} grants exactly what the full scan would.
-        assert index.pop_best(["a"]) is worse
-        free["b"] = 1
-        assert index.pop_best(["b"]) is better
+    def test_dirty_resource_restriction_matches_full_scan(self, stores):
+        """A completion's grant round scans only the pools it touched.
+        Here the urgent q3, arriving at t=0.5, waits on a full decoder
+        while operator completions at t=1 and t=2 grant less urgent
+        operator work; the oracle rescans every pool on every grant and
+        must agree."""
+        ex = _replay(
+            stores[1],
+            [[_task("decoder", 4.0)],
+             [_task("operators", 1.0), _task("operators", 1.0)],
+             [_task("operators", 1.0), _task("decoder", 1.0)],
+             [_task("decoder", 1.0)]],
+            policy=DeadlinePolicy, decoder=1, operators=1,
+            deadline=[9.0, 8.0, 7.0, 1.0], arrival=[None, None, None, 0.5],
+        )
+        starts = [(q, t) for q, t, _ in _events(ex, "start")]
+        assert starts == [(2, 0.0), (0, 0.0), (1, 1.0), (1, 2.0),
+                          (3, 4.0), (2, 5.0)]
 
 
 class TestDependencyTracker:
-    def test_submit_parks_until_deps_complete(self):
-        t0 = _FakeTask("r", uid=0)
-        t1 = _FakeTask("r", uid=1, deps=(0,))
-        tracker = DependencyTracker([[t0, t1]])
-        s = _FakeSession(0)
-        w0 = _FakeWaiting(s, t0, 0)
-        w1 = _FakeWaiting(s, t1, 1)
-        assert tracker.submit(w0) is True
-        assert tracker.submit(w1) is False
-        assert tracker.parked() == [w1]
-        assert tracker.complete(0) == [w1]
-        assert tracker.parked() == []
+    """Dependency counters: single-flight edges park and wake tasks."""
 
-    def test_multi_dep_counts_down(self):
-        t2 = _FakeTask("r", uid=2, deps=(0, 1))
-        tracker = DependencyTracker([[_FakeTask("r", uid=0)],
-                                     [_FakeTask("r", uid=1)], [t2]])
-        w = _FakeWaiting(_FakeSession(0), t2, 0)
-        assert tracker.submit(w) is False
-        assert tracker.complete(0) == []
-        assert tracker.complete(1) == [w]
+    def test_submit_parks_until_deps_complete(self, stores):
+        """Identical cached queries: the followers' RAM-tier reads start
+        no earlier than their leaders finish, woken through the counters,
+        and the oracle agrees on every event."""
+        store = stores[1]
 
-    def test_completion_before_submit_clears_counter(self):
-        t1 = _FakeTask("r", uid=1, deps=(0,))
-        tracker = DependencyTracker([[_FakeTask("r", uid=0), t1]])
-        assert tracker.complete(0) == []
-        assert tracker.submit(_FakeWaiting(_FakeSession(0), t1, 0)) is True
+        def run(core):
+            ex = ConcurrentExecutor(
+                store.configuration, store.library, store.segments,
+                decoder_pool=DecoderPool(1), cache=CachePlane(CacheConfig()),
+            )
+            for _ in range(2):
+                ex.admit(QUERY_B, "dashcam", 0.9, 0.0, 16.0)
+            with _loop(core):
+                ex.run()
+            return ex
+
+        ex, ref = run("heap"), run("reference")
+        assert ex.trace_events == ref.trace_events
+        assert ex.cache.stats().single_flight_wakeups > 0
+        follower = [e for e in ex.trace_events
+                    if e["query"].startswith("q1") and e["event"] == "start"
+                    and e["resource"] == "cache"]
+        assert follower
+        leader_ends = sorted(e["t"] for e in ex.trace_events
+                             if e["query"].startswith("q0")
+                             and e["event"] == "finish"
+                             and e["kind"] == "retrieve")
+        assert all(e["t"] >= leader_ends[0] for e in follower)
+
+    def test_multi_dep_counts_down(self, stores):
+        """A task waiting on two others starts when the later finishes."""
+        ex = _replay(
+            stores[1],
+            [[_task("decoder", 1.0)], [_task("decoder", 3.0)],
+             [_task("operators", 1.0)]],
+            deps=[((2, 0), (0, 0)), ((2, 0), (1, 0))],
+        )
+        assert _events(ex, "start")[-1] == (2, 3.0, "operators")
+        assert ex.sessions[2].waited_seconds == 3.0
+
+    def test_completion_before_submit_clears_counter(self, stores):
+        """A dependency that finished before its waiter was submitted
+        leaves nothing to wait for."""
+        ex = _replay(
+            stores[1],
+            [[_task("decoder", 1.0)],
+             [_task("operators", 2.0), _task("operators", 1.0)]],
+            deps=[((1, 1), (0, 0))],
+        )
+        assert _events(ex, "start")[-1] == (1, 2.0, "operators")
+        assert ex.sessions[1].waited_seconds == 0.0
 
 
 class TestCompletionHeap:
-    def test_pops_by_end_then_seq(self):
-        heap = CompletionHeap()
-        heap.push(2.0, 1, "late")
-        heap.push(1.0, 3, "tie-b")
-        heap.push(1.0, 2, "tie-a")
-        assert [heap.pop() for _ in range(3)] == ["tie-a", "tie-b", "late"]
-        assert len(heap) == 0
+    """The completion heap: ``(end, seq)`` order, same-instant batches."""
 
-    def test_pop_batch_drains_one_timestamp_in_seq_order(self):
-        heap = CompletionHeap()
-        heap.push(1.0, 5, "t1-c")
-        heap.push(2.0, 1, "t2-a")
-        heap.push(1.0, 2, "t1-a")
-        heap.push(1.0, 4, "t1-b")
-        assert heap.pop_batch() == ["t1-a", "t1-b", "t1-c"]
-        assert len(heap) == 1  # the t=2.0 entry stays for the next batch
-        assert heap.pop_batch() == ["t2-a"]
-        assert len(heap) == 0
+    def test_pops_by_end_then_seq(self, stores):
+        ex = _replay(stores[1], [[_task("decoder", 2.0)],
+                                 [_task("decoder", 1.0)],
+                                 [_task("decoder", 1.0)]])
+        assert [(q, t) for q, t, _ in _events(ex, "finish")] == [
+            (1, 1.0), (2, 1.0), (0, 2.0)]
 
-    def test_pop_batch_leaves_same_end_followups_for_next_batch(self):
-        # A zero-duration task granted while draining a batch lands at the
-        # *same* end timestamp but with a larger grant seq.  It must form
-        # its own follow-up batch, exactly as the one-at-a-time reference
-        # pops it after the already-pending same-end completions.
-        heap = CompletionHeap()
-        heap.push(1.0, 2, "first")
-        heap.push(1.0, 3, "second")
-        assert heap.pop_batch() == ["first", "second"]
-        heap.push(1.0, 7, "zero-dur follow-up")
-        assert heap.pop_batch() == ["zero-dur follow-up"]
+    def test_pop_batch_drains_one_timestamp_in_seq_order(self, stores):
+        """Three completions at one instant finish in grant order, so
+        their successors queue on the single decoder in that order."""
+        ex = _replay(
+            stores[1],
+            [[_task("operators", 1.0), _task("decoder", 1.0)]] * 3,
+            decoder=1,
+        )
+        assert [q for q, _, r in _events(ex, "finish")
+                if r == "operators"] == [0, 1, 2]
+        assert [(q, t) for q, t, r in _events(ex, "start")
+                if r == "decoder"] == [(0, 1.0), (1, 2.0), (2, 3.0)]
 
-    def test_pop_batch_requires_a_pending_completion(self):
-        # The drain loop guards with ``while completions:``, so an empty
-        # pop_batch is a caller bug, not a silent no-op.
-        with pytest.raises(IndexError):
-            CompletionHeap().pop_batch()
-
-
-def test_blocked_triples_sorted():
-    s3, s1 = _FakeSession(3), _FakeSession(1)
-    triples = blocked_triples([
-        _FakeWaiting(s3, _FakeTask("disk", units=1), 0),
-        _FakeWaiting(s1, _FakeTask("operators", units=2), 1),
-    ])
-    assert triples == [(1, "operators", 2), (3, "disk", 1)]
+    def test_pop_batch_leaves_same_end_followups_for_next_batch(self, stores):
+        """A zero-duration task granted while the t=1 completions drain
+        ends at the same instant, after every already-pending one."""
+        ex = _replay(
+            stores[1],
+            [[_task("operators", 1.0), _task("decoder", 0.0)],
+             [_task("operators", 1.0)]],
+        )
+        assert [(q, r) for q, t, r in _events(ex, "finish")] == [
+            (0, "operators"), (1, "operators"), (0, "decoder")]
 
 
 # ---------------------------------------------------------------------------

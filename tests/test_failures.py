@@ -408,16 +408,6 @@ class TestExecutorTimeline:
                                              "recover", "recover"]
         assert {e["event"] for e in heap} == {"start", "finish"}
 
-    def test_failure_events_disqualify_fastpath(self, store):
-        from repro.query.cascade import cascade_for
-
-        ex = store.executor(cache=None, metrics=None)
-        ex.admit(cascade_for("B"), "jackson", 0.9, 0.0, 16.0)
-        ex.schedule_failures([FailureEvent(t=ex.clock.now + 1.0,
-                                           action="recover", shard=0)])
-        ex.run()
-        assert ex.stats().core == "heap"
-
     def test_admit_job_arrival_validated(self, store):
         from repro.query.scheduler import BackgroundJob, ResourceTask
 

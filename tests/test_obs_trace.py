@@ -2,14 +2,14 @@
 
 The schema is a *contract* — every executor loop emits events through
 one shared constructor (:func:`repro.obs.trace.task_event`), so the
-key-set can never drift between the event-heap core, the vectorized fast
-path and the rescan-loop oracle.  These tests pin the contract from both
-ends:
+key-set can never drift between the production loop and the two parity
+oracles in ``tests/oracles`` (the rescan loop and the retired closed-loop
+fast path).  These tests pin the contract from both ends:
 
 * key-set lock: every recorded event carries exactly ``TRACE_SCHEMA``'s
   keys, in schema order, on every loop and policy;
 * stream parity: the three loops emit byte-identical streams on the same
-  fleet (the fast path compared on a qualifying FIFO/EDF single-context
+  fleet (the fast-path oracle compared on a FIFO/EDF single-context
   fleet, since that is the only fleet it accepts);
 * the typed views (intervals, spans) reconstruct submission instants via
   the chain rule and must stay consistent with the raw stream.
@@ -40,7 +40,7 @@ from repro.query.scheduler import (
 )
 from repro.storage.disk import DiskBandwidthPool
 
-from oracles import no_fastpath, reference_loop
+from oracles import fastpath_loop, reference_loop
 
 POLICIES = {
     "fifo": FIFOPolicy,
@@ -75,7 +75,7 @@ def _contended_executor(store, policy_name: str):
 
 
 def _fastpath_fleet(store, policy_name: str):
-    """A fleet the vectorized fast path accepts: single-context, no cache."""
+    """A fleet the fast-path oracle accepts: single-context, no cache."""
     engine = store.engine("jackson")
     plan = engine.plan(QUERY_A, 0.9, store.segments, 0.0, 16.0)
     ex = store.executor(
@@ -117,11 +117,14 @@ def test_validate_events_rejects_schema_breaks(bad):
         validate_events([bad])
 
 
+ORACLES = {"reference": reference_loop, "fastpath": fastpath_loop}
+
+
 def _run(ex, core: str = "heap"):
-    """Run ``ex`` (on the rescan-loop oracle for ``core="reference"``)
-    and check that ``core`` is the loop that ran."""
-    if core == "reference":
-        with reference_loop():
+    """Run ``ex`` (on the named oracle unless ``core="heap"``, the
+    production loop) and check that ``core`` is the loop that ran."""
+    if core in ORACLES:
+        with ORACLES[core]():
             ex.run()
     else:
         ex.run()
@@ -141,9 +144,7 @@ def test_every_core_emits_exact_schema(obs_store, policy_name, core):
 
 @pytest.mark.parametrize("policy_name", ["fifo", "edf"])
 def test_fastpath_emits_exact_schema(obs_store, policy_name):
-    ex = _fastpath_fleet(obs_store, policy_name)
-    ex.run()
-    assert ex.stats().core == "fastpath"
+    ex = _run(_fastpath_fleet(obs_store, policy_name), "fastpath")
     assert ex.trace_events
     for e in ex.trace_events:
         assert tuple(e) == TRACE_SCHEMA
@@ -169,8 +170,7 @@ def test_heap_and_reference_streams_identical(obs_store, policy_name):
 @pytest.mark.parametrize("policy_name", ["fifo", "edf"])
 def test_fastpath_stream_identical_to_both_cores(obs_store, policy_name):
     fast = _run(_fastpath_fleet(obs_store, policy_name), "fastpath")
-    with no_fastpath():
-        heap = _run(_fastpath_fleet(obs_store, policy_name))
+    heap = _run(_fastpath_fleet(obs_store, policy_name))
     ref = _run(_fastpath_fleet(obs_store, policy_name), "reference")
     assert _stream_bytes(fast) == _stream_bytes(heap) == _stream_bytes(ref)
 

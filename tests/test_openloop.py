@@ -11,11 +11,14 @@ requiring bit-identical traces and per-query accounting.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.slo import format_slo_table, percentile, slo_report
+from repro.cache.plane import CacheConfig, CachePlane
 from repro.codec.decoder import DecoderPool
 from repro.core.store import VStore
 from repro.errors import QueryError
@@ -27,6 +30,7 @@ from repro.query.scheduler import (
     DeadlinePolicy,
     FIFOPolicy,
     FairSharePolicy,
+    OperatorContextPool,
     ResourceTask,
     WeightedFairSharePolicy,
 )
@@ -243,6 +247,18 @@ def test_background_jobs_bypass_admission(store):
     assert max(f for _, _, f in ex.admission_timeline) == 1
 
 
+@pytest.mark.xfail(strict=True, raises=QueryError, reason=(
+    "known defect: single-flight dedup is planned in admission (qid) "
+    "order, so a follower that admission control lets in before its "
+    "queued leader parks on it forever; both loops deadlock"))
+def test_single_flight_follower_never_waits_on_a_queued_leader(store):
+    ex = store.executor(cache=CachePlane(CacheConfig()), metrics=None,
+                        admission=AdmissionConfig(max_in_flight=1))
+    admit_b(ex, arrival=0.25)  # the leader of every shared read
+    admit_b(ex, arrival=0.0)  # enters first and follows the queued leader
+    assert len(ex.run()) == 2
+
+
 def test_admission_config_validation():
     with pytest.raises(QueryError):
         AdmissionConfig(max_in_flight=0)
@@ -254,22 +270,6 @@ def test_admission_config_validation():
         AdmissionConfig(tenant_weights={"t": 0.0})
     with pytest.raises(QueryError):
         WeightedFairSharePolicy(weights={"t": -1.0})
-
-
-def test_fastpath_disqualified_for_open_loop_fleets(store):
-    """The vectorized core handles only the closed-loop regime; every
-    open-loop feature must force the general heap core."""
-    def core_for(**kwargs):
-        admission = kwargs.pop("admission", None)
-        ex = make_ex(store, admission=admission)
-        admit_b(ex, **kwargs)
-        ex.run()
-        return ex.stats().core
-
-    assert core_for() == "fastpath"  # control: this fleet qualifies
-    assert core_for(arrival=2.0) == "heap"
-    assert core_for(tenant="gold") == "heap"
-    assert core_for(admission=AdmissionConfig(max_in_flight=8)) == "heap"
 
 
 # ---------------------------------------------------------------------------
@@ -386,13 +386,17 @@ def test_heap_core_matches_reference_on_open_loop_fleets(store, data):
     """Random mixed-tenant open-loop fleet, production executor vs the
     rescan-loop oracle, every trace byte and per-query float equal.
 
-    Background jobs exercise the scheduling-class-1 priority band, and
-    observational failure events the failure timeline cursor; both draw
-    their instants from the arrival grid so they collide with arrivals
-    and completions.
+    One property covers every fleet feature at once.  Background jobs
+    exercise the scheduling-class-1 priority band, and observational
+    failure events the failure timeline; both draw their instants from
+    the arrival grid so they collide with arrivals and completions.  A
+    cache plane adds single-flight dependency edges, and gangs of 1-3
+    operator contexts park on a bounded operator pool.
     """
     policy_factory = data.draw(st.sampled_from(POLICIES), label="policy")
     decoder_ctx = data.draw(st.sampled_from((None, 1, 2)), label="decoder")
+    op_ctx = data.draw(st.sampled_from((None, 2, 4)), label="operators")
+    with_cache = data.draw(st.booleans(), label="cache")
     if data.draw(st.booleans(), label="admission"):
         admission = AdmissionConfig(
             max_in_flight=data.draw(st.sampled_from((1, 2, 4))),
@@ -413,7 +417,9 @@ def test_heap_core_matches_reference_on_open_loop_fleets(store, data):
         arrival = data.draw(st.sampled_from(TIMELINE))
         tenant = data.draw(st.sampled_from((None, "gold", "bronze")))
         deadline = data.draw(st.sampled_from((None, 2.0, 10.0)))
-        admissions.append((qname, dataset, arrival, tenant, deadline))
+        contexts = data.draw(st.integers(1, 3))
+        admissions.append((qname, dataset, arrival, tenant, deadline,
+                           contexts))
     jobs = [
         (BackgroundJob(name=f"job{i}", stream="dashcam", kind="reencode",
                        tasks=tuple(data.draw(st.lists(
@@ -430,26 +436,47 @@ def test_heap_core_matches_reference_on_open_loop_fleets(store, data):
     ]
 
     def run():
-        ex = make_ex(
-            store,
+        # A fresh cache plane per run plans identical dedup edges.
+        ex = store.executor(
+            cache=CachePlane(CacheConfig()) if with_cache else None,
+            metrics=None,
             policy=policy_factory(),
             decoder_pool=DecoderPool(decoder_ctx) if decoder_ctx else None,
+            operator_pool=OperatorContextPool(op_ctx) if op_ctx else None,
             admission=admission,
         )
-        for qname, dataset, arrival, tenant, deadline in admissions:
+        for qname, dataset, arrival, tenant, deadline, contexts in admissions:
             ex.admit(cascade_for(qname), dataset, 0.9, 0.0, 16.0,
-                     arrival=arrival, tenant=tenant, deadline=deadline)
+                     arrival=arrival, tenant=tenant, deadline=deadline,
+                     contexts=contexts)
         for job, arrival in jobs:
             ex.admit_job(job, arrival=arrival)
         ex.schedule_failures(events)  # no array: trace and clock only
-        return ex, ex.run()
+        try:
+            return ex, ex.run(), None
+        except QueryError as err:
+            return ex, None, str(err)
 
-    heap_ex, heap_out = run()
+    heap_ex, heap_out, heap_err = run()
     with reference_loop():
-        ref_ex, ref_out = run()
+        ref_ex, ref_out, ref_err = run()
 
+    # Parity covers the error path too.  A cache plane under admission
+    # control can deadlock both loops (the known defect pinned by
+    # test_single_flight_follower_never_waits_on_a_queued_leader); they
+    # must then fail with the same message.
+    assert heap_err == ref_err
+    if heap_err is not None:
+        assert with_cache and admission is not None
+        assert heap_err.startswith("deadlock: ")
+        return
     assert heap_ex.trace_events == ref_ex.trace_events
     assert heap_ex.admission_timeline == ref_ex.admission_timeline
+    if with_cache:
+        # Only the production loop counts wakeups: the rescan oracle
+        # rediscovers ready followers instead of waking them.
+        assert (replace(heap_ex.cache.stats(), single_flight_wakeups=0)
+                == ref_ex.cache.stats())
     for h, r in zip(heap_out, ref_out):
         assert h.session.finished_at == r.session.finished_at
         assert h.session.entered_at == r.session.entered_at
