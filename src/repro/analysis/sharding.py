@@ -1,11 +1,12 @@
 """Sharded-storage analysis: per-shard occupancy, utilization, imbalance.
 
 The sharded disk array (:mod:`repro.storage.sharding`) tracks what every
-shard stores and how many simulated seconds it spent serving reads, writes
-and migrations; the concurrent executor additionally reports per-shard
-channel-pool busy time.  This module folds both into the report a store
-operator reads — how even the placement is, how busy each spindle got, and
-how much parallel-retrieval speedup the sharding actually delivered.
+shard stores and how many simulated seconds it spent serving writes and
+migrations; reads are the concurrent executor's retrieve tasks, which it
+reports as per-shard channel-pool busy time.  This module folds both into
+the report a store operator reads — how even the placement is, how busy
+each spindle got, and how much parallel-retrieval speedup the sharding
+actually delivered.
 """
 
 from __future__ import annotations
@@ -25,18 +26,13 @@ class ShardRow:
     shard: int
     stored_bytes: float
     stored_keys: int
-    busy_read_seconds: float
     busy_write_seconds: float
     busy_migrate_seconds: float
-    #: Executor channel-pool busy seconds ("disk:i" pool), when a run's
-    #: stats were supplied; None otherwise.
+    #: Executor channel-pool busy seconds ("disk:i" pool) — the run's
+    #: reads and background I/O on this shard — when a run's stats were
+    #: supplied; None otherwise.
     pool_busy_seconds: Optional[float] = None
     pool_utilization: Optional[float] = None
-
-    @property
-    def busy_seconds(self) -> float:
-        return (self.busy_read_seconds + self.busy_write_seconds
-                + self.busy_migrate_seconds)
 
 
 @dataclass(frozen=True)
@@ -91,7 +87,7 @@ def sharding_report(
     if array is None:
         rows.append(ShardRow(shard=0, stored_bytes=float(store.total_bytes()),
                              stored_keys=sum(1 for _ in store.kv.keys()),
-                             busy_read_seconds=0.0, busy_write_seconds=0.0,
+                             busy_write_seconds=0.0,
                              busy_migrate_seconds=0.0))
         return ShardingReport(placement="none", n_shards=1, rows=tuple(rows),
                               makespan=stats.makespan if stats else None)
@@ -108,7 +104,6 @@ def sharding_report(
             shard=i,
             stored_bytes=shard_bytes[i],
             stored_keys=shard_keys[i],
-            busy_read_seconds=array.busy_read_seconds[i],
             busy_write_seconds=array.busy_write_seconds[i],
             busy_migrate_seconds=array.busy_migrate_seconds[i],
             pool_busy_seconds=pool_busy,
@@ -131,7 +126,7 @@ def format_sharding_table(report: ShardingReport) -> str:
         f"stored, imbalance {report.imbalance_ratio:.2f}x "
         f"(spread {fmt_bytes(report.byte_imbalance)})"
     )
-    header = (f"{'shard':>5} {'stored':>10} {'keys':>6} {'read':>9} "
+    header = (f"{'shard':>5} {'stored':>10} {'keys':>6} "
               f"{'write':>9} {'migrate':>9} {'pool busy':>10} {'util':>6}")
     lines.append(header)
     lines.append("-" * len(header))
@@ -140,8 +135,8 @@ def format_sharding_table(report: ShardingReport) -> str:
         util = "--" if r.pool_utilization is None else f"{r.pool_utilization:.0%}"
         lines.append(
             f"{r.shard:>5} {fmt_bytes(r.stored_bytes):>10} {r.stored_keys:>6} "
-            f"{r.busy_read_seconds:>8.3f}s {r.busy_write_seconds:>8.3f}s "
-            f"{r.busy_migrate_seconds:>8.3f}s {busy:>10} {util:>6}"
+            f"{r.busy_write_seconds:>8.3f}s {r.busy_migrate_seconds:>8.3f}s "
+            f"{busy:>10} {util:>6}"
         )
     speedup = report.retrieval_speedup
     if speedup is not None:

@@ -204,25 +204,6 @@ class CachePlane:
             self.tiers.record_access(access.key[0], access.key[1],
                                      access.stored_bytes)
 
-    def serve_retrieval(self, clock: SimClock,
-                        access: RetrievalAccess) -> bool:
-        """Immediate-execution read path: serve one decoded-frame access.
-
-        A hit charges the RAM cost to ``"cache"`` and is recorded; a miss
-        commits the decoded frames and returns ``False`` — the caller
-        charges its own full retrieval cost.  Shared by
-        :meth:`SegmentReader.read <repro.retrieval.reader.SegmentReader.read>`
-        and :meth:`Decoder.decode <repro.codec.decoder.Decoder.decode>` so
-        the two paths can never drift.
-        """
-        self.note_access(access)
-        if access.hit:
-            clock.charge(access.hit_seconds, "cache")
-            self.record_frame_hit(access)
-            return True
-        self.commit_frames(access)
-        return False
-
     def record_frame_hit(self, access: RetrievalAccess) -> None:
         """A committed decoded-frame hit was served in simulated time."""
         self.frames.record_hit(access.key, access.nbytes,

@@ -12,7 +12,7 @@ reports (Figure 3, Table 3):
 """
 
 from repro.codec.chunks import decoded_frame_count, decoded_frame_fraction, gop_layout
-from repro.codec.decoder import Decoder, DecoderPool
+from repro.codec.decoder import DecoderPool
 from repro.codec.encoder import EncodedSegment, Encoder
 from repro.codec.model import CodecModel, DEFAULT_CODEC, SURFACE_CALLS
 from repro.codec.tables import (
@@ -24,7 +24,6 @@ from repro.codec.tables import (
 __all__ = [
     "CodecModel",
     "DEFAULT_CODEC",
-    "Decoder",
     "DecoderPool",
     "EncodedSegment",
     "Encoder",

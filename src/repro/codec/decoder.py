@@ -1,37 +1,15 @@
-"""Decoder: turns a stored segment back into consumable raw frames.
+"""Decoder contexts: the bounded hardware decode pool (NVDEC in the paper).
 
-The decoder charges simulated decode time to the clock (category
-``"decode"``), honouring chunk skipping when the consumer samples sparsely.
-Raw (coding-bypass) segments are not decoded here; they take the disk path
-in :mod:`repro.retrieval`.
+Decode cost per segment, including chunk skipping for sparse consumers, is
+worked out by :class:`~repro.retrieval.reader.SegmentReader`; the concurrent
+executor runs each decode as a task on the ``decoder`` pool sized here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional, TYPE_CHECKING
 
-if TYPE_CHECKING:  # pragma: no cover - type-only import
-    from repro.cache.plane import CachePlane
-
-from repro.clock import SimClock
-from repro.codec.chunks import decoded_frame_count
-from repro.codec.encoder import EncodedSegment
-from repro.codec.model import CodecModel, DEFAULT_CODEC
 from repro.errors import CodecError
-from repro.video.fidelity import Fidelity
-
-
-@dataclass(frozen=True)
-class DecodedFrames:
-    """The frames a consumer receives from one segment."""
-
-    source: EncodedSegment
-    consumer_fidelity: Fidelity
-    n_frames: int  # frames handed to the consumer
-    n_decoded: int  # frames the decoder had to touch (>= n_frames)
-    seconds: float  # video time covered
 
 
 @dataclass(frozen=True)
@@ -49,89 +27,3 @@ class DecoderPool:
     def __post_init__(self) -> None:
         if self.contexts < 1:
             raise CodecError(f"need at least one decoder context: {self.contexts}")
-
-
-class Decoder:
-    """A decoder instance (NVDEC in the paper).
-
-    With a :class:`~repro.cache.plane.CachePlane` attached, a segment
-    already decoded for the same consumer fidelity is served from the
-    decoded-frame RAM tier: the decode charge is skipped and only the RAM
-    cost is paid (category ``"cache"``); misses populate the tier.
-    """
-
-    def __init__(self, model: CodecModel = DEFAULT_CODEC,
-                 clock: Optional[SimClock] = None,
-                 cache: Optional["CachePlane"] = None):
-        self.model = model
-        self.clock = clock or SimClock()
-        self.cache = cache
-        self.frames_decoded = 0
-
-    def decode(
-        self, encoded: EncodedSegment, consumer_fidelity: Fidelity
-    ) -> DecodedFrames:
-        """Decode ``encoded`` for a consumer expecting ``consumer_fidelity``.
-
-        The stored fidelity must be richer than or equal to the consumer's
-        (requirement R1); the sampling ratio determines how many stored
-        frames can be skipped chunk-wise.
-        """
-        fmt = encoded.fmt
-        if fmt.is_raw:
-            raise CodecError("raw segments are read from disk, not decoded")
-        if not fmt.fidelity.richer_equal(consumer_fidelity):
-            raise CodecError(
-                f"stored fidelity {fmt.fidelity.label} cannot supply "
-                f"consumer fidelity {consumer_fidelity.label}"
-            )
-        stride = self.model.consumer_stride(fmt.fidelity, consumer_fidelity.sampling)
-        n_stored = encoded.n_frames
-        n_decoded = decoded_frame_count(
-            n_stored, stride, fmt.coding.keyframe_interval
-        )
-        n_consumed = len(range(0, n_stored, stride))
-        cost = n_decoded * self.model.decode_frame_seconds(fmt.fidelity, fmt.coding)
-        if not self._serve_from_cache(encoded, consumer_fidelity,
-                                      n_consumed, cost):
-            self.clock.charge(cost, "decode")
-            self.frames_decoded += n_decoded
-        return DecodedFrames(
-            source=encoded,
-            consumer_fidelity=consumer_fidelity,
-            n_frames=n_consumed,
-            n_decoded=n_decoded,
-            seconds=encoded.segment.seconds,
-        )
-
-    def _serve_from_cache(self, encoded: EncodedSegment,
-                          consumer_fidelity: Fidelity,
-                          n_consumed: int, full_cost: float) -> bool:
-        """Serve from the decoded-frame tier if possible; True on a hit."""
-        if self.cache is None:
-            return False
-        from repro.cache.plane import RetrievalAccess
-
-        segment = encoded.segment
-        nbytes = n_consumed * self.model.raw_frame_bytes(consumer_fidelity)
-        key = self.cache.frame_key(segment.stream, segment.index,
-                                   encoded.fmt.label, consumer_fidelity.label)
-        access = RetrievalAccess(
-            key=key,
-            hit=self.cache.frames.peek(key) is not None,
-            full_seconds=full_cost,
-            hit_seconds=self.cache.hit_seconds(nbytes),
-            nbytes=nbytes,
-            stored_bytes=float(encoded.size_bytes),
-            raw=False,  # decode-bound: builds no fast-tier heat
-        )
-        return self.cache.serve_retrieval(self.clock, access)
-
-    def decode_speed(
-        self, encoded: EncodedSegment,
-        consumer_sampling: Optional[Fraction] = None,
-    ) -> float:
-        """Realtime multiple at which this segment's format decodes."""
-        return self.model.decode_speed(
-            encoded.fmt.fidelity, encoded.fmt.coding, consumer_sampling
-        )

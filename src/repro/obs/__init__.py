@@ -28,7 +28,6 @@ from repro.obs.trace import (
     TRACE_SCHEMA_VERSION,
     QuerySpan,
     TaskInterval,
-    TraceEvent,
     intervals_from_events,
     query_spans,
     task_event,
@@ -44,7 +43,6 @@ __all__ = [
     "TRACE_SCHEMA_VERSION",
     "QuerySpan",
     "TaskInterval",
-    "TraceEvent",
     "intervals_from_events",
     "query_spans",
     "task_event",

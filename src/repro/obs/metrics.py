@@ -310,12 +310,14 @@ class MetricsRegistry:
         self.gauge("cache.seconds_saved").set(cache_stats.seconds_saved)
 
     def observe_disks(self, disk_array) -> None:
-        """Per-shard busy-seconds and health gauges from the disk plane."""
+        """Per-shard write-seconds and health gauges from the disk plane.
+
+        Reads are the executor's retrieve tasks; their per-shard busy time
+        is the ``resource.disk:i.busy_seconds`` gauge of
+        :meth:`observe_executor`.
+        """
         self.gauge("disk.shards").set(disk_array.n_shards)
         for i in range(disk_array.n_shards):
-            self.gauge(f"disk.shard{i}.read_seconds").set(
-                disk_array.busy_read_seconds[i]
-            )
             self.gauge(f"disk.shard{i}.write_seconds").set(
                 disk_array.busy_write_seconds[i]
             )

@@ -11,8 +11,6 @@ is *locked* here:
   are identical by construction
   and the parity tests (:mod:`tests.test_obs_trace`) can diff key-sets
   and full streams mechanically;
-* :class:`TraceEvent` is the typed view of one raw event — what analysis
-  and export code should consume instead of string-indexing dicts;
 * :class:`TaskInterval` pairs each ``start``/``finish`` event into one
   scheduled task occupancy interval, reconstructing the *submission*
   instant from the chain rule (a session's chain is serial: task ``i``
@@ -21,7 +19,7 @@ is *locked* here:
   event stream;
 * :class:`QuerySpan` rolls a query's intervals up into the span the
   paper's argument needs: where did this query's simulated time go —
-  retrieval, decode, consumption, or waiting — phase by phase.
+  service or waiting, resource by resource.
 
 The raw stream stays a list of plain dicts (the golden traces pin its
 bytes; dict construction is also what keeps tracing cheap enough to be
@@ -41,7 +39,6 @@ __all__ = [
     "PHASES",
     "QuerySpan",
     "TaskInterval",
-    "TraceEvent",
     "intervals_from_events",
     "phase_of",
     "query_spans",
@@ -132,27 +129,6 @@ def phase_of(resource: str) -> str:
     if resource == "cache":
         return "cache"
     return resource  # a future pool names its own phase
-
-
-@dataclass(frozen=True)
-class TraceEvent:
-    """Typed view of one raw trace-event dict."""
-
-    event: str  # "start" | "finish"
-    t: float
-    query: str
-    kind: str
-    operator: str
-    resource: str
-    duration: float
-
-    @classmethod
-    def from_dict(cls, raw: Mapping[str, object]) -> "TraceEvent":
-        return cls(*(raw[k] for k in TRACE_SCHEMA))  # type: ignore[arg-type]
-
-    def to_dict(self) -> Dict[str, object]:
-        return task_event(self.event, self.t, self.query, self.kind,
-                          self.operator, self.resource, self.duration)
 
 
 @dataclass(frozen=True)
@@ -247,7 +223,7 @@ def intervals_from_events(
 
 @dataclass(frozen=True)
 class QuerySpan:
-    """One query's full span: where its simulated time went, per phase.
+    """One query's full span: where its simulated time went, per resource.
 
     ``service_by_resource``/``wait_by_resource`` are chain-order float
     sums over the query's intervals; ``bound_resource`` names the
@@ -278,14 +254,6 @@ class QuerySpan:
     @property
     def waited_seconds(self) -> float:
         return sum(self.wait_by_resource.values())
-
-    @property
-    def service_by_phase(self) -> Dict[str, float]:
-        phases: Dict[str, float] = {}
-        for resource, seconds in self.service_by_resource.items():
-            phase = phase_of(resource)
-            phases[phase] = phases.get(phase, 0.0) + seconds
-        return phases
 
     @property
     def bound_resource(self) -> str:

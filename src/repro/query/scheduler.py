@@ -636,7 +636,7 @@ class BackgroundJob:
 
     name: str  # shows up as the session label's query name
     stream: str
-    kind: str  # "reencode" | "erode" | "migrate" | "retire"
+    kind: str  # "reencode" | "erode" | "retire" | "rebuild"
     tasks: Tuple[ResourceTask, ...]
 
 
@@ -888,11 +888,8 @@ class ConcurrentExecutor:
         #: admitting one plan thousands of times checks it once.
         self._checked_plans: Dict[int, QueryPlan] = {}
         #: Scheduled shard failure events (:mod:`repro.storage.failures`)
-        #: merged into the run's timeline, and the array (if any) whose
-        #: health they flip at their instants — see
-        #: :meth:`schedule_failures`.
+        #: merged into the run's timeline — see :meth:`schedule_failures`.
         self._failure_events: List = []
-        self._failure_array = None
 
     # -- admission ---------------------------------------------------------
 
@@ -1095,7 +1092,7 @@ class ConcurrentExecutor:
         self._admit_wall_seconds += perf_counter() - wall0
         return session
 
-    def schedule_failures(self, events, *, array=None) -> None:
+    def schedule_failures(self, events) -> None:
         """Put a failure campaign's events on the run's timeline.
 
         ``events`` is an iterable of
@@ -1108,16 +1105,10 @@ class ConcurrentExecutor:
         paired zero-duration ``start``/``finish`` trace record under the
         pseudo-query label ``"failures"``.
 
-        When ``array`` is given (a
-        :class:`~repro.storage.sharding.ShardedDiskArray`), each event's
-        health transition is applied to it at its instant via the
-        idempotent :func:`~repro.storage.failures.apply_event`; rebuild
-        work a mid-run ``fail`` surfaces is the caller's to schedule —
-        jobs cannot be admitted once the run started.  Left ``None``, the
-        events are purely observational (trace + clock), which is how
-        ``VStore.serve`` uses them: the facade already applied the
-        campaign to the array during its planning pass, so replaying the
-        mutations here would double-apply them.
+        The events are purely observational (trace + clock): the caller
+        applies the campaign to the array itself, as ``VStore.serve`` does
+        during its planning pass, and schedules any rebuild work as jobs
+        before the run starts.
         """
         if self._ran:
             raise QueryError("executor already ran; create a new one")
@@ -1130,21 +1121,11 @@ class ConcurrentExecutor:
                 )
         merged = sorted(self._failure_events + incoming, key=lambda e: e.t)
         self._failure_events = merged
-        if array is not None:
-            self._failure_array = array
 
     def _apply_failure_event(self, event) -> None:
-        """Fire one scheduled failure event at the current instant.
-
-        Flips the array's health when one was attached
-        (:meth:`schedule_failures`), and emits the paired start/finish
-        trace records either way.  Mid-run rebuild work is dropped here
-        by design — see :meth:`schedule_failures`.
-        """
-        if self._failure_array is not None:
-            from repro.storage.failures import apply_event
-
-            apply_event(self._failure_array, event)
+        """Fire one scheduled failure event at the current instant: emit
+        its paired start/finish trace records (see
+        :meth:`schedule_failures`)."""
         t = self.clock.now
         resource = (
             f"disk:{event.shard % self._disk_shards}"

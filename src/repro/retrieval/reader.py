@@ -1,21 +1,21 @@
-"""Segment reader: streams stored video through decoder (or disk) to
-consumers, charging retrieval costs to the simulated clock.
+"""Segment reader: costs the retrieval of stored video for one consumer.
 
-This is the execution path behind queries: for each requested segment the
-reader fetches the stored version, decodes it (encoded formats) or reads
-sampled frames (raw formats), and reports the video time covered and the
-simulated seconds spent — from which effective retrieval speed follows.
+Queries read video only through the concurrent executor: for each
+requested segment the reader works out what retrieving the stored version
+takes — decoding it (encoded formats) or reading sampled frames from disk
+(raw formats) — and reports the frames delivered and the simulated seconds
+spent.  ``QueryEngine.plan`` turns those costs into retrieve tasks, and the
+executor charges them when its disk/decoder pools serve the tasks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.cache.plane import CachePlane, RetrievalAccess
-from repro.clock import SimClock
 from repro.codec.chunks import decoded_frame_count
 from repro.codec.model import CodecModel, DEFAULT_CODEC
 from repro.errors import StorageError
@@ -43,7 +43,6 @@ class SegmentReader:
         fmt: StorageFormat,
         consumer_fidelity: Fidelity,
         codec: CodecModel = DEFAULT_CODEC,
-        clock: Optional[SimClock] = None,
         cache: Optional[CachePlane] = None,
     ):
         if not fmt.fidelity.richer_equal(consumer_fidelity):
@@ -55,70 +54,26 @@ class SegmentReader:
         self.fmt = fmt
         self.consumer_fidelity = consumer_fidelity
         self.codec = codec
-        self.clock = clock or SimClock()
         self.cache = cache
 
     @property
     def category(self) -> str:
-        """Clock category this reader's retrievals charge to."""
+        """Clock category this reader's retrieve tasks charge to."""
         return "disk" if self.fmt.is_raw else "decode"
-
-    def assess(self, stream: str, index: int) -> RetrievedClip:
-        """Compute one segment's retrieval outcome without charging time.
-
-        The concurrent executor plans retrieval tasks with this and charges
-        the clock itself when the simulated disk/decoder actually serves
-        them; :meth:`read` is ``assess`` plus an immediate charge.
-        """
-        stride = self.codec.consumer_stride(
-            self.fmt.fidelity, self.consumer_fidelity.sampling
-        )
-        meta = self.store.meta(stream, self.fmt, index)
-        if self.fmt.is_raw:
-            # Raw path: sampled frames can be read individually from disk
-            # (Table 3 note 2); a full scan streams the segment sequentially.
-            n_stored = max(1, meta.n_frames)
-            consumed = len(range(0, n_stored, stride))
-            frame_bytes = self.codec.raw_frame_bytes(self.fmt.fidelity)
-            bandwidth, overhead = self._disk_params(stream, index)
-            # Either scan the whole segment sequentially or read sampled
-            # frames individually, whichever is cheaper (cf. DiskModel).
-            scan = (n_stored * frame_bytes / bandwidth + overhead)
-            sparse = (consumed * frame_bytes / bandwidth
-                      + consumed * overhead)
-            seconds = min(scan, sparse)
-            return RetrievedClip(
-                stored=meta,
-                consumer_fidelity=self.consumer_fidelity,
-                n_frames=consumed,
-                retrieval_seconds=seconds,
-            )
-
-        n_decoded = decoded_frame_count(
-            meta.n_frames, stride, self.fmt.coding.keyframe_interval
-        )
-        consumed = len(range(0, meta.n_frames, stride))
-        seconds = n_decoded * self.codec.decode_frame_seconds(
-            self.fmt.fidelity, self.fmt.coding
-        )
-        return RetrievedClip(
-            stored=meta,
-            consumer_fidelity=self.consumer_fidelity,
-            n_frames=consumed,
-            retrieval_seconds=seconds,
-        )
 
     def assess_many(self, stream: str,
                     indices: Sequence[int]) -> List[RetrievedClip]:
-        """Batch :meth:`assess`: one NumPy pass over per-segment arrays.
+        """Cost a batch of segments: one NumPy pass over per-segment arrays.
 
         ``QueryEngine.plan`` assesses every active segment of a stage at
         once; doing the cost arithmetic per segment in Python made plan
         assembly a per-segment interpreter loop.  This builds the frame
         counts and retrieval seconds as float64 arrays in one shot —
-        elementwise, with the exact operation order of the scalar path, so
-        the results are bit-identical (the parity test in
-        ``tests/test_retrieval.py`` holds it to that).
+        elementwise, with the exact operation order of the scalar
+        per-segment reference (``assess`` in ``tests/oracles/reader.py``),
+        so the results are bit-identical (the parity tests in
+        ``tests/test_retrieval.py`` hold it to that, on plain, sharded and
+        tiered stores).
         """
         if not indices:
             return []
@@ -180,28 +135,17 @@ class SegmentReader:
             )
         return bandwidth, overhead
 
-    def assess_cached(
-        self, stream: str, index: int
-    ) -> Tuple[RetrievedClip, Optional[RetrievalAccess]]:
-        """Like :meth:`assess`, consulting the decoded-frame cache.
-
-        On a (committed) cache hit the clip's retrieval cost becomes the
-        RAM-tier cost; the returned :class:`RetrievalAccess` carries the
-        key, both costs, and the entry size, so the executor can commit a
-        miss when its retrieval task actually completes in simulated time
-        — and deduplicate identical in-flight misses (single-flight).
-        Without a cache plane this is exactly :meth:`assess`.
-        """
-        return self._with_access(stream, index, self.assess(stream, index))
-
     def assess_cached_many(
         self, stream: str, indices: Sequence[int]
     ) -> List[Tuple[RetrievedClip, Optional[RetrievalAccess]]]:
-        """Batch :meth:`assess_cached` on top of :meth:`assess_many`.
+        """:meth:`assess_many` plus each segment's decoded-frame-cache view.
 
-        The cost arithmetic is the vectorized batch pass; the cache view
-        (key construction, side-effect-free peek) goes through the same
-        per-segment helper as the scalar path, so the two cannot drift.
+        On a (committed) cache hit the clip's retrieval cost becomes the
+        RAM-tier cost; each returned :class:`RetrievalAccess` carries the
+        key, both costs, and the entry size, so the executor can commit a
+        miss when its retrieval task actually completes in simulated time
+        — and deduplicate identical in-flight misses (single-flight).
+        Without a cache plane every access is ``None``.
         """
         clips = self.assess_many(stream, indices)
         return [
@@ -238,23 +182,3 @@ class SegmentReader:
                 retrieval_seconds=access.hit_seconds,
             )
         return retrieved, access
-
-    def read(self, stream: str, index: int) -> RetrievedClip:
-        """Retrieve one segment, charging decode or disk time.
-
-        With a cache plane attached, a decoded-frame hit charges the RAM
-        cost to the ``"cache"`` category instead, and a miss inserts the
-        decoded frames for the next reader.
-        """
-        retrieved, access = self.assess_cached(stream, index)
-        if access is None:
-            self.clock.charge(retrieved.retrieval_seconds, self.category)
-            return retrieved
-        if not self.cache.serve_retrieval(self.clock, access):
-            self.clock.charge(access.full_seconds, self.category)
-        return retrieved
-
-    def read_range(self, stream: str, indices: List[int]) -> Iterator[RetrievedClip]:
-        """Stream a list of segments in order."""
-        for index in indices:
-            yield self.read(stream, index)

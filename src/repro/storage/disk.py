@@ -28,6 +28,10 @@ class DiskModel:
     clock: SimClock = field(default_factory=SimClock)
 
     # -- charged operations ------------------------------------------------------
+    #
+    # Only writes are charged here.  Reads are the executor's retrieve
+    # tasks, costed from ``read_bandwidth`` and ``request_overhead`` by
+    # ``SegmentReader``.
 
     @staticmethod
     def _validate(n_bytes: float, requests: int) -> None:
@@ -37,13 +41,6 @@ class DiskModel:
             raise ValueError(f"cannot transfer negative bytes: {n_bytes}")
         if requests < 0:
             raise ValueError(f"negative request count: {requests}")
-
-    def read(self, n_bytes: float, requests: int = 1) -> float:
-        """Charge a read of ``n_bytes`` split over ``requests`` random I/Os."""
-        self._validate(n_bytes, requests)
-        seconds = n_bytes / self.read_bandwidth + requests * self.request_overhead
-        self.clock.charge(seconds, "disk")
-        return seconds
 
     def write(self, n_bytes: float, requests: int = 1) -> float:
         """Charge a write of ``n_bytes``."""

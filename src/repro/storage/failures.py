@@ -9,8 +9,9 @@ schedule of shard :class:`FailureEvent`\\ s on the *simulated* clock:
   become re-replication work, keys whose last copy lived there are
   recorded as **lost** (reads raise
   :class:`~repro.errors.ReplicaUnavailableError`).
-* ``degrade`` — the shard stays readable but its reads cost ``factor``
-  extra (a sick spindle: remapped sectors, background scrubbing).
+* ``degrade`` — the shard stays readable but its reads stream at
+  ``1/factor`` of its bandwidth (a sick spindle: remapped sectors,
+  background scrubbing).
 * ``recover`` — the spindle returns to service *empty*: destroyed
   replicas stay destroyed (re-replication already rebuilt them
   elsewhere), but the shard is again eligible for placements.

@@ -292,17 +292,9 @@ class SegmentStore:
             )
         return key
 
-    def get(self, stream: str, fmt: StorageFormat, index: int) -> StoredSegment:
-        """Fetch one segment's metadata, charging its shard for the bytes."""
-        meta = self.meta(stream, fmt, index)
-        if self.array is not None:
-            self.array.read_at(meta.shard, meta.size_bytes)
-        else:
-            self.disk.read(meta.size_bytes)
-        return meta
-
     def meta(self, stream: str, fmt: StorageFormat, index: int) -> StoredSegment:
-        """Fetch one segment's metadata without charging any disk time.
+        """Fetch one segment's metadata (charges no disk time: reads are
+        the executor's retrieve tasks).
 
         On a sharded store the reported shard is the array's *effective*
         assignment, not the raw persisted field — a store written on a
@@ -424,31 +416,6 @@ class SegmentStore:
             return self.array.read_params_at(self.shard_of(stream, fmt, index))
         return self.disk.read_bandwidth, self.disk.request_overhead
 
-    def commit_move(self, stream: str, fmt_text: str, index: int,
-                    dst: int) -> None:
-        """Reassign a segment's shard and persist it, without charging I/O.
-
-        The background-migration path: a shard-migration job's read and
-        write tasks already paid their time on the executor's channel
-        pools, so when the write completes only the bookkeeping remains —
-        the array's placement map and the metadata record's shard field.
-        (:meth:`rebalance` is the foreground path that charges the clock
-        itself.)
-        """
-        if self.array is None:
-            return
-        key = self._key_text(stream, fmt_text, index)
-        blob = self.kv.get(key)
-        head, _, body = blob.partition(_SEPARATOR)
-        meta = json.loads(head.decode("utf-8"))
-        self.array.reassign(stream, fmt_text, index, dst)
-        meta["shard"] = dst
-        if "replicas" in meta:
-            meta["replicas"] = list(
-                self.array.replicas(stream, fmt_text, index)
-            )
-        self.kv.put(key, json.dumps(meta).encode("utf-8") + _SEPARATOR + body)
-
     def commit_replica(self, stream: str, fmt_text: str, index: int,
                        shard: int) -> None:
         """Record a rebuilt replica and persist it, without charging I/O.
@@ -476,9 +443,12 @@ class SegmentStore:
         Applies the greedy plan of
         :func:`~repro.storage.sharding.plan_rebalance`: each move charges
         the migration I/O (source read + destination write) to the clock
-        and rewrites the segment's metadata record with its new shard, so
-        the placement survives reopen.  Cached decoded frames and results
-        stay valid — the bytes did not change, only their spindle.
+        and rewrites the segment's metadata record with its new shard (and
+        replica set), so the placement survives reopen.  On a replicated
+        store every copy counts toward its shard's load, and a primary
+        never moves onto a shard already holding one of its copies.
+        Cached decoded frames and results stay valid — the bytes did not
+        change, only their spindle.
 
         No-op (empty report) on unsharded and single-shard stores.
         """
@@ -489,14 +459,11 @@ class SegmentStore:
             )
         array = self.array
         before = array.byte_imbalance
-        moves = plan_rebalance(array.assignments(), array.n_shards)
+        moves = plan_rebalance(array.assignments(), array.n_shards,
+                               array.replica_assignments())
         seconds = 0.0
         bytes_moved = 0.0
         for (stream, fmt_text, index), src, dst in moves:
-            if dst in array.replicas(stream, fmt_text, index):
-                # Moving the primary onto a shard that already holds a
-                # copy would collapse two replicas into one; skip it.
-                continue
             key = self._key_text(stream, fmt_text, index)
             blob = self.kv.get(key)
             head, _, body = blob.partition(_SEPARATOR)
@@ -505,6 +472,10 @@ class SegmentStore:
             seconds += array.migrate(src, dst, nbytes)
             array.reassign(stream, fmt_text, index, dst)
             meta["shard"] = dst
+            if "replicas" in meta:
+                meta["replicas"] = list(
+                    array.replicas(stream, fmt_text, index)
+                )
             self.kv.put(key, json.dumps(meta).encode("utf-8")
                         + _SEPARATOR + body)
             bytes_moved += nbytes

@@ -24,7 +24,9 @@ Where a segment lands is decided by a pluggable :class:`PlacementPolicy`:
 The array is pure accounting: segment payloads still live in the KV
 backend; the :class:`~repro.storage.segment_store.SegmentStore` records
 each key's shard in its metadata record (so placement survives reopen) and
-charges reads/writes to the assigned shard through this class.
+charges writes to the assigned shard through this class.  Reads are the
+executor's retrieve tasks: they are costed from the serving shard's
+:meth:`ShardedDiskArray.read_params_at` and run on its ``disk:i`` pool.
 
 A one-shard array is bit-identical to the pre-sharding single
 :class:`DiskModel` path — same float operations, same clock categories —
@@ -190,11 +192,11 @@ def placement_named(name: Union[str, PlacementPolicy]) -> PlacementPolicy:
 class ShardedDiskArray:
     """N independent disk shards behind one placement map.
 
-    Duck-types the single :class:`DiskModel` (``read``/``write``/speed
+    Duck-types the single :class:`DiskModel` (``write``, the speed
     estimates and the ``read_bandwidth``/``request_overhead`` attributes
     delegate to shard 0), so every pre-sharding caller keeps working; the
     sharding-aware paths use the keyed entry points (``place``/``locate``/
-    ``read_for``/``write_for``/``migrate``).
+    ``write_at``/``read_params_at``/``migrate``).
     """
 
     def __init__(
@@ -256,8 +258,8 @@ class ShardedDiskArray:
         self._shard_keys: List[int] = [0] * len(self.disks)
         self.placements_made = 0
         self.folded_placements = 0  # adopted keys from a wider array
-        # per-shard accounting (simulated busy seconds)
-        self.busy_read_seconds: List[float] = [0.0] * len(self.disks)
+        # per-shard accounting (simulated busy seconds); reads are the
+        # executor's retrieve tasks and show up in its "disk:i" pool stats
         self.busy_write_seconds: List[float] = [0.0] * len(self.disks)
         self.busy_migrate_seconds: List[float] = [0.0] * len(self.disks)
         self.migrations = 0
@@ -312,9 +314,6 @@ class ShardedDiskArray:
     def request_overhead(self) -> float:
         return self.disks[0].request_overhead
 
-    def read(self, n_bytes: float, requests: int = 1) -> float:
-        return self.read_at(0, n_bytes, requests)
-
     def write(self, n_bytes: float, requests: int = 1) -> float:
         return self.write_at(0, n_bytes, requests)
 
@@ -326,23 +325,6 @@ class ShardedDiskArray:
                                             consumer_sampling)
 
     # -- charged per-shard operations --------------------------------------
-
-    def read_at(self, shard: int, n_bytes: float, requests: int = 1) -> float:
-        """Charge a read against one shard (clock category ``"disk"``).
-
-        A degraded shard's read costs its degrade factor extra; a failed
-        shard cannot be read at all.
-        """
-        if shard in self._failed:
-            raise ShardFailedError(f"cannot read from failed shard {shard}")
-        seconds = self.disks[shard].read(n_bytes, requests)
-        factor = self._degraded.get(shard)
-        if factor is not None and factor > 1.0:
-            extra = seconds * (factor - 1.0)
-            self.clock.charge(extra, "disk")
-            seconds += extra
-        self.busy_read_seconds[shard] += seconds
-        return seconds
 
     def write_at(self, shard: int, n_bytes: float, requests: int = 1) -> float:
         """Charge a write against one shard (clock category ``"disk"``)."""
@@ -628,30 +610,6 @@ class ShardedDiskArray:
         self.replicas_rebuilt += 1
         self.rebuilt_bytes += nbytes
 
-    def drop_replica(self, stream: str, fmt_text: str, index: int,
-                     shard: int) -> None:
-        """Remove one copy of a key (never the last one)."""
-        key = (stream, fmt_text, index)
-        current = self._replicas.get(key, ())
-        if shard not in current:
-            raise StorageError(
-                f"shard {shard} holds no replica of {key!r}"
-            )
-        if len(current) == 1:
-            raise StorageError(
-                f"cannot drop the last replica of {key!r}; use forget()"
-            )
-        nbytes = self._key_bytes[key]
-        self._shard_bytes[shard] -= nbytes
-        self._shard_keys[shard] -= 1
-        survivors = tuple(r for r in current if r != shard)
-        self._replicas[key] = survivors
-        if self._assignment[key] == shard:
-            self._assignment[key] = survivors[0]
-            seg = (key[0], key[2])
-            if self._segment_shard.get(seg) == shard:
-                self._segment_shard[seg] = survivors[0]
-
     # -- shard health ------------------------------------------------------
 
     def is_failed(self, shard: int) -> bool:
@@ -876,15 +834,24 @@ class RebalanceReport:
 def plan_rebalance(
     assignments: Dict[ShardKey, Tuple[int, float]],
     n_shards: int,
+    replicas: Dict[ShardKey, Tuple[int, ...]],
 ) -> List[Tuple[ShardKey, int, int]]:
     """Plan the moves that restore byte balance; pure, no I/O.
 
-    Greedy: repeatedly move the largest key that fits strictly inside the
-    current max-min load gap from the fullest shard to the emptiest one.
-    Every such move strictly decreases the sum of squared shard loads, so
-    the loop terminates; it stops when no key on the fullest shard is
-    smaller than the gap — at which point the residual imbalance is below
-    the largest single key, the best any per-key mover can guarantee.
+    ``assignments`` maps each key to its primary shard and bytes
+    (:meth:`ShardedDiskArray.assignments`), ``replicas`` to its full copy
+    set, primary first (:meth:`ShardedDiskArray.replica_assignments`).
+    Every copy counts toward its shard's load — the bytes
+    :attr:`ShardedDiskArray.byte_imbalance` measures — but only primaries
+    move, and never onto a shard that already holds a copy of the key.
+
+    Greedy: repeatedly move the largest such key that fits strictly inside
+    the load gap from the fullest shard holding a primary to the emptiest
+    shard.  Every such move strictly decreases the sum of squared shard
+    loads, so the loop terminates; it stops when no movable key on that
+    shard is smaller than the gap.  Without replication every loaded
+    shard holds primaries, and the residual imbalance is then below the
+    largest single key, the best any per-key mover can guarantee.
 
     Returns ``(key, src, dst)`` moves in application order.  The plan
     conserves keys and bytes by construction: it only ever relabels a
@@ -894,25 +861,36 @@ def plan_rebalance(
         raise StorageError(f"need at least one shard: {n_shards}")
     loads = [0.0] * n_shards
     by_shard: Dict[int, Dict[ShardKey, float]] = {i: {} for i in range(n_shards)}
+    # copy sets of replicated keys, updated as the plan moves primaries
+    copies: Dict[ShardKey, Tuple[int, ...]] = {}
     for key, (shard, nbytes) in assignments.items():
         if not 0 <= shard < n_shards:
             raise StorageError(f"key {key!r} on unknown shard {shard}")
         loads[shard] += nbytes
         by_shard[shard][key] = nbytes
+        if len(replicas[key]) > 1:
+            copies[key] = replicas[key]
+            for copy in replicas[key][1:]:
+                loads[copy] += nbytes
     moves: List[Tuple[ShardKey, int, int]] = []
     if n_shards == 1:
         return moves
     while True:
-        src = max(range(n_shards), key=lambda i: (loads[i], i))
+        # Only primaries move, so the source is the fullest shard holding
+        # one (a shard of secondaries alone has nothing to give).
+        holders = [i for i in range(n_shards) if by_shard[i]]
+        if not holders:
+            break
+        src = max(holders, key=lambda i: (loads[i], i))
         dst = min(range(n_shards), key=lambda i: (loads[i], i))
         gap = loads[src] - loads[dst]
         if gap <= 0:
             break
-        # Largest key strictly smaller than the gap; ties break on the
-        # sorted key so the plan is deterministic.
+        # Largest movable key strictly smaller than the gap; ties break on
+        # the sorted key so the plan is deterministic.
         candidates = [
             (nbytes, key) for key, nbytes in by_shard[src].items()
-            if 0 < nbytes < gap
+            if 0 < nbytes < gap and dst not in copies.get(key, ())
         ]
         if not candidates:
             break
@@ -921,5 +899,7 @@ def plan_rebalance(
         by_shard[dst][key] = nbytes
         loads[src] -= nbytes
         loads[dst] += nbytes
+        if key in copies:
+            copies[key] = tuple(dst if r == src else r for r in copies[key])
         moves.append((key, src, dst))
     return moves

@@ -2,7 +2,9 @@
 must match bit for bit.
 
 Tests import this package as ``oracles``; ``benchmarks/conftest.py`` puts
-``tests/`` on ``sys.path`` so the benchmarks import it the same way.
+``tests/`` on ``sys.path`` so the benchmarks import it the same way.  The
+scalar segment reader (``assess`` and the clock-charging ``read``) lives
+in :mod:`.reader`; import it as ``from oracles import reader``.
 """
 
 from .executor import _execute_sequential, reference_loop

@@ -15,7 +15,8 @@ through an oracle and require bit-identical results:
   — moved here verbatim from the retired event-heap core;
 * :func:`_execute_sequential` is the original single-query loop that
   ``QueryEngine.execute`` (the N=1 case of the concurrent executor) must
-  reproduce; call it with the engine as its first argument.
+  reproduce; call it with the engine as its first argument.  It streams
+  every segment through the clock-charging :func:`.reader.read`.
 
 The retired closed-loop fast path lives in :mod:`.fastpath`.
 """
@@ -43,6 +44,8 @@ from repro.retrieval.reader import SegmentReader
 from repro.rng import rng_for
 from repro.storage.segment_store import SegmentStore
 from repro.video.segment import segments_for_range
+
+from .reader import read
 
 __all__ = ["reference_loop", "_execute_sequential", "_run_reference"]
 
@@ -350,12 +353,12 @@ def _execute_sequential(
         consumer = Consumer(name, accuracy)
         fidelity = scheme.consumption_fidelity(consumer)
         fmt = scheme.storage_format(consumer)
-        reader = SegmentReader(store, fmt, fidelity, self.codec, clock)
+        reader = SegmentReader(store, fmt, fidelity, self.codec)
         survivors = []
         n_pos = 0
         consume_costs = []
         for segment in active:
-            retrieved = reader.read(self.dataset, segment.index)
+            retrieved = read(reader, self.dataset, segment.index, clock)
             clip = self._content.clip(segment.t0, segment.seconds)
             consume_costs.append(
                 op.cost_per_frame(fidelity) * retrieved.n_frames

@@ -4,10 +4,10 @@ warm-cache speedups, and invalidation on erosion and re-ingest."""
 import pytest
 
 from repro.cache import CacheConfig, TierConfig
-from repro.codec.decoder import Decoder, DecoderPool
+from repro.codec.decoder import DecoderPool
 from repro.core.store import VStore
 from repro.operators.library import default_library
-from repro.query.cascade import QUERY_A
+from repro.query.cascade import QUERY_A, QUERY_B
 from repro.query.scheduler import OperatorContextPool
 from repro.storage.disk import DiskBandwidthPool
 from repro.units import DAY, KB, MB
@@ -239,30 +239,29 @@ class TestTiering:
 
 
 class TestDecoderCache:
-    def test_decoder_skips_charge_on_hit(self):
-        from repro.cache import CachePlane
-        from repro.clock import SimClock
-        from repro.codec.encoder import Encoder
-        from repro.video.coding import coding_space
-        from repro.video.fidelity import Fidelity
-        from repro.video.format import StorageFormat
-        from repro.video.segment import Segment
-
-        clock = SimClock()
-        plane = CachePlane(CacheConfig())
-        fmt = StorageFormat(fidelity=Fidelity.parse("best-200p-1-100%"),
-                            coding=next(iter(coding_space(include_raw=False))))
-        encoded = Encoder(clock=clock).encode(
-            Segment("jackson", 0, 8.0), fmt, activity=0.5
-        )
-        dec = Decoder(clock=clock, cache=plane)
-        first = dec.decode(encoded, fmt.fidelity)
-        decode_spent = clock.spent("decode")
-        assert decode_spent > 0
-        second = dec.decode(encoded, fmt.fidelity)
-        assert clock.spent("decode") == decode_spent  # no second charge
-        assert clock.spent("cache") > 0
-        assert second.n_frames == first.n_frames
+    def test_decoder_skips_charge_on_hit(self, tmp_path):
+        """A warm repeat of a decode-bound query is served from the
+        decoded-frame tier: its retrieve tasks run on the RAM tier and
+        never occupy the decoder (result tier off, so the frames are
+        still needed)."""
+        store = VStore(workdir=str(tmp_path / "w"),
+                       cache_config=CacheConfig(result_capacity_bytes=0.0),
+                       library=default_library(
+                           names=("Motion", "License", "OCR")))
+        store.configure()
+        store.ingest("jackson", n_segments=N_SEGMENTS)
+        busy = []
+        for _ in range(2):
+            executor = store.executor()
+            executor.admit(QUERY_B, "jackson", 0.8, 0.0, SPAN)
+            executor.run()
+            busy.append(executor.stats().busy_seconds)
+        cold, warm = busy
+        assert cold["decoder"] > 0
+        assert warm["decoder"] == 0.0
+        assert warm["cache"] > 0
+        assert store.cache_stats().frames.hits > 0
+        store.close()
 
     def test_stats_requires_cache_enabled(self, tmp_path):
         from repro.errors import ConfigurationError

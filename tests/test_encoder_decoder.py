@@ -1,13 +1,14 @@
-"""Encoder and decoder instances: cost charging, segment records."""
-
-from fractions import Fraction
+"""Encoder instances and decode costs: cost charging, segment records."""
 
 import pytest
 
 from repro.clock import SimClock
-from repro.codec.decoder import Decoder
 from repro.codec.encoder import Encoder
-from repro.errors import CodecError
+from repro.errors import StorageError
+from repro.retrieval.reader import SegmentReader
+from repro.storage.disk import DiskModel
+from repro.storage.kvstore import KVStore
+from repro.storage.segment_store import SegmentStore
 from repro.video.coding import Coding, RAW
 from repro.video.fidelity import Fidelity
 from repro.video.format import StorageFormat
@@ -69,41 +70,70 @@ def test_encoder_counters(clock):
     assert enc.bytes_produced > 0
 
 
-def test_decode_charges_decode_time(clock):
+@pytest.fixture()
+def reader_for(tmp_path):
+    """Builds a reader over a store holding just one encoded segment."""
+    kvs = []
+
+    def build(encoded, consumer):
+        kv = KVStore(str(tmp_path / f"seg{len(kvs)}.log"))
+        kvs.append(kv)
+        store = SegmentStore(kv, DiskModel(clock=SimClock()))
+        store.put(encoded)
+        return SegmentReader(store, encoded.fmt, Fidelity.parse(consumer))
+
+    yield build
+    for kv in kvs:
+        kv.close()
+
+
+def test_decode_charges_decode_time(clock, reader_for):
     enc = Encoder(clock=clock)
     fmt = _fmt("best-720p-1-100%", Coding("slowest", 250))
     encoded = enc.encode(Segment("s", 0), fmt, 0.35)
-    dec = Decoder(clock=clock)
-    before = clock.spent("decode")
-    out = dec.decode(encoded, Fidelity.parse("good-540p-1-100%"))
-    assert clock.spent("decode") > before
+    reader = reader_for(encoded, "good-540p-1-100%")
+    (out,) = reader.assess_many("s", [0])
+    # The retrieve task runs on the decoder and books "decode" time.
+    assert reader.category == "decode"
     assert out.n_frames == encoded.n_frames  # same sampling: all frames
-    assert out.n_decoded == encoded.n_frames
+    assert out.retrieval_seconds == encoded.n_frames * enc.model.decode_frame_seconds(
+        fmt.fidelity, fmt.coding
+    )
 
 
-def test_decode_with_chunk_skip(clock):
+def test_decode_with_chunk_skip(clock, reader_for):
     enc = Encoder(clock=clock)
     fmt = _fmt("best-720p-1-100%", Coding("fast", 10))
     encoded = enc.encode(Segment("s", 0), fmt, 0.35)
-    dec = Decoder(clock=clock)
-    sparse = Fidelity.parse("good-540p-1/30-100%")
-    out = dec.decode(encoded, sparse)
+    reader = reader_for(encoded, "good-540p-1/30-100%")
+    (out,) = reader.assess_many("s", [0])
+    n_decoded = round(out.retrieval_seconds
+                      / enc.model.decode_frame_seconds(fmt.fidelity,
+                                                       fmt.coding))
     assert out.n_frames == 8  # one frame per second over 8 s
-    assert out.n_decoded < encoded.n_frames  # chunks were skipped
-    assert out.n_decoded >= out.n_frames
+    assert n_decoded < encoded.n_frames  # chunks were skipped
+    assert n_decoded >= out.n_frames
 
 
-def test_decode_rejects_raw(clock):
+def test_decode_rejects_raw(clock, reader_for):
+    # Raw segments are read from disk, never decoded: their retrieve
+    # task books disk time, and only the disk transfer is costed.
     enc = Encoder(clock=clock)
     encoded = enc.encode(Segment("s", 0), _fmt("best-200p-1-100%", RAW), 0.35)
-    with pytest.raises(CodecError):
-        Decoder(clock=clock).decode(encoded, Fidelity.parse("best-200p-1-100%"))
+    reader = reader_for(encoded, "best-200p-1-100%")
+    (out,) = reader.assess_many("s", [0])
+    assert reader.category == "disk"
+    disk = reader.store.disk
+    frame_bytes = enc.model.raw_frame_bytes(encoded.fmt.fidelity)
+    assert out.retrieval_seconds == (encoded.n_frames * frame_bytes
+                                     / disk.read_bandwidth
+                                     + disk.request_overhead)
 
 
-def test_decode_rejects_poorer_store(clock):
+def test_decode_rejects_poorer_store(clock, reader_for):
     enc = Encoder(clock=clock)
     encoded = enc.encode(
         Segment("s", 0), _fmt("good-200p-1/6-100%", Coding("med", 50)), 0.35
     )
-    with pytest.raises(CodecError):
-        Decoder(clock=clock).decode(encoded, Fidelity.parse("best-540p-1/6-100%"))
+    with pytest.raises(StorageError):
+        reader_for(encoded, "best-540p-1/6-100%")

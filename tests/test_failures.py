@@ -209,11 +209,14 @@ class TestFailureSemantics:
         assert array.degrade_factor(1) == 1.0
 
     def test_degraded_read_charges_extra_time(self):
+        # A degraded shard streams at 1/factor of its bandwidth: reading
+        # the same bytes off it takes factor x the transfer time.
         array = _array()
-        healthy = array.read_at(1, 1e9)
+        bandwidth, overhead = array.read_params_at(1)
         array.degrade_shard(1, 4.0)
-        degraded = array.read_at(1, 1e9)
-        assert degraded == pytest.approx(healthy * 4.0)
+        slow_bandwidth, slow_overhead = array.read_params_at(1)
+        assert 1e9 / slow_bandwidth == pytest.approx(4.0 * 1e9 / bandwidth)
+        assert slow_overhead == overhead
 
     def test_reads_route_around_failed_primary(self):
         array = _fill(_array(shards=4, replication=2), nbytes=10.0)
@@ -262,9 +265,9 @@ class TestTypedErrors:
         array = _array()
         array.fail_shard(2)
         with pytest.raises(ShardFailedError):
-            array.read_at(2, 100.0)
-        with pytest.raises(ShardFailedError):
             array.write_at(2, 100.0)
+        with pytest.raises(ShardFailedError):
+            array.migrate(2, 0, 100.0)
 
     def test_every_replica_failed_raises_shard_failed(self):
         # reset_health resurrects the *flags* but not dropped bookkeeping,

@@ -255,6 +255,9 @@ def test_cache_and_disk_feeders(tmp_path):
         store.execute_many([dict(s) for s in SPECS])
         snap = store.metrics.snapshot()
     assert snap["gauges"]["disk.shards"] == 2
-    assert "disk.shard1.read_seconds" in snap["gauges"]
+    assert "disk.shard1.write_seconds" in snap["gauges"]
+    # Reads are the executor's retrieve tasks, reported per disk pool.
+    assert "disk.shard1.read_seconds" not in snap["gauges"]
+    assert "resource.disk:1.busy_seconds" in snap["gauges"]
     assert "cache.frames.hits" in snap["gauges"]
     assert "cache.single_flight_hits" in snap["gauges"]

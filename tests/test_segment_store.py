@@ -40,18 +40,11 @@ def _encode(fmt, index, materialize=False):
 def test_put_get_roundtrip(store):
     encoded = _encode(FMT_A, 0)
     store.put(encoded)
-    got = store.get("cam", FMT_A, 0)
+    got = store.meta("cam", FMT_A, 0)
     assert got.size_bytes == encoded.size_bytes
     assert got.n_frames == encoded.n_frames
     assert got.fmt == FMT_A
     assert got.segment.t0 == 0.0
-
-
-def test_get_charges_disk(store):
-    store.put(_encode(FMT_A, 0))
-    before = store.disk.clock.spent("disk")
-    store.get("cam", FMT_A, 0)
-    assert store.disk.clock.spent("disk") > before
 
 
 def test_meta_does_not_charge_disk(store):
@@ -124,7 +117,7 @@ class TestMissingSegmentErrors:
     """Point lookups on absent segments raise a StorageError that names
     (stream, format, index) — never the KV backend's raw-key error."""
 
-    @pytest.mark.parametrize("lookup", ["meta", "get", "payload"])
+    @pytest.mark.parametrize("lookup", ["meta", "payload"])
     def test_missing_segment_names_the_lookup(self, store, lookup):
         with pytest.raises(StorageError) as err:
             getattr(store, lookup)("nocam", FMT_A, 17)

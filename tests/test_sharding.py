@@ -16,6 +16,7 @@ from repro.errors import StorageError
 from repro.operators.library import default_library
 from repro.query.cascade import QUERY_A, QUERY_B
 from repro.query.scheduler import FIFOPolicy
+from repro.retrieval.reader import SegmentReader
 from repro.storage.disk import DiskBandwidthPool, DiskModel
 from repro.storage.kvstore import KVStore
 from repro.storage.segment_store import SegmentStore
@@ -78,20 +79,31 @@ class TestShardedDiskArray:
 
     def test_all_shards_share_one_clock(self):
         array = ShardedDiskArray(max(2, N_SHARDS))
-        array.read_at(0, 1e6)
-        array.read_at(array.n_shards - 1, 1e6)
+        array.write_at(0, 1e6)
+        array.write_at(array.n_shards - 1, 1e6)
         assert all(d.clock is array.clock for d in array.disks)
         assert array.clock.spent("disk") > 0
-        assert array.busy_read_seconds[0] > 0
-        assert array.busy_read_seconds[array.n_shards - 1] > 0
+        assert array.busy_write_seconds[0] > 0
+        assert array.busy_write_seconds[array.n_shards - 1] > 0
 
-    def test_one_shard_read_bit_identical_to_disk_model(self):
+    def test_one_shard_read_bit_identical_to_disk_model(self, tmp_path):
+        """A one-shard array serves raw reads with the plain DiskModel's
+        parameters, so retrieval costs match bit for bit — and the
+        ingest writes charge the same clock time."""
         clock_a, clock_b = SimClock(), SimClock()
-        single = DiskModel(clock=clock_a)
-        array = ShardedDiskArray(1, clock=clock_b)
-        assert single.read(12_345_678, requests=3) == array.read(
-            12_345_678, requests=3
-        )
+        costs = []
+        for name, disk in (("single", DiskModel(clock=clock_a)),
+                           ("array", ShardedDiskArray(1, clock=clock_b))):
+            kv = KVStore(str(tmp_path / f"{name}.log"))
+            store = SegmentStore(kv, disk)
+            for i in range(3):
+                store.put(_encode(FMT_B, i))
+            reader = SegmentReader(store, FMT_B,
+                                   Fidelity.parse("best-200p-1/6-100%"))
+            costs.append([clip.retrieval_seconds
+                          for clip in reader.assess_many("cam", [0, 1, 2])])
+            kv.close()
+        assert costs[0] == costs[1]
         assert clock_a.now == clock_b.now
         assert clock_a.by_category == clock_b.by_category
 
@@ -193,16 +205,6 @@ class TestStoreIntegration:
         assert store.array.busy_write_seconds[0] > 0
         assert store.array.busy_write_seconds[1] > 0
 
-    def test_get_charges_assigned_shard(self, sharded_store):
-        store = sharded_store
-        store.put(_encode(FMT_A, 0))
-        store.put(_encode(FMT_A, 1))
-        before = list(store.array.busy_read_seconds)
-        store.get("cam", FMT_A, 1)
-        after = store.array.busy_read_seconds
-        assert after[1] > before[1]
-        assert after[0] == before[0]
-
     def test_delete_forgets_placement(self, sharded_store):
         store = sharded_store
         store.put(_encode(FMT_A, 0))
@@ -233,8 +235,8 @@ class TestStoreIntegration:
 
     def test_reopen_with_fewer_shards_folds_and_stays_readable(self, tmp_path):
         """A store written on a wide array reopened on a narrow one folds
-        placements (shard % n) — and every lookup, including the charged
-        get(), works against the *folded* shard, never the persisted one."""
+        placements (shard % n) — and every lookup works against the
+        *folded* shard, never the persisted one."""
         path = str(tmp_path / "segments.log")
         kv = KVStore(path)
         wide = SegmentStore(kv, ShardedDiskArray(8, placement="round-robin"))
@@ -247,10 +249,9 @@ class TestStoreIntegration:
         narrow = SegmentStore(kv, ShardedDiskArray(2))
         assert narrow.array.folded_placements > 0
         for i in range(8):
-            meta = narrow.get("cam", FMT_A, i)  # charges the folded shard
+            meta = narrow.meta("cam", FMT_A, i)
             assert meta.shard == i % 2
             assert narrow.shard_of("cam", FMT_A, i) == i % 2
-        assert sum(narrow.array.busy_read_seconds) > 0
         kv.close()
 
     def test_pre_sharding_store_reads_as_shard_zero(self, tmp_path):
@@ -328,6 +329,43 @@ class TestRebalance:
         for (label, i), shard in layout.items():
             fmt = FMT_A if label == FMT_A.label else FMT_B
             assert store2.meta("cam", fmt, i).shard == shard
+        kv.close()
+
+    def test_rebalance_replicated_counts_applied_moves_and_never_worsens(
+            self, tmp_path):
+        """On a replicated store every copy counts toward its shard's
+        load, every planned move is applied and counted once, and no
+        primary lands on a shard that already holds one of its copies."""
+        replication = 2
+        path = str(tmp_path / "segments.log")
+        kv = KVStore(path)
+        array = ShardedDiskArray(4, placement=_PinToZero(),
+                                 replication=replication)
+        store = SegmentStore(kv, array)
+        for i in range(8):
+            store.put(_encode(FMT_A, i))
+            store.put(_encode(FMT_B, i))
+        before = array.replica_assignments()
+
+        report = store.rebalance()
+
+        after = array.replica_assignments()
+        assert set(after) == set(before)  # no key lost or duplicated
+        changed = sum(1 for key in before if after[key][0] != before[key][0])
+        assert report.moves == changed > 0
+        assert report.imbalance_after <= report.imbalance_before
+        for copies in after.values():
+            assert len(set(copies)) == len(copies) == replication
+        assert sum(array.shard_bytes) == pytest.approx(
+            replication * store.total_bytes()
+        )
+        # The moved primaries and their replica sets survive reopen.
+        kv.close()
+        kv = KVStore(path)
+        reopened = SegmentStore(kv, ShardedDiskArray(4,
+                                                     replication=replication))
+        assert reopened.array.replica_assignments() == after
+        assert reopened.array.shard_bytes == array.shard_bytes
         kv.close()
 
     def test_rebalance_noop_on_single_shard(self, tmp_path):
@@ -455,6 +493,10 @@ class TestEndToEnd:
         text = format_sharding_table(report)
         assert "placement=hash" in text
         assert "parallel retrieval speedup" in text
+        # Reads are reported once, as the executor's per-shard pool time.
+        header = text.splitlines()[1].split()
+        assert "read" not in header and "busy" in header
+        assert all(r.pool_busy_seconds is not None for r in report.rows)
         # The facade accessor returns the same shape.
         assert store.sharding_report().n_shards == store.n_shards
 

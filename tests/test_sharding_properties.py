@@ -9,7 +9,8 @@ Three families of invariants:
   segment of each other);
 * :func:`plan_rebalance` never loses or duplicates a key, conserves every
   key's footprint, and leaves the byte imbalance no larger than the
-  largest single key.
+  largest single key; on replicated arrays it never grows the imbalance
+  and never moves a primary onto a shard holding one of its copies.
 """
 
 import os
@@ -43,8 +44,9 @@ _placements = st.lists(
 _shard_counts = st.integers(min_value=1, max_value=8)
 
 
-def _play(policy, n_shards, placements):
-    array = ShardedDiskArray(n_shards, placement=policy)
+def _play(policy, n_shards, placements, replication=1):
+    array = ShardedDiskArray(n_shards, placement=policy,
+                             replication=replication)
     for stream, fmt, index, nbytes, activity in placements:
         array.place(stream, fmt, index, float(nbytes), activity)
     return array
@@ -126,7 +128,7 @@ def test_rebalance_plan_conserves_keys_and_bytes(placements, n_shards,
     same per-key bytes, total bytes conserved, imbalance bounded."""
     array = _play(PLACEMENTS[policy_name](), n_shards, placements)
     before = array.assignments()
-    moves = plan_rebalance(before, n_shards)
+    moves = plan_rebalance(before, n_shards, array.replica_assignments())
 
     after = dict(before)
     for key, src, dst in moves:
@@ -156,20 +158,31 @@ def test_rebalance_plan_conserves_keys_and_bytes(placements, n_shards,
         assert gap_after <= max(b for _, b in before.values())
 
 
-@given(placements=_placements, n_shards=_shard_counts)
-@settings(max_examples=40, deadline=None)
-def test_rebalance_applied_to_array_matches_plan(placements, n_shards):
+@given(placements=_placements, n_shards=_shard_counts,
+       replication=st.integers(min_value=1, max_value=3))
+@settings(max_examples=60, deadline=None)
+def test_rebalance_applied_to_array_matches_plan(placements, n_shards,
+                                                 replication):
     """Reassigning through the array keeps its books consistent with a
-    from-scratch replay of the final assignment."""
-    array = _play(HashPlacement(), n_shards, placements)
-    moves = plan_rebalance(array.assignments(), n_shards)
+    from-scratch replay of the final replica sets.  On replicated arrays
+    no move collides with a copy (``reassign`` would raise) and the
+    imbalance over every stored copy never grows."""
+    replication = min(replication, n_shards)
+    array = _play(HashPlacement(), n_shards, placements, replication)
+    gap_before = array.byte_imbalance
+    moves = plan_rebalance(array.assignments(), n_shards,
+                           array.replica_assignments())
     for (stream, fmt, index), src, dst in moves:
         assert array.reassign(stream, fmt, index, dst) == src
     rebuilt = [0.0] * n_shards
-    for _, (shard, nbytes) in array.assignments().items():
-        rebuilt[shard] += nbytes
+    sizes = array.assignments()
+    for key, copies in array.replica_assignments().items():
+        assert len(set(copies)) == len(copies)
+        for shard in copies:
+            rebuilt[shard] += sizes[key][1]
     for i in range(n_shards):
         assert array.shard_bytes[i] == rebuilt[i]
+    assert array.byte_imbalance <= gap_before
 
 
 # ---------------------------------------------------------------------------
