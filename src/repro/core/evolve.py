@@ -19,10 +19,9 @@ adaptation path: :func:`replan_incremental` hill-climbs a new configuration
 from the current plan (Mode-3 style, warm-started via the coding profiler's
 memo tables), :func:`legacy_configuration` lets frozen stores keep answering
 drifted queries from existing formats, and the job builders at the bottom
-(:func:`reencode_jobs`, :func:`retirement_jobs`, :func:`erosion_jobs`)
-turn the plan diff into :class:`~repro.query.scheduler.BackgroundJob`
-chains that contend with foreground queries on the executor's shared
-pools.
+(:func:`reencode_jobs`, :func:`retirement_jobs`) turn the plan diff into
+:class:`~repro.query.scheduler.BackgroundJob` chains that contend with
+foreground queries on the executor's shared pools.
 """
 
 from __future__ import annotations
@@ -56,9 +55,7 @@ from repro.operators.library import Consumer, OperatorLibrary
 from repro.profiler.coding_profiler import CodingProfiler
 from repro.profiler.profiler import OperatorProfiler
 from repro.retrieval.speed import retrieval_speed
-from repro.storage.lifespan import AgeTracker, erosion_rank
 from repro.storage.segment_store import SegmentStore
-from repro.units import SEGMENT_SECONDS
 from repro.video.format import StorageFormat
 
 
@@ -506,60 +503,15 @@ def retirement_jobs(
     return jobs
 
 
-def erosion_jobs(
-    store: SegmentStore,
-    stream: str,
-    deleted_fraction: Mapping[Tuple[int, StorageFormat], float],
-    now_seconds: float,
-    lifespan_days: int,
-    segment_seconds: float = SEGMENT_SECONDS,
-) -> List["BackgroundJob"]:  # noqa: F821
-    """Erosion deletes as one background job, mirroring the foreground path.
-
-    Selects exactly the victims :func:`~repro.storage.lifespan.apply_erosion_step`
-    would delete (same format/age iteration order, same erosion-rank rule,
-    footage past the lifespan dropped entirely) and wraps each in a delete
-    task whose ``on_done`` performs the store delete — so aging can run
-    concurrently with queries instead of stopping the world.
-    """
-    from repro.query.scheduler import BackgroundJob, ResourceTask
-
-    tracker = AgeTracker(now_seconds, segment_seconds)
-    tasks: List[ResourceTask] = []
-    for fmt in store.formats(stream):
-        by_age = tracker.ages(store.indices(stream, fmt))
-        for age, indices in by_age.items():
-            if age > lifespan_days:
-                fraction = 1.0
-            else:
-                fraction = deleted_fraction.get((age, fmt), 0.0)
-            if fraction <= 0.0:
-                continue
-            for i in indices:
-                if erosion_rank(i) < fraction:
-                    shard = store.shard_of(stream, fmt, i)
-                    disk = _shard_disk(store, shard)
-                    tasks.append(ResourceTask(
-                        kind="delete", resource="disk", units=1,
-                        duration=disk.request_overhead,
-                        category="disk", operator="erode", shard=shard,
-                        on_done=(lambda s=stream, f=fmt, idx=i:
-                                 store.delete(s, f, idx)),
-                    ))
-    if not tasks:
-        return []
-    return [BackgroundJob(name=f"erode:{stream}", stream=stream,
-                          kind="erode", tasks=tuple(tasks))]
-
-
 @dataclass
 class EvolutionReport:
     """Outcome of one ``VStore.evolve_online`` round."""
 
     replan: ReplanResult
     epoch: int
-    #: Every outcome of the shared run, in admission order (foreground
-    #: queries and background jobs; tell them apart by ``session.klass``).
+    #: Every outcome of the shared run (foreground queries, then re-encode
+    #: jobs), followed by the retirement run's; tell queries and jobs
+    #: apart by ``session.klass``.  ``stats.n_queries`` is the split.
     outcomes: List
     stats: object  # ExecutorStats of the shared run
     reencoded_segments: int

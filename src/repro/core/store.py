@@ -18,10 +18,17 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional
+from functools import cached_property
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
-    from repro.query.scheduler import ConcurrentExecutor, QueryOutcome
+    from repro.analysis.availability import AvailabilityReport
+    from repro.analysis.slo import SLOReport
+    from repro.query.scheduler import (
+        ConcurrentExecutor,
+        ExecutorStats,
+        QueryOutcome,
+    )
 
 from repro.cache.plane import CacheConfig, CachePlane, CacheStats
 from repro.clock import SimClock
@@ -33,14 +40,13 @@ from repro.core.config import (
 from repro.core.drift import DriftDetector
 from repro.core.evolve import (
     EvolutionReport,
-    erosion_jobs,
     reencode_jobs,
     replan_incremental,
     retirement_jobs,
 )
 from repro.errors import ConfigurationError, QueryError, StorageError
 from repro.ingest.budget import IngestBudget
-from repro.obs import MetricsRegistry, Observability, RunRecord, metrics_enabled
+from repro.obs import MetricsRegistry, Observability, metrics_enabled
 from repro.ingest.pipeline import IngestionPipeline, IngestionReport
 from repro.operators.library import OperatorLibrary, default_library
 from repro.query.cascade import cascade_for
@@ -55,17 +61,38 @@ from repro.storage.sharding import (
 )
 
 
-@dataclass(frozen=True)
-class ServeReport:
-    """Everything one :meth:`VStore.serve` run produced."""
+@dataclass
+class RunResult:
+    """One executor run of the store (:meth:`VStore._run`).
 
+    :meth:`VStore.serve` returns it and :attr:`VStore.last_run` holds the
+    latest one, whichever entry point made it.
+    """
+
+    #: Every session's outcome in admission order: queries and background
+    #: jobs (tell them apart by ``session.klass``).
     outcomes: List["QueryOutcome"]
-    slo: "object"  # repro.analysis.slo.SLOReport (import-cycle-free)
-    stats: "object"  # repro.query.scheduler.ExecutorStats
-    #: Resilience numbers when the run carried a failure campaign
-    #: (:class:`~repro.analysis.availability.AvailabilityReport`);
+    stats: "ExecutorStats"
+    #: Task start/finish trace events; empty when the run was not traced.
+    events: List[Dict[str, object]]
+    #: Simulated instant the run began — the trace's time origin.
+    started_at: float
+    #: ``(t, queued, in_flight)`` admission-control samples.
+    admission_timeline: List[Tuple[float, int, int]]
+    #: Resilience numbers when the run carried a failure campaign;
     #: ``None`` for failure-free runs.
-    availability: Optional[object] = None
+    availability: Optional["AvailabilityReport"] = None
+
+    @cached_property
+    def slo(self) -> "SLOReport":
+        """Latency quantiles, deadline-miss rates, tenant fairness and the
+        queue-depth timeline, built on first access: over a large fleet
+        the report is costly, and most runs are never asked for it."""
+        from repro.analysis.slo import slo_report
+
+        return slo_report(self.outcomes,
+                          queue_timeline=self.admission_timeline,
+                          makespan=self.stats.makespan)
 
 
 class VStore:
@@ -99,8 +126,8 @@ class VStore:
         self._cache_config = cache_config
 
         #: Sliding-window demand estimator over executed queries; fed by
-        #: :meth:`execute_many` and read by :meth:`evolve_online` to decide
-        #: whether (and toward which consumer mix) to evolve.
+        #: every store run (:meth:`_run`) and read by :meth:`evolve_online`
+        #: to decide whether (and toward which consumer mix) to evolve.
         self.drift = DriftDetector()
 
         #: The always-on metrics registry every in-process concurrent run
@@ -108,10 +135,9 @@ class VStore:
         #: ``REPRO_OBS_METRICS=0`` detaches it from executors without
         #: removing it — :meth:`observability` keeps working either way.
         self.metrics = MetricsRegistry()
-        #: Trace record of the most recent in-process concurrent run
-        #: (:meth:`execute_many` / :meth:`evolve_online` / :meth:`age_online`);
-        #: None until one runs with tracing on.
-        self.last_run: Optional[RunRecord] = None
+        #: The most recent in-process run (:meth:`_run`, whichever entry
+        #: point made it); None before the first and after :meth:`close`.
+        self.last_run: Optional[RunResult] = None
 
         # The tiered retrieval cache spans the whole store; passing any
         # CacheConfig enables it (None keeps the uncached read path).
@@ -150,6 +176,7 @@ class VStore:
         if self._closed:
             return
         self._closed = True
+        self.last_run = None  # its outcomes must not outlive the store
         if self._kv is not None:
             self._kv.close()
 
@@ -364,17 +391,16 @@ class VStore:
         the failure instant) contending with foreground queries for the
         per-shard I/O channels.
 
-        Returns a :class:`ServeReport`: the per-query outcomes, the
-        :class:`~repro.analysis.slo.SLOReport` (latency quantiles,
-        deadline-miss rates, tenant fairness, queue-depth timeline), the
-        run's :class:`~repro.query.scheduler.ExecutorStats`, and — for
-        campaign runs — the
+        Returns the run's :class:`RunResult`: the per-query outcomes,
+        the :class:`~repro.analysis.slo.SLOReport` as ``slo`` (latency
+        quantiles, deadline-miss rates, tenant fairness, queue-depth
+        timeline), the run's :class:`~repro.query.scheduler.ExecutorStats`,
+        and — for campaign runs — the
         :class:`~repro.analysis.availability.AvailabilityReport`
         (data-loss check, degraded-window slowdown, rebuild time).
         """
         from dataclasses import replace
 
-        from repro.analysis.slo import slo_report
         from repro.query.workload import build_workload, workload_specs
 
         self._check_open()
@@ -388,84 +414,21 @@ class VStore:
             if admission.tenant_weights is None and weights:
                 admission = replace(admission, tenant_weights=weights)
         arrivals = build_workload(tenants, horizon, seed)
-        executor = self.executor(admission=admission, **kwargs)
-        campaign = None
-        if failures is not None:
-            campaign = self._as_campaign(failures)
-            campaign.validate_for(self.disk_array)
-            self._admit_with_failures(
-                executor, workload_specs(arrivals), campaign
-            )
-        else:
-            self._admit_specs(executor, workload_specs(arrivals))
-        outcomes = executor.run()
-        self.drift.observe_run(outcomes)
-        self._observe_run(executor)
-        stats = executor.stats()
-        report = slo_report(
-            outcomes,
-            queue_timeline=executor.admission_timeline,
-            makespan=stats.makespan,
-        )
-        availability = None
-        if campaign is not None:
-            from repro.analysis.availability import availability_report
+        campaign = None if failures is None else self._as_campaign(failures)
+        return self._run(workload_specs(arrivals), campaign=campaign,
+                         admission=admission, **kwargs)
 
-            availability = availability_report(
-                campaign, self.disk_array, outcomes
-            )
-        return ServeReport(outcomes=outcomes, slo=report, stats=stats,
-                           availability=availability)
-
-    @staticmethod
-    def _as_campaign(failures):
-        """Coerce the ``failures`` argument into a FailureCampaign."""
+    def _as_campaign(self, failures):
+        """Coerce ``failures`` into a FailureCampaign valid for this array."""
         from repro.storage.failures import FailureCampaign
 
-        if isinstance(failures, FailureCampaign):
-            return failures
+        campaign = failures
         if isinstance(failures, str):
-            return FailureCampaign.parse(failures)
-        return FailureCampaign(events=tuple(failures))
-
-    def _admit_with_failures(self, executor, specs, campaign) -> None:
-        """Admit an open-loop workload interleaved with a campaign.
-
-        Plans are fixed at admission, so replica-aware routing has to
-        happen here: walking arrivals and campaign events together in
-        time order applies each health transition to the array *before*
-        planning the queries that arrive after it (events win ties — a
-        query arriving as the shard dies sees it dead).  A ``fail``'s
-        lost replicas become re-replication jobs admitted at the failure
-        instant; the events themselves go onto the executor timeline
-        observationally (:meth:`ConcurrentExecutor.schedule_failures`) —
-        the mutations already happened here, replaying them would
-        double-apply.  One plan memo spans the walk and is cleared at
-        every event, so each distinct spec is planned once per
-        shard-health epoch.
-        """
-        from repro.storage.failures import apply_event, rebuild_jobs
-
-        events = list(campaign.events)
-        ei = 0
-        plans: dict = {}
-
-        def fire_until(t: float) -> None:
-            nonlocal ei
-            while ei < len(events) and events[ei].t <= t:
-                event = events[ei]
-                work = apply_event(self.disk_array, event)
-                plans.clear()
-                if work and self.segments is not None:
-                    for job in rebuild_jobs(self.segments, work):
-                        executor.admit_job(job, arrival=event.t)
-                ei += 1
-
-        for spec in specs:
-            fire_until(float(spec["arrival"]))
-            self._admit_specs(executor, [spec], plans)
-        fire_until(float("inf"))
-        executor.schedule_failures(events)
+            campaign = FailureCampaign.parse(failures)
+        elif not isinstance(failures, FailureCampaign):
+            campaign = FailureCampaign(events=tuple(failures))
+        campaign.validate_for(self.disk_array)
+        return campaign
 
     def inject_failures(self, failures):
         """Apply a failure campaign to the storage plane immediately.
@@ -480,10 +443,8 @@ class VStore:
         from repro.storage.failures import apply_event, rebuild_jobs
 
         self._check_open()
-        campaign = self._as_campaign(failures)
-        campaign.validate_for(self.disk_array)
         jobs = []
-        for event in campaign.events:
+        for event in self._as_campaign(failures).events:
             work = apply_event(self.disk_array, event)
             if work and self.segments is not None:
                 jobs.extend(rebuild_jobs(self.segments, work))
@@ -514,37 +475,54 @@ class VStore:
 
             self._check_open()
             return run_fleets(self, specs, parallel, **kwargs)
-        executor = self.executor(**kwargs)
-        self._admit_specs(executor, specs)
-        outcomes = executor.run()
-        # Cross-layer feedback: fold the finished queries into the drift
-        # detector's sliding demand window (observation only — it cannot
-        # change scheduling, so outcomes stay bit-identical).
-        self.drift.observe_run(outcomes)
-        self._observe_run(executor)
-        return outcomes
+        return self._run(specs, **kwargs).outcomes
 
-    def _observe_run(self, executor: "ConcurrentExecutor") -> None:
-        """Retain the run's trace and feed the store-level metric planes.
+    def _run(self, specs=(), *, jobs=(), campaign=None,
+             **executor_kwargs) -> RunResult:
+        """The store's one executor run: admit, run, observe.
 
-        Executor aggregates were already folded in by ``run()`` itself
-        (inside its timed window); here the store adds what the executor
-        cannot see — cache plane, sharded disks, drift detector — and
-        keeps the trace for :meth:`observability`.
+        Builds an executor (``executor_kwargs`` as for :meth:`executor`),
+        admits ``specs`` through the plan memo with ``campaign``'s events
+        applied in time order (:meth:`_admit_specs`), then the background
+        ``jobs``, and runs them.  The finished run feeds the drift
+        detector and the store-level metric planes — observation only, it
+        cannot change the outcomes — and becomes :attr:`last_run`.  The
+        previous run is released before anything is admitted, so its
+        outcomes never stay alive through this one.
         """
-        self.last_run = RunRecord(
-            events=list(executor.trace_events),
-            started_at=executor.started_at,
+        self.last_run = None
+        executor = self.executor(**executor_kwargs)
+        self._admit_specs(executor, specs, campaign)
+        for job in jobs:
+            executor.admit_job(job)
+        outcomes = executor.run()
+        self.drift.observe_run(outcomes)
+        # Executor aggregates were folded in by run() itself; the store
+        # adds what the executor cannot see.
+        metrics = executor.metrics
+        if metrics is not None:
+            if self.cache is not None:
+                metrics.observe_cache(self.cache.stats())
+            metrics.observe_disks(self.disk_array)
+            if self._kv is not None:
+                metrics.observe_kvstore(self._kv)
+            metrics.observe_drift(self.drift)
+        availability = None
+        if campaign is not None:
+            from repro.analysis.availability import availability_report
+
+            availability = availability_report(
+                campaign, self.disk_array, outcomes
+            )
+        self.last_run = RunResult(
+            outcomes=outcomes,
             stats=executor.stats(),
+            events=executor.trace_events,
+            started_at=executor.started_at,
+            admission_timeline=executor.admission_timeline,
+            availability=availability,
         )
-        if executor.metrics is None:
-            return
-        if self.cache is not None:
-            executor.metrics.observe_cache(self.cache.stats())
-        executor.metrics.observe_disks(self.disk_array)
-        if self._kv is not None:
-            executor.metrics.observe_kvstore(self._kv)
-        executor.metrics.observe_drift(self.drift)
+        return self.last_run
 
     def observability(self) -> Observability:
         """The store's observability facade: last trace + metrics.
@@ -556,21 +534,44 @@ class VStore:
         """
         return Observability(metrics=self.metrics, last_run=self.last_run)
 
-    @staticmethod
-    def _admit_specs(executor: "ConcurrentExecutor", specs,
-                     plans: Optional[dict] = None) -> None:
-        """Admit specs, planning each distinct one once.
+    def _admit_specs(self, executor: "ConcurrentExecutor", specs,
+                     campaign=None) -> None:
+        """Admit specs, planning each distinct one once per health epoch.
 
         A plan depends on what a spec asks for and on the store's state,
         never on when it arrives, who sent it or its deadline, so repeats
         of a spec admit the first one's plan (``admit(plan=...)``).  The
-        ``plans`` memo is keyed by (cascade, dataset, accuracy, t0, t1,
-        stream, contexts, scheme identity); a caller that mutates the
-        store between calls passes its own memo and clears it on every
-        mutation.  Specs that carry a ``plan`` bypass the memo.
+        memo is keyed by (cascade, dataset, accuracy, t0, t1, stream,
+        contexts, scheme identity); specs that carry a ``plan`` bypass it.
+
+        With a failure ``campaign`` the specs carry arrivals, and since
+        plans are fixed at admission, replica-aware routing happens here:
+        each event is applied to the array *before* planning the specs
+        that arrive after it (events win ties — a query arriving as the
+        shard dies sees it dead), and clears the memo.  A ``fail``'s lost
+        replicas become re-replication jobs admitted at the failure
+        instant.  The events then go onto the executor timeline
+        observationally (:meth:`ConcurrentExecutor.schedule_failures`) —
+        the mutations already happened here, replaying them would
+        double-apply.
         """
-        plans = {} if plans is None else plans
+        from repro.storage.failures import apply_event, rebuild_jobs
+
+        pending = list(campaign.events) if campaign is not None else []
+        plans: dict = {}
+
+        def fire_until(t: float) -> None:
+            while pending and pending[0].t <= t:
+                event = pending.pop(0)
+                work = apply_event(self.disk_array, event)
+                plans.clear()
+                if work:
+                    for job in rebuild_jobs(self.segments, work):
+                        executor.admit_job(job, arrival=event.t)
+
         for spec in specs:
+            if pending:
+                fire_until(float(spec["arrival"]))
             spec = dict(spec)
             query = spec.pop("query")
             if isinstance(query, str):
@@ -591,6 +592,9 @@ class VStore:
             )
             if key is not None:
                 plans[key] = (scheme, session.plan)
+        if campaign is not None:
+            fire_until(float("inf"))
+            executor.schedule_failures(campaign.events)
 
     # -- online evolution -----------------------------------------------------------
 
@@ -651,34 +655,21 @@ class VStore:
                 self.segments, stream, new_formats, golden, epoch=epoch
             ))
 
-        executor = self.executor(**executor_kwargs)
-        self._admit_specs(executor, foreground)
-        for job in jobs:
-            executor.admit_job(job)
-        outcomes = executor.run() if (jobs or foreground) else []
-        stats = executor.stats()
-        self.drift.observe_run(outcomes)
-        if jobs or foreground:
-            self._observe_run(executor)
+        first = self._run(foreground, jobs=jobs, **executor_kwargs)
         self.segments.commit_epoch(epoch)
 
         # Retire dropped formats only after the new plan is committed — a
         # crash between commit and retirement leaves harmless extra bytes,
         # never a half-materialized format.
         retired_formats = [sf.fmt for sf in replan.removed]
-        retired = 0
-        if retired_formats:
-            cleaner = self.executor(**executor_kwargs)
-            retire = []
-            for stream in self.segments.streams():
-                retire.extend(retirement_jobs(
-                    self.segments, stream, retired_formats
-                ))
-            if retire:
-                for job in retire:
-                    cleaner.admit_job(job)
-                outcomes = outcomes + cleaner.run()
-                retired = sum(len(j.tasks) for j in retire)
+        retire = [job for stream in self.segments.streams()
+                  for job in retirement_jobs(self.segments, stream,
+                                             retired_formats)]
+        outcomes = first.outcomes
+        if retire:
+            outcomes = outcomes + self._run(
+                jobs=retire, **executor_kwargs
+            ).outcomes
 
         self._config = replan.configuration
         self._pipelines.clear()
@@ -687,46 +678,12 @@ class VStore:
             replan=replan,
             epoch=epoch,
             outcomes=outcomes,
-            stats=stats,
+            stats=first.stats,
             reencoded_segments=sum(
                 1 for j in jobs for t in j.tasks if t.kind == "write"
             ),
-            retired_segments=retired,
+            retired_segments=sum(len(j.tasks) for j in retire),
         )
-
-    def age_online(self, dataset: str, now_seconds: float,
-                   foreground=(), **executor_kwargs):
-        """Erosion as background jobs sharing the executor with queries.
-
-        Selects exactly the victims :meth:`age` would delete, but pays each
-        delete's request overhead on the executor's shard channel pools in
-        scheduling class 1, committing the store deletes at the simulated
-        completion instants.  Returns ``(deletions, outcomes)`` — the
-        deletions made and every outcome of the shared run in admission
-        order (foreground queries first, then the erosion job).
-        """
-        self._check_open()
-        if self.segments is None:
-            raise ConfigurationError("aging requires a workdir-backed store")
-        config = self.configuration
-        jobs = []
-        if config.erosion is not None:
-            fraction_map = config.erosion.deleted_fraction_map(
-                config.plan.formats
-            )
-            jobs = erosion_jobs(
-                self.segments, dataset, fraction_map, now_seconds,
-                self.lifespan_days,
-            )
-        executor = self.executor(**executor_kwargs)
-        self._admit_specs(executor, foreground)
-        for job in jobs:
-            executor.admit_job(job)
-        outcomes = executor.run() if (jobs or foreground) else []
-        self.drift.observe_run(outcomes)
-        if jobs or foreground:
-            self._observe_run(executor)
-        return sum(len(j.tasks) for j in jobs), outcomes
 
     # -- caching --------------------------------------------------------------------
 

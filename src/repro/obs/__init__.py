@@ -19,8 +19,8 @@ exports and critical-path/queue analysis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.obs.metrics import MetricsRegistry, metrics_enabled
 from repro.obs.trace import (
@@ -34,9 +34,11 @@ from repro.obs.trace import (
     validate_events,
 )
 
+if TYPE_CHECKING:  # pragma: no cover - type-only import
+    from repro.core.store import RunResult
+
 __all__ = [
     "Observability",
-    "RunRecord",
     "MetricsRegistry",
     "metrics_enabled",
     "TRACE_SCHEMA",
@@ -48,15 +50,6 @@ __all__ = [
     "task_event",
     "validate_events",
 ]
-
-
-@dataclass
-class RunRecord:
-    """What the store retains of its most recent concurrent run."""
-
-    events: List[Dict[str, object]] = field(default_factory=list)
-    started_at: float = 0.0  # sim instant the run began (trace origin)
-    stats: Optional[object] = None  # ExecutorStats of the run
 
 
 @dataclass
@@ -77,7 +70,7 @@ class Observability:
     """
 
     metrics: MetricsRegistry
-    last_run: Optional[RunRecord] = None
+    last_run: Optional["RunResult"] = None
 
     def _events(self) -> List[Dict[str, object]]:
         if self.last_run is None or not self.last_run.events:

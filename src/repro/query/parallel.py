@@ -36,7 +36,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 from repro.analysis.concurrency import ConcurrencyReport, concurrency_report
 from repro.clock import SimClock
 from repro.errors import QueryError
-from repro.query.cascade import cascade_for
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.store import VStore
@@ -46,15 +45,14 @@ __all__ = ["run_fleets", "merge_reports"]
 
 def _run_one_fleet(store: "VStore", specs: Sequence[dict],
                    executor_kwargs: dict) -> ConcurrencyReport:
-    """Admit and run one fleet on a fresh clock; returns its report."""
+    """Admit and run one fleet on a fresh clock; returns its report.
+
+    Admission is the store's plan-memo walk, but the run stays off
+    ``VStore._run``: a forked worker must not feed the parent's drift
+    window or replace its ``last_run``.
+    """
     ex = store.executor(clock=SimClock(), cache=None, **executor_kwargs)
-    for spec in specs:
-        spec = dict(spec)
-        query = spec.pop("query")
-        if isinstance(query, str):
-            query = cascade_for(query)
-        ex.admit(query, spec.pop("dataset"), spec.pop("accuracy"),
-                 spec.pop("t0"), spec.pop("t1"), **spec)
+    store._admit_specs(ex, specs)
     outcomes = ex.run()
     return concurrency_report(outcomes, ex.stats())
 

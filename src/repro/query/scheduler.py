@@ -625,18 +625,19 @@ class QuerySession:
 class BackgroundJob:
     """One background evolution job: a serial chain of resource tasks.
 
-    Jobs are how erosion deletes, format re-encodes and shard migrations
-    enter the executor (``admit_job``): they wait in the same per-resource
-    queues as query tasks, hold the same pool units and charge the same
-    clock — but in scheduling class 1, so any foreground task that fits
-    the free capacity is granted first.  Each task's ``on_done`` hook
-    commits the corresponding store mutation at the simulated instant the
-    work finished (see :mod:`repro.core.evolve` for the job builders).
+    Jobs are how format re-encodes, retirement deletes and replica
+    rebuilds enter the executor (``admit_job``): they wait in the same
+    per-resource queues as query tasks, hold the same pool units and
+    charge the same clock — but in scheduling class 1, so any foreground
+    task that fits the free capacity is granted first.  Each task's
+    ``on_done`` hook commits the corresponding store mutation at the
+    simulated instant the work finished (see :mod:`repro.core.evolve`
+    and :mod:`repro.storage.failures` for the job builders).
     """
 
     name: str  # shows up as the session label's query name
     stream: str
-    kind: str  # "reencode" | "erode" | "retire" | "rebuild"
+    kind: str  # "reencode" | "retire" | "rebuild"
     tasks: Tuple[ResourceTask, ...]
 
 

@@ -446,7 +446,8 @@ class SegmentStore:
         and rewrites the segment's metadata record with its new shard (and
         replica set), so the placement survives reopen.  On a replicated
         store every copy counts toward its shard's load, and a primary
-        never moves onto a shard already holding one of its copies.
+        never moves onto a shard already holding one of its copies.  Failed
+        shards take no part: the plan runs over the surviving ones.
         Cached decoded frames and results stay valid — the bytes did not
         change, only their spindle.
 
@@ -459,7 +460,8 @@ class SegmentStore:
             )
         array = self.array
         before = array.byte_imbalance
-        moves = plan_rebalance(array.assignments(), array.n_shards,
+        usable = [i for i in range(array.n_shards) if not array.is_failed(i)]
+        moves = plan_rebalance(array.assignments(), usable,
                                array.replica_assignments())
         seconds = 0.0
         bytes_moved = 0.0

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.clock import SimClock
 from repro.errors import ReplicaUnavailableError, ShardFailedError, StorageError
@@ -680,7 +680,12 @@ class ShardedDiskArray:
                 continue
             source = self._fastest_shard(survivors)
             if self._assignment[key] == shard:
+                # The promoted survivor leads the copy set: rebalance
+                # planning and reopen take the first copy as the primary.
                 self._assignment[key] = source
+                survivors = (source,) + tuple(
+                    r for r in survivors if r != source
+                )
             seg = (key[0], key[2])
             if self._segment_shard.get(seg) == shard:
                 self._segment_shard[seg] = source
@@ -833,7 +838,7 @@ class RebalanceReport:
 
 def plan_rebalance(
     assignments: Dict[ShardKey, Tuple[int, float]],
-    n_shards: int,
+    shards: Sequence[int],
     replicas: Dict[ShardKey, Tuple[int, ...]],
 ) -> List[Tuple[ShardKey, int, int]]:
     """Plan the moves that restore byte balance; pure, no I/O.
@@ -841,6 +846,8 @@ def plan_rebalance(
     ``assignments`` maps each key to its primary shard and bytes
     (:meth:`ShardedDiskArray.assignments`), ``replicas`` to its full copy
     set, primary first (:meth:`ShardedDiskArray.replica_assignments`).
+    ``shards`` are the shards the plan may use: a failed shard holds no
+    copies and takes no writes, so it is neither source nor destination.
     Every copy counts toward its shard's load — the bytes
     :attr:`ShardedDiskArray.byte_imbalance` measures — but only primaries
     move, and never onto a shard that already holds a copy of the key.
@@ -857,14 +864,12 @@ def plan_rebalance(
     conserves keys and bytes by construction: it only ever relabels a
     key's shard, never drops or duplicates one.
     """
-    if n_shards < 1:
-        raise StorageError(f"need at least one shard: {n_shards}")
-    loads = [0.0] * n_shards
-    by_shard: Dict[int, Dict[ShardKey, float]] = {i: {} for i in range(n_shards)}
+    loads = dict.fromkeys(shards, 0.0)
+    by_shard: Dict[int, Dict[ShardKey, float]] = {i: {} for i in shards}
     # copy sets of replicated keys, updated as the plan moves primaries
     copies: Dict[ShardKey, Tuple[int, ...]] = {}
     for key, (shard, nbytes) in assignments.items():
-        if not 0 <= shard < n_shards:
+        if shard not in loads:
             raise StorageError(f"key {key!r} on unknown shard {shard}")
         loads[shard] += nbytes
         by_shard[shard][key] = nbytes
@@ -873,16 +878,14 @@ def plan_rebalance(
             for copy in replicas[key][1:]:
                 loads[copy] += nbytes
     moves: List[Tuple[ShardKey, int, int]] = []
-    if n_shards == 1:
-        return moves
     while True:
         # Only primaries move, so the source is the fullest shard holding
         # one (a shard of secondaries alone has nothing to give).
-        holders = [i for i in range(n_shards) if by_shard[i]]
+        holders = [i for i in loads if by_shard[i]]
         if not holders:
             break
         src = max(holders, key=lambda i: (loads[i], i))
-        dst = min(range(n_shards), key=lambda i: (loads[i], i))
+        dst = min(loads, key=lambda i: (loads[i], i))
         gap = loads[src] - loads[dst]
         if gap <= 0:
             break

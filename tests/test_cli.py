@@ -111,6 +111,19 @@ def test_unknown_command_fails():
         main(["frobnicate"])
 
 
+def test_serve_through_a_failure_campaign(tmp_path, capsys):
+    store = ["--operators", "Motion,License,OCR", "--shards", "4",
+             "--replication", "2", "--workdir", str(tmp_path / "store")]
+    assert main(["ingest", *store, "--segments", "4"]) == 0
+    capsys.readouterr()
+    assert main(["serve", *store,
+                 "--failures", "fail@5:0,recover@15:0"]) == 0
+    out = capsys.readouterr().out
+    assert "Open-loop run:" in out and "miss%" in out  # SLO table
+    assert "availability" in out and "replicas rebuilt" in out
+    assert "executor [heap]:" in out
+
+
 @pytest.mark.parametrize("command", ["execute", "serve", "trace", "metrics"])
 def test_core_flag_is_gone(command):
     with pytest.raises(SystemExit) as exc:

@@ -163,6 +163,16 @@ class TestFailureSemantics:
             assert nbytes == 10.0
         assert array.lost_keys() == {}
 
+    def test_promoted_survivor_leads_the_copy_set(self):
+        """Rebalance planning and reopen take a copy set's first shard as
+        the primary, so promotion must keep it first."""
+        array = _fill(_array(shards=4, replication=3))
+        assert array.replicas("cam", "fmt", 2) == (2, 3, 0)
+        array.fail_shard(2)  # promotes shard 0, the fastest survivor
+        assert array.replicas("cam", "fmt", 2) == (0, 3)
+        for key, copies in array.replica_assignments().items():
+            assert copies[0] == array.locate(*key)
+
     def test_fail_is_idempotent(self):
         array = _fill(_array())
         victim = array.locate("cam", "fmt", 0)

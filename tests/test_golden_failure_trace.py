@@ -80,17 +80,16 @@ def _round(value: float) -> float:
 def _run_campaign(build_store):
     """One canonical campaign run; returns (payload, raw trace events)."""
     store = build_store()
-    ex = store.executor(
+    run = store._run(
+        [dict(s) for s in SPECS],
+        campaign=FailureCampaign.parse(CAMPAIGN),
         disk_pool=DiskBandwidthPool(1),
         decoder_pool=DecoderPool(1),
         operator_pool=OperatorContextPool(2),
         trace=True,
     )
-    campaign = FailureCampaign.parse(CAMPAIGN)
-    store._admit_with_failures(ex, [dict(s) for s in SPECS], campaign)
-    outcomes = ex.run()
     store.close()
-    stats = ex.stats()
+    stats = run.stats
     payload = {
         "campaign": CAMPAIGN,
         "makespan": _round(stats.makespan),
@@ -104,7 +103,7 @@ def _run_campaign(build_store):
                 "resource": e["resource"],
                 "duration": _round(e["duration"]),
             }
-            for e in ex.trace_events
+            for e in run.events
         ],
         "queries": [
             {
@@ -113,10 +112,10 @@ def _run_campaign(build_store):
                 "service": _round(o.service_seconds),
                 "finished_at": _round(o.session.finished_at),
             }
-            for o in outcomes
+            for o in run.outcomes
         ],
     }
-    return payload, list(ex.trace_events)
+    return payload, run.events
 
 
 def _canonical_bytes(payload: dict) -> bytes:

@@ -8,6 +8,9 @@ and ``REPRO_OBS_METRICS=0`` must detach it without breaking anything.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -230,6 +233,29 @@ def test_env_gate_detaches_executors(small_store, monkeypatch):
     # The trace record is independent of the metrics gate.
     assert small_store.last_run is not None
     assert small_store.last_run.events
+
+
+def test_a_run_never_keeps_its_predecessors_outcomes_alive(small_store,
+                                                           monkeypatch):
+    """The store releases its last run before the next one admits, so
+    outcomes a caller dropped are freed before the next run allocates."""
+    from repro.query.scheduler import ConcurrentExecutor
+
+    first = small_store.execute_many([dict(s) for s in SPECS])
+    outcome = weakref.ref(first[0])
+    del first
+    run = ConcurrentExecutor.run
+    calls = []
+
+    def checked_run(executor):
+        gc.collect()
+        assert outcome() is None
+        calls.append(executor)
+        return run(executor)
+
+    monkeypatch.setattr(ConcurrentExecutor, "run", checked_run)
+    small_store.execute_many([dict(s) for s in SPECS])
+    assert len(calls) == 1
 
 
 def test_registry_accumulates_across_runs(small_store):

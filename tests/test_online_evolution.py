@@ -33,7 +33,7 @@ from repro.core.store import VStore
 from repro.operators.library import Consumer, default_library
 from repro.query.scheduler import OperatorContextPool
 from repro.storage.disk import DiskBandwidthPool
-from repro.units import DAY, SEGMENT_SECONDS
+from repro.units import SEGMENT_SECONDS
 
 PHASE1 = (Consumer("Motion", 0.9), Consumer("License", 0.9),
           Consumer("OCR", 0.9))
@@ -171,6 +171,20 @@ def test_evolve_online_materializes_commits_and_improves(drifted_store):
     assert store.drift.drift_score() < store.drift.threshold
 
 
+def test_last_run_is_the_retirement_run(drifted_store):
+    """evolve_online makes two runs, and the store's last run is the
+    second: the retirement jobs."""
+    store = drifted_store
+    report = store.evolve_online(foreground=specs("A", 1), **pools())
+    assert report.retired_segments > 0
+    retirement = report.outcomes[report.stats.n_queries:]
+    assert store.last_run.outcomes == retirement
+    assert all(o.session.query.name.startswith("retire:")
+               for o in retirement)
+    # The fixture's two runs, then evolution's shared and retirement runs.
+    assert store.metrics.snapshot()["counters"]["executor.runs"] == 4
+
+
 def test_evolution_preserves_query_answers(drifted_store):
     store = drifted_store
     before = store.execute_many(specs("A", 1) + specs("B", 1))
@@ -270,29 +284,3 @@ def test_committed_evolution_survives_reopen(drifted_store):
     assert retrieval_seconds(after) == retrieval_seconds(before)
     assert after[0].result.positives_per_stage == \
         before[0].result.positives_per_stage
-
-
-# -- background erosion -------------------------------------------------------
-
-
-def test_age_online_matches_foreground_age(tmp_path):
-    now = (12 + 1) * DAY  # every segment is past the 10-day lifespan
-    with build_store(tmp_path / "fg") as fg:
-        expected = fg.age("jackson", now)
-    with build_store(tmp_path / "bg") as bg:
-        deletions, outcomes = bg.age_online("jackson", now, **pools())
-        assert deletions == expected > 0
-        assert outcomes and all(o.session.klass == 1 for o in outcomes)
-        for fmt in list(bg.segments.formats("jackson")):
-            assert bg.segments.indices("jackson", fmt) == \
-                fg.segments.indices("jackson", fmt)
-
-
-def test_age_online_with_foreground_queries(tmp_path):
-    now = 2 * DAY  # young footage: nothing to erode without a budget
-    with build_store(tmp_path) as store:
-        deletions, outcomes = store.age_online(
-            "jackson", now, foreground=specs("B", 2), **pools()
-        )
-        assert deletions == 0
-        assert len([o for o in outcomes if o.session.klass == 0]) == 2

@@ -368,6 +368,26 @@ class TestRebalance:
         assert reopened.array.shard_bytes == array.shard_bytes
         kv.close()
 
+    def test_rebalance_after_a_shard_failure(self, tmp_path):
+        """A failed shard is emptied, so it looks like the best destination;
+        the plan must run over the surviving shards instead."""
+        lib = default_library(names=QUERY_LIB_NAMES)
+        with VStore(workdir=str(tmp_path / "store"), library=lib, shards=4,
+                    replication=2) as store:
+            store.configure()
+            store.ingest("jackson", n_segments=6)
+            store.inject_failures("fail@0:1")
+            array = store.disk_array
+            imbalance = array.byte_imbalance
+
+            report = store.rebalance()
+
+            assert all(1 not in copies
+                       for copies in array.replica_assignments().values())
+            assert array.shard_bytes[1] == 0
+            assert report.imbalance_before == imbalance
+            assert array.byte_imbalance <= imbalance
+
     def test_rebalance_noop_on_single_shard(self, tmp_path):
         kv = KVStore(str(tmp_path / "segments.log"))
         store = SegmentStore(kv, ShardedDiskArray(1))

@@ -128,7 +128,8 @@ def test_rebalance_plan_conserves_keys_and_bytes(placements, n_shards,
     same per-key bytes, total bytes conserved, imbalance bounded."""
     array = _play(PLACEMENTS[policy_name](), n_shards, placements)
     before = array.assignments()
-    moves = plan_rebalance(before, n_shards, array.replica_assignments())
+    moves = plan_rebalance(before, range(n_shards),
+                           array.replica_assignments())
 
     after = dict(before)
     for key, src, dst in moves:
@@ -159,20 +160,29 @@ def test_rebalance_plan_conserves_keys_and_bytes(placements, n_shards,
 
 
 @given(placements=_placements, n_shards=_shard_counts,
-       replication=st.integers(min_value=1, max_value=3))
+       replication=st.integers(min_value=1, max_value=3),
+       failed=st.none() | st.integers(min_value=0, max_value=7))
 @settings(max_examples=60, deadline=None)
 def test_rebalance_applied_to_array_matches_plan(placements, n_shards,
-                                                 replication):
+                                                 replication, failed):
     """Reassigning through the array keeps its books consistent with a
     from-scratch replay of the final replica sets.  On replicated arrays
     no move collides with a copy (``reassign`` would raise) and the
-    imbalance over every stored copy never grows."""
+    imbalance over every stored copy never grows.  With a failed shard
+    the plan runs over the survivors and moves nothing onto it."""
     replication = min(replication, n_shards)
     array = _play(HashPlacement(), n_shards, placements, replication)
+    if failed is not None:
+        array.fail_shard(failed % n_shards)
+    # A promoted survivor leads its copy set, as the planner assumes.
+    assert all(copies[0] == array.locate(*key)
+               for key, copies in array.replica_assignments().items())
+    usable = [i for i in range(n_shards) if not array.is_failed(i)]
     gap_before = array.byte_imbalance
-    moves = plan_rebalance(array.assignments(), n_shards,
+    moves = plan_rebalance(array.assignments(), usable,
                            array.replica_assignments())
     for (stream, fmt, index), src, dst in moves:
+        assert dst in usable
         assert array.reassign(stream, fmt, index, dst) == src
     rebuilt = [0.0] * n_shards
     sizes = array.assignments()
