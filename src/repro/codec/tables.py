@@ -30,7 +30,12 @@ from repro.codec.chunks import decoded_frame_fraction
 from repro.codec.model import CodecModel
 from repro.storage.disk import DiskModel
 from repro.video.coding import Coding, coding_space
-from repro.video.fidelity import SAMPLING_RATES, Fidelity, fidelity_space
+from repro.video.fidelity import (
+    SAMPLING_RATES,
+    Fidelity,
+    fidelity_space,
+    sampling_index,
+)
 from repro.video.format import StorageFormat
 
 
@@ -42,11 +47,10 @@ class ProfileTable:
         self.disk = disk
         self.activity = activity
 
+        # Rows and columns follow the lattice order of repro.video, so a
+        # format's cells sit at (fidelity.index, coding.index).
         self._fidelities = tuple(fidelity_space())
         self._codings = tuple(coding_space(include_raw=False))
-        self._fidelity_index = {f: i for i, f in enumerate(self._fidelities)}
-        self._coding_index = {c: i for i, c in enumerate(self._codings)}
-        self._sampling_index = {s: i for i, s in enumerate(SAMPLING_RATES)}
 
         fids, cods = self._fidelities, self._codings
         fps = np.array([f.fps for f in fids])
@@ -116,14 +120,14 @@ class ProfileTable:
 
     def profile_values(self, fmt: StorageFormat) -> Tuple[float, float, float]:
         """(bytes per video second, ingest cost, base retrieval speed)."""
-        fi = self._fidelity_index[fmt.fidelity]
+        fi = fmt.fidelity.index
         if fmt.is_raw:
             return (
                 float(self._raw_size[fi]),
                 float(self._raw_encode[fi]),
                 float(self._base_raw[fi]),
             )
-        ci = self._coding_index[fmt.coding]
+        ci = fmt.coding.index
         return (
             float(self._size[fi, ci]),
             float(self._encode[fi, ci]),
@@ -135,24 +139,24 @@ class ProfileTable:
     ) -> Optional[float]:
         """Table lookup of the retrieval speed; ``None`` when the query is
         outside the tabulated grid (caller falls back to the scalar path)."""
-        fi = self._fidelity_index[fmt.fidelity]
+        fi = fmt.fidelity.index
         if consumer_sampling is None:
             if fmt.is_raw:
                 return float(self._base_raw[fi])
-            return float(self._base_enc[fi, self._coding_index[fmt.coding]])
-        si = self._sampling_index.get(consumer_sampling)
+            return float(self._base_enc[fi, fmt.coding.index])
+        si = sampling_index(consumer_sampling)
         if si is None:
             return None
         if fmt.is_raw:
             return float(self._retr_raw[fi, si])
-        speed = self._retr_enc[fi, self._coding_index[fmt.coding], si]
+        speed = self._retr_enc[fi, fmt.coding.index, si]
         if np.isnan(speed):  # consumer samples faster than the store holds
             return None
         return float(speed)
 
     def storage_rank(self, fidelity: Fidelity) -> Tuple[Coding, ...]:
         """Encoded coding options ordered by on-disk size, cheapest first."""
-        fi = self._fidelity_index[fidelity]
+        fi = fidelity.index
         cached = self._rank_cache.get(fi)
         if cached is None:
             cached = tuple(self._codings[k] for k in self._rank[fi])

@@ -58,7 +58,11 @@ _EPS = 1e-9
 
 @dataclass(frozen=True)
 class Demand:
-    """One consumer's requirement on its storage format."""
+    """One consumer's requirement on its storage format.
+
+    Demands key the planner's adequacy memo, so the hash is computed once,
+    at construction.
+    """
 
     consumer: Consumer
     cf_fidelity: Fidelity
@@ -69,6 +73,15 @@ class Demand:
     #: incremental re-plan treats such consumers as newcomers — a legacy
     #: binding is provisional, not a format the planner chose for them.
     legacy: bool = False
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((
+            self.consumer, self.cf_fidelity, self.required_speed, self.legacy
+        )))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @dataclass

@@ -29,6 +29,7 @@ from repro.video.fidelity import (
     QUALITIES,
     RESOLUTION_ORDER,
     SAMPLING_RATES,
+    fidelity_at,
     fidelity_space,
 )
 from repro.video.format import ConsumptionFormat
@@ -59,10 +60,10 @@ class ConsumptionPlanner:
     def derive(self, consumer: Consumer) -> ConsumptionDecision:
         """Find the cheapest-to-consume fidelity meeting the target."""
         best: Optional[OperatorProfile] = None
-        top_quality = QUALITIES[-1]
+        top_quality = len(QUALITIES) - 1
 
-        for crop in CROP_FACTORS:
-            candidate = self._search_slice(consumer, top_quality, crop)
+        for crop_idx in range(len(CROP_FACTORS)):
+            candidate = self._search_slice(consumer, top_quality, crop_idx)
             if candidate is None:
                 continue
             if best is None or self._better(candidate, best):
@@ -111,25 +112,21 @@ class ConsumptionPlanner:
 
     # -- internals ----------------------------------------------------------------
 
-    def _profile(self, consumer: Consumer, quality: str, crop: float,
+    def _profile(self, consumer: Consumer, quality_idx: int, crop_idx: int,
                  sampling_idx: int, resolution_idx: int) -> OperatorProfile:
-        fidelity = Fidelity(
-            quality=quality,
-            resolution=RESOLUTION_ORDER[resolution_idx],
-            sampling=SAMPLING_RATES[sampling_idx],
-            crop=crop,
-        )
+        fidelity = fidelity_at(quality_idx, resolution_idx, sampling_idx,
+                               crop_idx)
         return self.profiler.profile(consumer.operator, fidelity)
 
     def _search_slice(
-        self, consumer: Consumer, quality: str, crop: float
+        self, consumer: Consumer, quality_idx: int, crop_idx: int
     ) -> Optional[OperatorProfile]:
         """Boundary-walk one (sampling x resolution) slice; return the
         fastest adequate boundary point, or None when the slice has none."""
         profiles: Dict[tuple, OperatorProfile] = {}
 
         def adequate(sampling_idx: int, resolution_idx: int) -> bool:
-            profile = self._profile(consumer, quality, crop,
+            profile = self._profile(consumer, quality_idx, crop_idx,
                                     sampling_idx, resolution_idx)
             profiles[(sampling_idx, resolution_idx)] = profile
             return profile.accuracy >= consumer.accuracy
@@ -165,12 +162,9 @@ class ConsumptionPlanner:
         """Step image quality down while accuracy stays adequate (step iv)."""
         current = best
         for quality_idx in range(len(QUALITIES) - 2, -1, -1):
-            fidelity = Fidelity(
-                quality=QUALITIES[quality_idx],
-                resolution=current.fidelity.resolution,
-                sampling=current.fidelity.sampling,
-                crop=current.fidelity.crop,
-            )
+            fid = current.fidelity
+            fidelity = fidelity_at(quality_idx, fid.resolution_idx,
+                                   fid.sampling_idx, fid.crop_idx)
             profile = self.profiler.profile(consumer.operator, fidelity)
             if profile.accuracy < consumer.accuracy:
                 break

@@ -103,8 +103,28 @@ class DriftDetector:
         return snapshot
 
     def observe_run(self, outcomes: Iterable) -> None:
-        """Fold a whole run's outcomes (admission order) into the window."""
-        for outcome in outcomes:
+        """Fold a whole run's outcomes (admission order) into the window.
+
+        The same state as :meth:`observe` on every outcome, folding only
+        the outcomes that can still matter: while a rebase is pending, one
+        by one until the first ``min_samples`` queries pin the baseline;
+        after that, only the last ``window`` foreground outcomes, since
+        the window would evict every earlier one.
+        """
+        outcomes = list(outcomes)
+        start = 0
+        # A pending rebase can only pin once the window holds min_samples.
+        while (self._pending and self.min_samples <= self.window
+               and start < len(outcomes)):
+            self.observe(outcomes[start])
+            start += 1
+        tail = []
+        for outcome in reversed(outcomes[start:]):
+            if len(tail) >= self.window:
+                break
+            if getattr(outcome.session, "klass", 0) == 0:
+                tail.append(outcome)
+        for outcome in reversed(tail):
             self.observe(outcome)
 
     # -- demand mixes ------------------------------------------------------
@@ -170,7 +190,10 @@ class DriftDetector:
             return 0.0
         if not baseline:
             return 0.0 if self._pending else 1.0
-        keys = set(current) | set(baseline)
+        # Baseline keys, then the window's new ones: a fixed summation
+        # order, so the score's last bits do not follow PYTHONHASHSEED.
+        keys = dict.fromkeys(baseline)
+        keys.update(dict.fromkeys(current))
         return 0.5 * sum(
             abs(current.get(k, 0.0) - baseline.get(k, 0.0)) for k in keys
         )

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.clock import SimClock
 from repro.codec.model import CodecModel, DEFAULT_CODEC
@@ -27,6 +27,7 @@ from repro.codec.tables import ProfileTable, get_profile_table
 from repro.retrieval.speed import retrieval_speed
 from repro.storage.disk import DiskModel, DEFAULT_DISK
 from repro.units import PROFILE_CLIP_SECONDS
+from repro.video.fidelity import sampling_index
 from repro.video.format import StorageFormat
 
 
@@ -89,9 +90,10 @@ class CodingProfiler:
         self.clock = clock or SimClock()
         self.stats = CodingProfilerStats()
         self._memo: Dict[StorageFormat, CodingProfile] = {}
-        self._speed_memo: Dict[
-            Tuple[StorageFormat, Optional[Fraction]], float
-        ] = {}
+        #: Keyed (format, sampling knob index) for a lattice rate, so a
+        #: lookup hashes cached ints; (format, None, rate) for ``None``
+        #: and off-grid rates.
+        self._speed_memo: Dict[tuple, float] = {}
         self._table: ProfileTable = get_profile_table(codec, disk, activity)
 
     @property
@@ -129,7 +131,8 @@ class CodingProfiler:
         """Retrieval speed of ``fmt`` for a consumer sampling at the given
         rate, memoized per (format, sampling rate); the format itself must
         have been profiled for accounting."""
-        key = (fmt, consumer_sampling)
+        si = sampling_index(consumer_sampling)
+        key = (fmt, None, consumer_sampling) if si is None else (fmt, si)
         cached = self._speed_memo.get(key)
         if cached is not None:
             self.stats.memo_hits += 1

@@ -9,6 +9,7 @@ to a simulated clock — the full data path of Figure 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 import numpy as np
@@ -28,6 +29,7 @@ from repro.retrieval.speed import retrieval_speed
 from repro.rng import rng_for
 from repro.storage.disk import DiskModel, DEFAULT_DISK
 from repro.storage.segment_store import SegmentStore
+from repro.video.content import ClipTruth
 from repro.video.datasets import get_dataset
 from repro.video.fidelity import Fidelity
 from repro.video.format import StorageFormat
@@ -114,10 +116,15 @@ class QueryEngine:
         self.disk = disk
         self.cache = cache
         self._content = get_dataset(dataset).content()
-        self._sample = self._content.clip(0.0, self.SELECTIVITY_SAMPLE)
         #: (positive frames, output bytes) per (operator, segment index,
         #: consumer-fidelity label) — see :meth:`_stage_outcome`.
         self._outcomes: Dict[tuple, Tuple[int, float]] = {}
+
+    @cached_property
+    def _sample(self) -> ClipTruth:
+        """The clip selectivity estimates run on (only ``estimate*`` reads
+        it, so planning-only engines never clip it)."""
+        return self._content.clip(0.0, self.SELECTIVITY_SAMPLE)
 
     # -- analytic estimation --------------------------------------------------------
 
@@ -224,7 +231,9 @@ class QueryEngine:
         reused across every plan this engine makes, for any stream: each
         operator runs at most once per (operator, segment, fidelity) per
         engine.  Retrieval costs, shard routing and cache hits are
-        assessed afresh on every call.
+        assessed afresh on every call.  A segment is clipped at most once
+        per call, however many stages miss the memo on it; the clips are
+        dropped when the call returns.
         """
         from repro.query.scheduler import (
             QueryPlan,
@@ -239,6 +248,7 @@ class QueryEngine:
         scheme = scheme or vstore_scheme(self.config)
         active = list(segments_for_range(stream, t0, t1))
         stages: List[StagePlan] = []
+        clips: Dict[int, ClipTruth] = {}  # by segment index
 
         for name in query:
             op = self.library.get(name)
@@ -274,7 +284,7 @@ class QueryEngine:
                         fidelity.label, str(fidelity.sampling),
                     )
                 hits, nbytes = self._stage_outcome(op, name, segment,
-                                                   fidelity, rkey)
+                                                   fidelity, rkey, clips)
                 result_hit = False
                 if rkey is not None:
                     if self.cache.results.is_committed(rkey):
@@ -351,19 +361,24 @@ class QueryEngine:
         )
 
     def _stage_outcome(self, op, name: str, segment, fidelity: Fidelity,
-                       rkey: Optional[tuple]) -> Tuple[int, float]:
+                       rkey: Optional[tuple],
+                       clips: Dict[int, ClipTruth]) -> Tuple[int, float]:
         """(positive frames, output bytes) of one stage over one segment.
 
         Memoized per engine under (operator, segment index, fidelity
         label): :meth:`_stage_output` is seeded without the stream, over
         this engine's deterministic content model, so the outcome holds
         for every stream alias, store state, shard health and cache
-        plane.  Only a miss clips the content and runs the operator.
+        plane.  Only a miss runs the operator, on the segment's clip from
+        ``clips`` (the calling plan's, clipped on first need).
         """
         key = (name, segment.index, fidelity.label)
         outcome = self._outcomes.get(key)
         if outcome is None:
-            clip = self._content.clip(segment.t0, segment.seconds)
+            clip = clips.get(segment.index)
+            if clip is None:
+                clip = clips[segment.index] = self._content.clip(
+                    segment.t0, segment.seconds)
             output = self._stage_output(op, name, clip, fidelity,
                                         segment.index, rkey)
             outcome = self._outcomes[key] = (int(np.asarray(output).sum()),

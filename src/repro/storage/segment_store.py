@@ -16,6 +16,7 @@ format (see :meth:`SegmentStore.begin_epoch` / :meth:`commit_epoch`).
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
@@ -74,7 +75,9 @@ def _unescape_label(text: str) -> str:
     return unquote(text)
 
 
+@functools.lru_cache(maxsize=None)
 def _fmt_key(fmt: StorageFormat) -> str:
+    """A format's escaped key text, built once per (interned) format."""
     return (f"{_escape_label(fmt.fidelity.label)} "
             f"{_escape_label(fmt.coding.label)}")
 

@@ -13,6 +13,16 @@ A *fidelity option* is a combination of four knob values:
 Between two options the paper defines a *richer-than* partial order:
 X is richer than Y iff X is at least as rich on every knob and strictly
 richer on at least one.  Video can only be degraded along this order (R1).
+
+The space is a finite lattice and each of its 600 points is one canonical
+:class:`Fidelity`, built when this module loads.  The constructor
+normalizes its arguments to the knob tables' own values and returns that
+instance, and so do :meth:`Fidelity.parse`, ``pickle`` and ``copy``.  A
+point's knob indices, ``label``, ``fps`` and ``pixels`` are computed once;
+equality compares lattice indices and the hash *is* the lattice index, an
+int that no ``PYTHONHASHSEED`` moves.  This module alone owns the lattice
+order: :func:`fidelity_space` yields the points by ``index``, and the
+codec profile tables index their arrays by it.
 """
 
 from __future__ import annotations
@@ -20,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import FidelityError, KnobError
 
@@ -66,7 +76,7 @@ INGEST_FPS = 30
 
 def _index(seq: Sequence, value, knob: str) -> int:
     try:
-        return list(seq).index(value)
+        return seq.index(value)
     except ValueError:
         raise KnobError(f"illegal value {value!r} for knob {knob!r}") from None
 
@@ -76,57 +86,84 @@ def sampling_from_str(text: str) -> Fraction:
     return Fraction(text)
 
 
-@dataclass(frozen=True, order=False)
+#: Knob index of each sampling rate, keyed by the rate object's identity:
+#: every lattice point holds these very objects, so a lookup costs no
+#: ``Fraction.__hash__``.  (The tuple keeps them alive, so no other live
+#: object can share an id.)
+_SAMPLING_BY_ID: Dict[int, int] = {
+    id(rate): i for i, rate in enumerate(SAMPLING_RATES)
+}
+
+
+def sampling_index(rate) -> Optional[int]:
+    """The knob index of a legal sampling rate; ``None`` for any other
+    value (``None`` included)."""
+    index = _SAMPLING_BY_ID.get(id(rate))
+    if index is None and rate is not None:
+        try:
+            index = SAMPLING_RATES.index(rate)
+        except ValueError:
+            pass
+    return index
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class Fidelity:
-    """One fidelity option: a value for each of the four fidelity knobs."""
+    """One fidelity option: a value for each of the four fidelity knobs.
+
+    Every instance is a canonical lattice point (see the module
+    docstring): ``Fidelity("best", "720p", 1, 1)`` *is* the richest
+    point, whose ``sampling`` stays ``Fraction(1)`` and ``crop`` ``1.0``.
+    Knob indices count from the poorest value (0).
+    """
+
+    __slots__ = (
+        "quality", "resolution", "sampling", "crop",
+        "quality_idx", "resolution_idx", "sampling_idx", "crop_idx",
+        "index", "label", "pixels", "fps",
+    )
 
     quality: str
     resolution: str
     sampling: Fraction
     crop: float
 
-    def __post_init__(self) -> None:
-        _index(QUALITIES, self.quality, "quality")
-        _index(RESOLUTION_ORDER, self.resolution, "resolution")
-        _index(SAMPLING_RATES, self.sampling, "sampling")
-        _index(CROP_FACTORS, self.crop, "crop")
+    def __new__(cls, quality: str, resolution: str, sampling: Fraction,
+                crop: float) -> "Fidelity":
+        return fidelity_at(
+            _index(QUALITIES, quality, "quality"),
+            _index(RESOLUTION_ORDER, resolution, "resolution"),
+            _index(SAMPLING_RATES, sampling, "sampling"),
+            _index(CROP_FACTORS, crop, "crop"),
+        )
 
-    # -- knob index helpers (poorest value has index 0) --------------------
+    def __reduce__(self):
+        # Unpickling and copying go back through the constructor, which
+        # returns the canonical point.
+        return (Fidelity, (self.quality, self.resolution, self.sampling,
+                           self.crop))
 
-    @property
-    def quality_idx(self) -> int:
-        return QUALITIES.index(self.quality)
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Fidelity:
+            return NotImplemented
+        return self.index == other.index
 
-    @property
-    def resolution_idx(self) -> int:
-        return RESOLUTION_ORDER.index(self.resolution)
+    def __hash__(self) -> int:
+        return self.index
 
-    @property
-    def sampling_idx(self) -> int:
-        return SAMPLING_RATES.index(self.sampling)
-
-    @property
-    def crop_idx(self) -> int:
-        return CROP_FACTORS.index(self.crop)
-
-    # -- derived quantities -------------------------------------------------
+    # Cached per point (set when the lattice is built):
+    #
+    # * ``quality_idx``/``resolution_idx``/``sampling_idx``/``crop_idx`` —
+    #   knob indices;
+    # * ``index`` — position in :func:`fidelity_space`, also the hash;
+    # * ``label`` — paper-style label, e.g. ``best-720p-1-100%``;
+    # * ``pixels`` — pixels per frame after resolution and crop;
+    # * ``fps`` — frames per second after sampling the 30 fps ingest stream.
 
     @property
     def dimensions(self) -> Tuple[int, int]:
         """Pixel dimensions (width, height) after resizing and cropping."""
-        w, h = RESOLUTIONS[self.resolution]
-        return (int(round(w * self.crop)), int(round(h * self.crop)))
-
-    @property
-    def pixels(self) -> int:
-        """Pixels per frame after resolution and crop are applied."""
-        w, h = self.dimensions
-        return w * h
-
-    @property
-    def fps(self) -> float:
-        """Frames per second after sampling the 30 fps ingest stream."""
-        return float(INGEST_FPS * self.sampling)
+        return _dimensions(self.resolution, self.crop)
 
     @property
     def crf(self) -> int:
@@ -135,12 +172,12 @@ class Fidelity:
 
     # -- partial order -------------------------------------------------------
 
-    def _knob_indices(self) -> Tuple[int, int, int, int]:
-        return (self.quality_idx, self.resolution_idx, self.sampling_idx, self.crop_idx)
-
     def richer_equal(self, other: "Fidelity") -> bool:
         """True iff self is richer than or equal to ``other`` on every knob."""
-        return all(a >= b for a, b in zip(self._knob_indices(), other._knob_indices()))
+        return (self.quality_idx >= other.quality_idx
+                and self.resolution_idx >= other.resolution_idx
+                and self.sampling_idx >= other.sampling_idx
+                and self.crop_idx >= other.crop_idx)
 
     def richer_than(self, other: "Fidelity") -> bool:
         """Strict richer-than: richer-or-equal everywhere, strictly on one knob."""
@@ -163,14 +200,6 @@ class Fidelity:
 
     # -- presentation --------------------------------------------------------
 
-    @property
-    def label(self) -> str:
-        """Paper-style label, e.g. ``best-720p-1-100%``."""
-        return (
-            f"{self.quality}-{self.resolution}-{self.sampling}"
-            f"-{int(self.crop * 100)}%"
-        )
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.label
 
@@ -191,22 +220,63 @@ class Fidelity:
         )
 
 
+_SHAPE = (len(QUALITIES), len(RESOLUTION_ORDER), len(SAMPLING_RATES),
+          len(CROP_FACTORS))
+
+
+def _dimensions(resolution: str, crop: float) -> Tuple[int, int]:
+    w, h = RESOLUTIONS[resolution]
+    return (int(round(w * crop)), int(round(h * crop)))
+
+
+def _lattice_point(index: int, qi: int, ri: int, si: int,
+                   ci: int) -> Fidelity:
+    """Build the canonical point at these knob indices (module load only)."""
+    quality, resolution = QUALITIES[qi], RESOLUTION_ORDER[ri]
+    sampling, crop = SAMPLING_RATES[si], CROP_FACTORS[ci]
+    width, height = _dimensions(resolution, crop)
+    values = (
+        quality, resolution, sampling, crop, qi, ri, si, ci, index,
+        f"{quality}-{resolution}-{sampling}-{int(crop * 100)}%",
+        width * height, float(INGEST_FPS * sampling),
+    )
+    point = object.__new__(Fidelity)
+    for name, value in zip(Fidelity.__slots__, values):
+        object.__setattr__(point, name, value)
+    return point
+
+
+#: The 600 canonical points, in :func:`fidelity_space` order.
+_LATTICE: Tuple[Fidelity, ...] = tuple(
+    _lattice_point(index, *knobs)
+    for index, knobs in enumerate(product(*(range(n) for n in _SHAPE)))
+)
+
+
+def fidelity_at(quality_idx: int, resolution_idx: int, sampling_idx: int,
+                crop_idx: int) -> Fidelity:
+    """The lattice point with these knob indices (0 = poorest value)."""
+    n_q, n_r, n_s, n_c = _SHAPE
+    if not (0 <= quality_idx < n_q and 0 <= resolution_idx < n_r
+            and 0 <= sampling_idx < n_s and 0 <= crop_idx < n_c):
+        raise KnobError(
+            f"knob indices out of range: "
+            f"{(quality_idx, resolution_idx, sampling_idx, crop_idx)!r}"
+        )
+    return _LATTICE[
+        ((quality_idx * n_r + resolution_idx) * n_s + sampling_idx) * n_c
+        + crop_idx
+    ]
+
+
 def fidelity_space() -> Iterator[Fidelity]:
     """Iterate the full 4-D fidelity space F (600 options)."""
-    for quality, resolution, sampling, crop in product(
-        QUALITIES, RESOLUTION_ORDER, SAMPLING_RATES, CROP_FACTORS
-    ):
-        yield Fidelity(quality, resolution, sampling, crop)
+    return iter(_LATTICE)
 
 
 def richest_fidelity() -> Fidelity:
     """The knob-wise maximum of the whole space (the ingest format)."""
-    return Fidelity(
-        quality=QUALITIES[-1],
-        resolution=RESOLUTION_ORDER[-1],
-        sampling=SAMPLING_RATES[-1],
-        crop=CROP_FACTORS[-1],
-    )
+    return _LATTICE[-1]
 
 
 def knobwise_max(options: Sequence[Fidelity]) -> Fidelity:
@@ -217,11 +287,11 @@ def knobwise_max(options: Sequence[Fidelity]) -> Fidelity:
     """
     if not options:
         raise FidelityError("knobwise_max of an empty set")
-    return Fidelity(
-        quality=QUALITIES[max(f.quality_idx for f in options)],
-        resolution=RESOLUTION_ORDER[max(f.resolution_idx for f in options)],
-        sampling=SAMPLING_RATES[max(f.sampling_idx for f in options)],
-        crop=CROP_FACTORS[max(f.crop_idx for f in options)],
+    return fidelity_at(
+        max(f.quality_idx for f in options),
+        max(f.resolution_idx for f in options),
+        max(f.sampling_idx for f in options),
+        max(f.crop_idx for f in options),
     )
 
 

@@ -6,8 +6,13 @@ hundreds of runs; configurations derive in ~1 s) so the suite stays fast.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.core.config import derive_configuration
 
 
@@ -72,3 +77,19 @@ def configuration(query_library):
 @pytest.fixture()
 def jackson_content():
     return get_dataset("jackson").content()
+
+
+@pytest.fixture(scope="session")
+def under_hash_seed():
+    """``run(script, seed)``: the stdout of a Python snippet run in a fresh
+    interpreter under ``PYTHONHASHSEED=seed``, with ``repro`` importable."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+
+    def run(script: str, seed: str) -> str:
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+        return subprocess.run([sys.executable, "-c", script], env=env,
+                              check=True, capture_output=True,
+                              text=True).stdout
+
+    return run

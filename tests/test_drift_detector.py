@@ -3,6 +3,7 @@
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.drift import DriftDetector
 from repro.operators.library import Consumer
@@ -142,3 +143,85 @@ def test_min_samples_gates_drifted_flag():
         d2.observe(_outcome("Diff"))
     assert d2.drift_score() == 1.0  # unrebased
     assert not d2.drifted  # but below min_samples
+
+
+#: Scores one fixed mix of 18 consumers (a random.Random(3) draw, 64
+#: baseline and 64 current queries) and prints the score's float.hex.
+_SCORE_SCRIPT = """
+import random
+from types import SimpleNamespace
+from repro.core.drift import DriftDetector
+
+def outcome(op, acc, seconds):
+    stage = SimpleNamespace(operator=op,
+                            tasks=[SimpleNamespace(duration=seconds)])
+    return SimpleNamespace(session=SimpleNamespace(
+        klass=0, accuracy=acc, stream="cam",
+        plan=SimpleNamespace(stages=[stage])))
+
+rng = random.Random(3)
+ops = ["Diff", "S-NN", "NN", "Motion", "License", "OCR", "Opflow", "Color",
+       "Contour"]
+d = DriftDetector(window=64, min_samples=4)
+for phase in range(2):
+    if phase:
+        d.rebase()
+    for _ in range(64):
+        d.observe(outcome(rng.choice(ops), rng.choice([0.95, 0.9, 0.8, 0.7]),
+                          rng.uniform(0.1, 9.0)))
+print(d.drift_score().hex())
+"""
+
+
+def test_drift_score_does_not_depend_on_the_hash_seed(under_hash_seed):
+    # Consumers hash their operator string, so a sum over a set of them
+    # would add in a seed-dependent order and move the last bits.
+    scores = {seed: under_hash_seed(_SCORE_SCRIPT, seed)
+              for seed in ("0", "12345")}
+    assert scores["0"] == scores["12345"]
+    assert float.fromhex(scores["0"]) > 0.0
+
+
+_OPS = ("Diff", "NN", "Motion", "OCR")
+
+
+@st.composite
+def _runs(draw):
+    """A detector configuration plus a run's outcomes to fold."""
+    window = draw(st.integers(0, 12))
+    min_samples = draw(st.integers(1, 14))
+    warm = draw(st.lists(st.sampled_from(_OPS), max_size=16))
+    pending = draw(st.booleans())
+    outcomes = draw(st.lists(
+        st.tuples(st.sampled_from(_OPS), st.sampled_from((0.9, 0.7)),
+                  st.floats(0.25, 8.0), st.sampled_from((0, 0, 1))),
+        max_size=60,
+    ))
+    return window, min_samples, warm, pending, outcomes
+
+
+@settings(max_examples=200, deadline=None)
+@given(_runs())
+def test_observe_run_matches_folding_every_outcome(run):
+    window, min_samples, warm, pending, outcomes = run
+    detectors = []
+    for _ in range(2):
+        d = DriftDetector(window=window, min_samples=min_samples)
+        if pending:
+            # A plan adopted before any query ran: the baseline pins from
+            # the first min_samples queries, unless the warm-up pins it.
+            d.rebase()
+        for op in warm:
+            d.observe(_outcome(op))
+        detectors.append(d)
+    fast, oracle = detectors
+    run_outcomes = [_outcome(op, accuracy=acc, seconds=sec, klass=klass)
+                    for op, acc, sec, klass in outcomes]
+    fast.observe_run(run_outcomes)
+    for outcome in run_outcomes:
+        oracle.observe(outcome)
+    assert list(fast._recent) == list(oracle._recent)
+    assert fast._baseline == oracle._baseline
+    assert list(fast._baseline) == list(oracle._baseline)
+    assert fast._pending == oracle._pending
+    assert fast.drift_score().hex() == oracle.drift_score().hex()

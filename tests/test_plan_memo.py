@@ -34,6 +34,8 @@ from repro.query.workload import (
     workload_specs,
 )
 from repro.storage.disk import DiskBandwidthPool
+from repro.units import SEGMENT_SECONDS
+from repro.video.content import ContentModel
 from repro.storage.failures import (
     FailureCampaign,
     apply_event,
@@ -200,4 +202,41 @@ def test_engine_runs_each_stage_once_across_aliases(
     assert outputs and set(outputs.values()) == {1}
     per_operator = Counter(name for name, _, _ in outputs)
     assert runs == per_operator
+    store.close()
+
+
+class _ClipPerMiss(QueryEngine):
+    """The engine before per-plan clip sharing: every stage-memo miss
+    clips its segment afresh."""
+
+    def _stage_outcome(self, op, name, segment, fidelity, rkey, clips):
+        return super()._stage_outcome(op, name, segment, fidelity, rkey, {})
+
+
+def test_plan_clips_each_segment_once(tmp_path, monkeypatch, query_library,
+                                      configuration):
+    store = VStore(workdir=str(tmp_path), library=query_library, shards=2)
+    store.adopt(configuration)
+    store.ingest("jackson", n_segments=SEGMENTS)
+    t1 = SEGMENTS * SEGMENT_SECONDS
+    reference = _ClipPerMiss(configuration, query_library, "jackson")
+    expected = reference.plan(QUERY_A, 0.9, store.segments, 0.0, t1)
+    assert len(expected.stages) == 3 and expected.stages[1].touched > 0
+
+    clipped = Counter()
+    clip = ContentModel.clip
+
+    def counted_clip(self, t0, seconds):
+        clipped[t0] += 1
+        return clip(self, t0, seconds)
+
+    monkeypatch.setattr(ContentModel, "clip", counted_clip)
+    engine = QueryEngine(configuration, query_library, "jackson")
+    plan = engine.plan(QUERY_A, 0.9, store.segments, 0.0, t1)
+    # One clip per segment across all three stages, and none for the
+    # selectivity sample, which only estimates read.
+    assert sum(clipped.values()) == SEGMENTS
+    assert set(clipped.values()) == {1}
+    assert plan == expected
+    assert engine._outcomes == reference._outcomes
     store.close()
