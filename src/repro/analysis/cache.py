@@ -70,9 +70,7 @@ def format_cache_table(stats: CacheStats) -> str:
     lines.append(_tier_row("results", stats.results))
     lines.append(
         f"single-flight: {stats.single_flight_hits} in-flight retrievals "
-        f"deduplicated, {stats.single_flight_seconds_saved:.3f}s saved; "
-        f"result memo: {stats.memo_hits} hits / {stats.memo_misses} misses "
-        f"(real compute)"
+        f"deduplicated, {stats.single_flight_seconds_saved:.3f}s saved"
     )
     if stats.tiering is not None:
         t = stats.tiering

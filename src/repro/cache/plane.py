@@ -4,7 +4,7 @@ One :class:`CachePlane` instance spans a whole store.  It bundles the
 three cooperating pieces of the tiered retrieval cache —
 
 * the decoded-frame RAM tier (:class:`~repro.cache.frames.DecodedFrameCache`),
-* the operator-result memo (:class:`~repro.cache.results.ResultCache`),
+* the operator-result tier (:class:`~repro.cache.results.ResultCache`),
 * the hot-segment promotion loop (:class:`~repro.cache.tiers.TierManager`) —
 
 behind the handful of operations the read path needs: key construction,
@@ -39,13 +39,12 @@ class CacheConfig:
     tiers: ``"lru"``, ``"lfu"`` or ``"cost"`` (benefit-per-byte aware).
     ``tiering=None`` disables hot-segment promotion; caching itself is
     enabled by constructing a store with any :class:`CacheConfig` at all.
+    Both capacities are simulated RAM: the plane holds residency books,
+    never frames or operator outputs, so no knob bounds real memory.
     """
 
     frame_capacity_bytes: float = 256.0 * MB
     result_capacity_bytes: float = 64.0 * MB
-    #: Real-RAM budget of the operator-output memo (None = 4x the
-    #: result capacity) — bounds actual process memory, not simulated RAM.
-    memo_capacity_bytes: Optional[float] = None
     policy: str = "lru"
     ram_bandwidth: float = 20.0 * GB  # bytes/second a cache hit streams at
     single_flight: bool = True
@@ -116,8 +115,6 @@ class CacheStats:
     policy: str
     frames: TierCounters
     results: TierCounters
-    memo_hits: int  # real-compute memo hits (planning convenience)
-    memo_misses: int
     single_flight_hits: int  # retrievals deduplicated onto an in-flight one
     single_flight_seconds_saved: float
     tiering: Optional[TieringStats]
@@ -143,18 +140,15 @@ class CacheStats:
 
 
 class CachePlane:
-    """The store-wide cache: frame tier + result memo + tier manager."""
+    """The store-wide cache: frame tier + result tier + tier manager."""
 
     def __init__(self, config: Optional[CacheConfig] = None):
         self.config = config or CacheConfig()
         policy = policy_named(self.config.policy)
         self.frames = DecodedFrameCache(self.config.frame_capacity_bytes,
                                         policy)
-        self.results = ResultCache(
-            self.config.result_capacity_bytes,
-            policy_named(self.config.policy),
-            memo_capacity_bytes=self.config.memo_capacity_bytes,
-        )
+        self.results = ResultCache(self.config.result_capacity_bytes,
+                                   policy_named(self.config.policy))
         self.tiers: Optional[TierManager] = (
             TierManager(self.config.tiering)
             if self.config.tiering is not None else None
@@ -293,8 +287,6 @@ class CachePlane:
             policy=self.config.policy,
             frames=self._counters(self.frames),
             results=self._counters(self.results.committed),
-            memo_hits=self.results.memo_hits,
-            memo_misses=self.results.memo_misses,
             single_flight_hits=self.single_flight_hits,
             single_flight_seconds_saved=self.single_flight_seconds_saved,
             tiering=tiering,

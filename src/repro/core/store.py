@@ -138,6 +138,10 @@ class VStore:
         #: The most recent in-process run (:meth:`_run`, whichever entry
         #: point made it); None before the first and after :meth:`close`.
         self.last_run: Optional[RunResult] = None
+        #: Stage outcomes (positive frames, output bytes) per dataset, keyed
+        #: by (operator, segment index, fidelity label), shared by every
+        #: engine the store builds — see :meth:`engine`.
+        self._stage_outcomes: Dict[str, Dict[tuple, Tuple[int, float]]] = {}
 
         # The tiered retrieval cache spans the whole store; passing any
         # CacheConfig enables it (None keeps the uncached read path).
@@ -177,6 +181,7 @@ class VStore:
             return
         self._closed = True
         self.last_run = None  # its outcomes must not outlive the store
+        self._stage_outcomes.clear()
         if self._kv is not None:
             self._kv.close()
 
@@ -193,7 +198,8 @@ class VStore:
         never committed — the crash-recovery path an interrupted
         :meth:`evolve_online` relies on.  A fresh cache plane is installed
         (cached artifacts do not survive a restart); the derived
-        configuration and the simulated clock are kept.
+        configuration, the simulated clock and the stage-outcome memo
+        (host-side planning state, see :meth:`engine`) are kept.
         """
         if self.workdir is None:
             raise StorageError("reopen requires a workdir-backed store")
@@ -313,9 +319,22 @@ class VStore:
     # -- queries ------------------------------------------------------------------------
 
     def engine(self, dataset: str) -> QueryEngine:
+        """A query engine for ``dataset`` under the current configuration.
+
+        Every engine the store builds, here or inside an executor, reads
+        and fills the store's one stage-outcome memo for the dataset, so
+        an operator runs at most once per (operator, segment, fidelity)
+        over the store's life.  That is sound across :meth:`adopt`,
+        :meth:`evolve_online`, :meth:`set_cache` and :meth:`reopen`: the
+        key carries the fidelity, the content is a pure function of the
+        dataset and the time, and the library only gains operators.  The
+        memo is released at :meth:`close`.
+        """
         self._check_open()
-        return QueryEngine(self.configuration, self.library, dataset,
-                           cache=self.cache)
+        return QueryEngine(
+            self.configuration, self.library, dataset, cache=self.cache,
+            stage_outcomes=self._stage_outcomes.setdefault(dataset, {}),
+        )
 
     def query(self, query: str, dataset: str, accuracy: float,
               duration: float) -> QueryReport:
@@ -348,7 +367,9 @@ class VStore:
         Keyword arguments (``policy``, ``disk_pool``, ``decoder_pool``,
         ``operator_pool``, ``clock``) pass through to
         :class:`~repro.query.scheduler.ConcurrentExecutor`; pools left
-        unset are uncontended.
+        unset are uncontended.  The executor's engines share the store's
+        stage-outcome memo (see :meth:`engine`), so planning re-runs no
+        operator an earlier run of this store already ran.
         """
         from repro.query.scheduler import ConcurrentExecutor
 
@@ -356,6 +377,7 @@ class VStore:
         if self.segments is None:
             raise QueryError("concurrent execution requires a workdir-backed store")
         kwargs.setdefault("cache", self.cache)
+        kwargs.setdefault("stage_outcomes", self._stage_outcomes)
         kwargs.setdefault(
             "metrics", self.metrics if metrics_enabled() else None
         )

@@ -108,6 +108,7 @@ class QueryEngine:
         codec: CodecModel = DEFAULT_CODEC,
         disk: DiskModel = DEFAULT_DISK,
         cache: Optional["CachePlane"] = None,
+        stage_outcomes: Optional[Dict[tuple, Tuple[int, float]]] = None,
     ):
         self.config = config
         self.library = library
@@ -117,8 +118,12 @@ class QueryEngine:
         self.cache = cache
         self._content = get_dataset(dataset).content()
         #: (positive frames, output bytes) per (operator, segment index,
-        #: consumer-fidelity label) — see :meth:`_stage_outcome`.
-        self._outcomes: Dict[tuple, Tuple[int, float]] = {}
+        #: consumer-fidelity label) — see :meth:`_stage_outcome`.  A store
+        #: passes its memo for this dataset, so every engine it builds
+        #: shares one; a standalone engine keeps its own.
+        self._outcomes: Dict[tuple, Tuple[int, float]] = (
+            {} if stage_outcomes is None else stage_outcomes
+        )
 
     @cached_property
     def _sample(self) -> ClipTruth:
@@ -228,12 +233,14 @@ class QueryEngine:
         ingested under another stream name (a camera fleet).
 
         Stage outcomes (positive frames and output bytes per segment) are
-        reused across every plan this engine makes, for any stream: each
-        operator runs at most once per (operator, segment, fidelity) per
-        engine.  Retrieval costs, shard routing and cache hits are
-        assessed afresh on every call.  A segment is clipped at most once
-        per call, however many stages miss the memo on it; the clips are
-        dropped when the call returns.
+        reused across every plan that reads this engine's memo, for any
+        stream: each operator runs at most once per (operator, segment,
+        fidelity) per memo — per store for the engines a
+        :class:`~repro.core.store.VStore` builds, per engine otherwise.
+        Retrieval costs, shard routing and cache hits are assessed afresh
+        on every call.  A segment is clipped at most once per call,
+        however many stages miss the memo on it; the clips are dropped
+        when the call returns.
         """
         from repro.query.scheduler import (
             QueryPlan,
@@ -277,16 +284,15 @@ class QueryEngine:
             ).tolist()
             for segment, (retrieved, access), cost in zip(
                     active, assessed, base_costs):
+                hits, nbytes = self._stage_outcome(op, name, segment,
+                                                   fidelity, clips)
                 rkey = None
+                result_hit = False
                 if self.cache is not None:
                     rkey = self.cache.result_key(
                         stream, segment.index, self.dataset, name,
                         fidelity.label, str(fidelity.sampling),
                     )
-                hits, nbytes = self._stage_outcome(op, name, segment,
-                                                   fidelity, rkey, clips)
-                result_hit = False
-                if rkey is not None:
                     if self.cache.results.is_committed(rkey):
                         # The result is resident in simulated RAM: this
                         # segment's consume is free for this stage (the
@@ -361,16 +367,17 @@ class QueryEngine:
         )
 
     def _stage_outcome(self, op, name: str, segment, fidelity: Fidelity,
-                       rkey: Optional[tuple],
                        clips: Dict[int, ClipTruth]) -> Tuple[int, float]:
         """(positive frames, output bytes) of one stage over one segment.
 
-        Memoized per engine under (operator, segment index, fidelity
-        label): :meth:`_stage_output` is seeded without the stream, over
-        this engine's deterministic content model, so the outcome holds
-        for every stream alias, store state, shard health and cache
-        plane.  Only a miss runs the operator, on the segment's clip from
-        ``clips`` (the calling plan's, clipped on first need).
+        Memoized under (operator, segment index, fidelity label) in this
+        engine's memo, which is per dataset: :meth:`_stage_output` is
+        seeded without the stream, over the dataset's deterministic
+        content model, so the outcome holds for every stream alias,
+        configuration, store state, shard health and cache plane — and
+        for every engine of one store, whose library only ever gains
+        operators.  Only a miss runs the operator, on the segment's clip
+        from ``clips`` (the calling plan's, clipped on first need).
         """
         key = (name, segment.index, fidelity.label)
         outcome = self._outcomes.get(key)
@@ -380,30 +387,17 @@ class QueryEngine:
                 clip = clips[segment.index] = self._content.clip(
                     segment.t0, segment.seconds)
             output = self._stage_output(op, name, clip, fidelity,
-                                        segment.index, rkey)
+                                        segment.index)
             outcome = self._outcomes[key] = (int(np.asarray(output).sum()),
                                              float(output.nbytes))
         return outcome
 
     def _stage_output(self, op, name: str, clip, fidelity: Fidelity,
-                      index: int, rkey: Optional[tuple]) -> np.ndarray:
-        """One stage's deterministic output over one segment.
-
-        Outputs are seeded per (operator, dataset, segment, fidelity), so
-        the result cache's memo (keyed by the caller-supplied ``rkey``)
-        can serve them without re-running the operator's real compute;
-        simulated charging is decided separately by the committed set
-        (see :mod:`repro.cache.results`).
-        """
-        if rkey is not None:
-            cached = self.cache.results.get_output(rkey)
-            if cached is not None:
-                return cached
+                      index: int) -> np.ndarray:
+        """One stage's deterministic output over one segment, seeded per
+        (operator, dataset, segment, fidelity)."""
         rng = rng_for("query", name, self.dataset, index, fidelity.label)
-        output = np.asarray(op.run(clip, fidelity, rng))
-        if rkey is not None:
-            self.cache.results.record_output(rkey, output)
-        return output
+        return np.asarray(op.run(clip, fidelity, rng))
 
     def execute(
         self,

@@ -815,6 +815,7 @@ class ConcurrentExecutor:
         codec: CodecModel = DEFAULT_CODEC,
         clock: Optional[SimClock] = None,
         engines: Optional[Dict[str, "QueryEngine"]] = None,
+        stage_outcomes: Optional[Dict[str, dict]] = None,
         cache: Optional[CachePlane] = None,
         trace: Optional[bool] = None,
         metrics=None,
@@ -869,6 +870,12 @@ class ConcurrentExecutor:
         #: attaches the store's registry unless ``REPRO_OBS_METRICS=0``.
         self.metrics = metrics
         self._engines: Dict[str, "QueryEngine"] = dict(engines or {})
+        #: Per-dataset stage-outcome memos the engines this executor
+        #: builds read and fill (``VStore.executor()`` passes the store's,
+        #: so a store's later runs re-run no operator).
+        self._stage_outcomes: Dict[str, dict] = (
+            {} if stage_outcomes is None else stage_outcomes
+        )
         self._sessions: List[QuerySession] = []
         #: Per-tenant shared state, created lazily at admission; the
         #: anonymous tenant ``""`` holds every untenanted session.
@@ -901,6 +908,7 @@ class ConcurrentExecutor:
             self._engines[dataset] = QueryEngine(
                 self.config, self.library, dataset, codec=self.codec,
                 cache=self.cache,
+                stage_outcomes=self._stage_outcomes.setdefault(dataset, {}),
             )
         return self._engines[dataset]
 

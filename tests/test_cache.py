@@ -146,18 +146,15 @@ class TestByteBudgetCache:
 
 
 class TestResultCache:
-    def test_memo_and_commit_are_separate_layers(self):
+    def test_commit_makes_a_result_resident(self):
         import numpy as np
 
         cache = ResultCache(1.0 * MB, LRUPolicy())
         key = ResultCache.key("s", 0, "jackson", "NN", "best-60p-1-100%", "1")
-        assert cache.get_output(key) is None
         output = np.ones(8, dtype=bool)
-        cache.record_output(key, output)
-        assert cache.get_output(key) is output
-        # memoized but not committed: full simulated cost still charged
+        # computed but not committed: full simulated cost still charged
         assert not cache.is_committed(key)
-        cache.commit(key, 1.0)
+        cache.commit(key, 1.0, nbytes=output.nbytes)
         assert cache.is_committed(key)
         assert cache.committed.occupancy_bytes == output.nbytes
         assert cache.committed.misses == 1  # the computation that committed
@@ -171,37 +168,19 @@ class TestResultCache:
             assert not cache.is_committed(key)
         assert cache.committed.hits == 0 and cache.committed.misses == 0
 
-    def test_memo_is_byte_bounded(self):
-        import numpy as np
-
-        cache = ResultCache(1.0 * MB, LRUPolicy(),
-                            memo_capacity_bytes=4 * 80)
-        for i in range(10):
-            cache.record_output(ResultCache.key("s", i, "d", "NN", "f", "1"),
-                                np.zeros(10))  # 80 bytes each
-        resident = sum(
-            cache.get_output(ResultCache.key("s", i, "d", "NN", "f", "1"))
-            is not None
-            for i in range(10)
-        )
-        assert resident == 4  # the LRU tail was dropped
-        assert cache._memo_bytes <= 4 * 80
-
     def test_key_distinguishes_datasets_on_one_stream(self):
         # A stream alias must never serve another dataset's outputs.
         a = ResultCache.key("cam01", 0, "jackson", "NN", "f", "1")
         b = ResultCache.key("cam01", 0, "coral", "NN", "f", "1")
         assert a != b
 
-    def test_invalidate_drops_both_layers(self):
+    def test_invalidate_drops_committed_results(self):
         import numpy as np
 
         cache = ResultCache(1.0 * MB, LRUPolicy())
         key = ResultCache.key("s", 3, "jackson", "NN", "f", "1")
-        cache.record_output(key, np.zeros(4))
-        cache.commit(key, 0.5)
+        cache.commit(key, 0.5, nbytes=np.zeros(4).nbytes)
         cache.invalidate("s", 3)
-        assert cache.get_output(key) is None
         assert not cache.is_committed(key)
 
 
@@ -313,10 +292,8 @@ class TestCachePlane:
         fkey = plane.frame_key("s", 0, "fmt", "cf")
         rkey = plane.result_key("s", 0, "jackson", "NN", "f", "1")
         plane.frames.put(fkey, 10.0, 1.0)
-        plane.results.record_output(rkey, np.zeros(2))
-        plane.results.commit(rkey, 0.1)
+        plane.results.commit(rkey, 0.1, nbytes=np.zeros(2).nbytes)
         plane.tiers.record_access("s", 0, 10.0)
         assert plane.invalidate("s", 0) == 2
         assert fkey not in plane.frames
-        assert plane.results.get_output(rkey) is None
         assert plane.tiers.accesses("s", 0) == 0
