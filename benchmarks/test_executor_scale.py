@@ -16,9 +16,10 @@ the result and pins it:
   loop kept as the parity oracle in ``tests/oracles``;
 * 1024- and 4096-query FIFO fleets on 4 shards run bit-identically to
   the retired closed-loop fast path (kept verbatim as the oracle
-  ``fastpath_loop``); at 4096 queries the production loop must keep
-  **>= 0.9x** its speed (median ratio over ten interleaved in-process
-  pairs) under a hard 10 s wall budget;
+  ``fastpath_loop``); at 4096 queries the production loop must run at
+  **>= 1.35x** its speed (median ratio over ten interleaved in-process
+  pairs) under a hard 10 s wall budget — FIFO fleets like these grant
+  from plain per-pool queues, not heaps;
 * independent fleets fan out across worker processes
   (``execute_many(parallel=N)``); with >= 4 host cores the aggregate
   scheduling throughput must reach **>= 2.5x** the serial run's;
@@ -72,10 +73,11 @@ MIN_SPEEDUP = 10.0
 #: fleet scale.  FIFO fleets of single-context queries are the fleets the
 #: fast path accepted; at 4096 x 4 shards the median ratio of its wall to
 #: the production loop's, over this many interleaved pairs, must reach
-#: this.
+#: this.  The production loop grants such fleets from plain per-pool
+#: queues where the fast path keeps heaps, so it must be clearly faster.
 FASTPATH_QUERY_COUNTS = (1024, 4096)
 FASTPATH_PAIRS = 10
-FASTPATH_MIN_RATIO = 0.9
+FASTPATH_MIN_RATIO = 1.35
 FASTPATH_WALL_BUDGET = 10.0
 
 #: Acceptance: multi-core fleet execution.  With at least this many host
@@ -273,11 +275,12 @@ def test_fastpath_fleet_scale(record, bench_metrics, fleet):
     and 4096 queries, replayed through the production loop and the
     retired closed-loop fast path (``oracles.fastpath_loop``): both must
     simulate bit-identically, and at the 4096 x 4-shard corner the
-    production loop must run at >= 0.9x the fast path's speed under a
-    10 s wall budget.  Both sides time lowering plus the loop.  The gate
-    is a ratio over interleaved in-process pairs, order alternating, like
-    the registry-overhead A/B: an absolute events/s floor measured how
-    busy the shared host was, not the code.
+    production loop, granting from plain per-pool queues, must run at
+    >= 1.35x the fast path's speed under a 10 s wall budget.  Both sides
+    time lowering plus the loop.  The gate is a ratio over interleaved
+    in-process pairs, order alternating, like the registry-overhead A/B:
+    an absolute events/s floor measured how busy the shared host was, not
+    the code.
     """
     store, plans = fleet(4)
     lines = [f"{'queries':>8} {'loop':>9} {'wall':>9} {'events/s':>10}"]

@@ -8,6 +8,7 @@ to a simulated clock — the full data path of Figure 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
@@ -249,6 +250,9 @@ class QueryEngine:
             dispatch,
         )
 
+        if not (math.isfinite(t0) and math.isfinite(t1)) or t0 < 0:
+            raise QueryError(f"query range [{t0}, {t1}) must be finite and "
+                             f"start at or after 0")
         if t1 <= t0:
             raise QueryError(f"empty query range [{t0}, {t1})")
         stream = stream or self.dataset

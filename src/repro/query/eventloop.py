@@ -1,8 +1,11 @@
 """The executor's flat task layout: task chains lowered to parallel arrays.
 
 :class:`~repro.query.scheduler.ConcurrentExecutor` drains every fleet on
-one loop whose per-event work is a few list index operations and one
-``heapq`` push/pop.  This module holds what that loop reads:
+one loop whose per-event work is a few list index operations, one
+``heapq`` push/pop on the completion heap and one push/pop on a pool's
+ready queue (a plain queue for single-class FIFO fleets without gangs
+or dependency edges, a heap otherwise).  This module holds what that
+loop reads:
 
 * :class:`_RunTask` — a planned task as actually scheduled in one run.
   Without a cache plane it mirrors the planned

@@ -24,8 +24,9 @@ do — N=1 results are bit-identical by construction.
 
 Every fleet drains on one event loop over flat arrays
 (:meth:`ConcurrentExecutor._drain`): chains lowered once per plan
-(:mod:`repro.query.eventloop`), per-pool ready heaps of plain tuples, one
-completion heap, and dependency counters for the cache plane's
+(:mod:`repro.query.eventloop`), per-pool ready queues of plain tuples —
+plain FIFO queues when every push arrives in key order, heaps otherwise
+— one completion heap, and dependency counters for the cache plane's
 single-flight edges.  It is bit-identical to the rescan-loop parity
 oracle that the golden-trace and Hypothesis tests replay
 (``tests/oracles``).
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
 from heapq import heappop, heappush, heapreplace
@@ -833,7 +835,7 @@ class ConcurrentExecutor:
         # retrievals on different shards genuinely overlap; a single-shard
         # store keeps the original one-pool layout and resource names.
         # The array itself names its channel pools (``io_resources``) so
-        # the ready-heap index registers one heap per spindle.
+        # the event loop keeps one ready queue per spindle.
         self._disk_shards = getattr(store.disk, "n_shards", 1)
         channels = disk_pool.channels if disk_pool else None
         io_names = getattr(store.disk, "io_resources", lambda: ["disk"])()
@@ -1400,7 +1402,7 @@ class ConcurrentExecutor:
     def _drain(self, fleet: _Fleet) -> None:
         """The event loop: run a lowered fleet to completion.
 
-        Mutable state lives in flat locals — per-pool ready heaps of
+        Mutable state lives in flat locals — per-pool ready queues of
         ``(key, seq, s)`` tuples, one completion heap of ``(end, seq, s,
         start)``, per-session lists — written back onto the clock, pools
         and sessions once, after the drain.  It is bit-identical to the
@@ -1415,6 +1417,13 @@ class ConcurrentExecutor:
           at submission otherwise.  Only :class:`WeightedFairSharePolicy`
           keys rise while a task waits; a head keyed on an outdated
           tenant stamp is re-keyed before it can win;
+        * a pool's ready entries sit in a heap unless every push is
+          known to arrive in ``(key, seq)`` order — FIFO with no
+          class-1 session, no gang and no dependency edge, where each
+          push carries key 0 and the next ``seq`` — and then in a plain
+          queue, whose head is the heap's minimum.  A single-flight
+          wake-up re-enters with its submission ``seq``, older than
+          entries queued meanwhile, so it needs the heap;
         * a gang wider than its pool's free units parks until a task on
           that pool completes, so smaller tasks backfill;
         * a grant round scans only the pools the last event touched: every
@@ -1449,7 +1458,6 @@ class ConcurrentExecutor:
         free = [math.inf if p.capacity is None else p.capacity - p.in_use
                 for p in pools]
         busy = [p.busy_seconds for p in pools]
-        ready: List[list] = [[] for _ in pools]
         parked: List[list] = [[] for _ in pools]  # gangs too wide to fit
         completions: list = []
         cursor = [0] * n  # 1 + index of the session's outstanding task
@@ -1460,8 +1468,9 @@ class ConcurrentExecutor:
 
         policy = self.policy
         banded = any(klass)  # background jobs sort after every query
+        fifo = type(policy) is FIFOPolicy
         static = None
-        if type(policy) is FIFOPolicy:
+        if fifo:
             static = klass
         elif type(policy) is DeadlinePolicy:
             static = [math.inf if s.deadline is None else s.deadline
@@ -1478,6 +1487,14 @@ class ConcurrentExecutor:
             tenants = [s.tenant_state for s in sessions]
         gangs = any(chain.wide for chain in chains)
         slow = gangs or rekey
+        if fifo and not (banded or gangs or deps):
+            # Every push carries key 0 and the next seq, so each pool's
+            # heap would pop in push order: a plain queue does the same.
+            ready = [deque() for _ in pools]
+            put, take = deque.append, deque.popleft
+        else:
+            ready = [[] for _ in pools]
+            put, take = heappush, heappop
 
         def key_of(s: int, i: int, sq: int):
             if fair:
@@ -1493,7 +1510,7 @@ class ConcurrentExecutor:
         def push(s: int, i: int, sq: int) -> int:
             key = static[s] if static is not None else key_of(s, i, sq)
             r = chains[s].res[i]
-            heappush(ready[r], (key, sq, s))
+            put(ready[r], (key, sq, s))
             return r
 
         def settle(r: int):
@@ -1572,7 +1589,7 @@ class ConcurrentExecutor:
                             chosen = r
                 if best is None:
                     break
-                heappop(ready[chosen])
+                take(ready[chosen])
                 s = best[2]
                 chain = chains[s]
                 i = cursor[s] - 1
@@ -1661,7 +1678,7 @@ class ConcurrentExecutor:
                         dep_parked[base[s] + i] = (s, seq)
                     elif static is not None:
                         r = chain.res[i]
-                        heappush(ready[r], (static[s], seq, s))
+                        put(ready[r], (static[s], seq, s))
                         dirty.append(r)
                     else:
                         dirty.append(push(s, i, seq))

@@ -278,9 +278,9 @@ class ShardedDiskArray:
         """Executor resource names of this array's I/O channel pools.
 
         The concurrent executor builds one bounded channel pool per name,
-        each with its own ready heap in the event loop
+        each with its own ready queue in the event loop
         (:meth:`~repro.query.scheduler.ConcurrentExecutor._drain`), so
-        retrievals queued on different spindles wait in different heaps
+        retrievals queued on different spindles wait in different queues
         and overlap.
         A one-shard array keeps the pre-sharding ``"disk"`` name so its
         traces and stats stay bit-compatible with a plain

@@ -228,10 +228,17 @@ class TestPolicies:
 
 
 class TestAdmissionErrors:
-    def test_empty_range_rejected_at_admit(self, store):
+    @pytest.mark.parametrize("t0, t1", [
+        (8.0, 8.0),
+        (0.0, float("nan")),
+        (float("nan"), 8.0),
+        (0.0, float("inf")),
+        (-16.0, 8.0),
+    ])
+    def test_empty_range_rejected_at_admit(self, store, t0, t1):
         ex = store.executor()
         with pytest.raises(QueryError):
-            ex.admit(QUERY_B, "dashcam", 0.9, 8.0, 8.0)
+            ex.admit(QUERY_B, "dashcam", 0.9, t0, t1)
 
     def test_admit_after_run_rejected(self, store):
         ex = store.executor()

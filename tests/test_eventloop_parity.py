@@ -18,6 +18,7 @@ require the oracle to produce the same trace.
 
 from __future__ import annotations
 
+import random
 import time
 from contextlib import nullcontext
 
@@ -144,6 +145,47 @@ def test_heap_core_matches_reference_on_random_fleets(stores, data):
         assert stats.events == ref_stats.events
     assert [ex.stats().core for ex, _ in runs] == (
         ["heap", "fastpath"][:len(runs)])
+
+
+def test_deep_fifo_fleet_matches_fastpath_per_session(stores):
+    """A deep FIFO fleet, production loop vs the retired fast path,
+    session by session.
+
+    1,024 single-context queries on six precomputed plans, in seeded
+    order, all admitted at t=0 onto bounded pools, so ready queues run
+    hundreds of entries deep.  Every session's finish instant, wait and
+    per-pool service must agree to the last bit, not just the fleet's
+    makespan and totals.
+    """
+    store = stores[4]
+    plans = [(query, span, store.engine(dataset).plan(
+                 query, 0.9, store.segments, 0.0, span))
+             for query, dataset in ((QUERY_A, "jackson"),
+                                    (QUERY_B, "dashcam"))
+             for span in (8.0, 16.0, 32.0)]
+    rng = random.Random(7)
+    fleet = [rng.choice(plans) for _ in range(1024)]
+
+    def run():
+        ex = store.executor(
+            cache=None, metrics=None, policy=FIFOPolicy(),
+            disk_pool=DiskBandwidthPool(1), decoder_pool=DecoderPool(2),
+            operator_pool=OperatorContextPool(4),
+        )
+        for query, span, plan in fleet:
+            ex.admit(query, plan.dataset, 0.9, 0.0, span, plan=plan)
+        ex.run()
+        return ex
+
+    ex = run()
+    with fastpath_loop():
+        oracle = run()
+    assert (ex.stats().core, oracle.stats().core) == ("heap", "fastpath")
+    for a, b in zip(ex.sessions, oracle.sessions, strict=True):
+        assert a.finished_at == b.finished_at
+        assert a.waited_seconds == b.waited_seconds
+        assert a.service_by_resource == b.service_by_resource
+    assert ex.stats().busy_seconds == oracle.stats().busy_seconds
 
 
 def test_precomputed_plan_admission_matches_planned(stores):
@@ -508,6 +550,21 @@ class TestDependencyTracker:
         )
         assert _events(ex, "start")[-1] == (1, 2.0, "operators")
         assert ex.sessions[1].waited_seconds == 0.0
+
+    def test_wakeup_keeps_its_submission_seq_under_fifo(self, stores):
+        """A woken task re-enters its pool with the seq of its submission:
+        under FIFO, q2 — submitted at t=0 before q3, but parked on q0's
+        decode until t=3 — still runs before q3, which has queued since
+        t=0.  That push arrives out of push order, so a fleet with
+        dependency edges must keep its ready heaps."""
+        ex = _replay(
+            stores[1],
+            [[_task("decoder", 3.0)], [_task("operators", 5.0)],
+             [_task("operators", 1.0)], [_task("operators", 1.0)]],
+            deps=[((2, 0), (0, 0))], decoder=1, operators=1,
+        )
+        ops = [(q, t) for q, t, r in _events(ex, "start") if r == "operators"]
+        assert ops == [(1, 0.0), (2, 5.0), (3, 6.0)]
 
 
 class TestCompletionHeap:
