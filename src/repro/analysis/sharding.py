@@ -81,16 +81,9 @@ class ShardingReport:
 def sharding_report(
     store: SegmentStore, stats: Optional[ExecutorStats] = None
 ) -> ShardingReport:
-    """Build the per-shard report for one (possibly unsharded) store."""
+    """Build the per-shard report for one store."""
     array = store.array
     rows: List[ShardRow] = []
-    if array is None:
-        rows.append(ShardRow(shard=0, stored_bytes=float(store.total_bytes()),
-                             stored_keys=sum(1 for _ in store.kv.keys()),
-                             busy_write_seconds=0.0,
-                             busy_migrate_seconds=0.0))
-        return ShardingReport(placement="none", n_shards=1, rows=tuple(rows),
-                              makespan=stats.makespan if stats else None)
     shard_bytes = array.shard_bytes
     shard_keys = array.shard_keys
     for i in range(array.n_shards):

@@ -27,7 +27,7 @@ from repro.cache.frames import (
 from repro.cache.results import ResultCache
 from repro.cache.tiers import TierConfig, TierManager
 from repro.clock import SimClock
-from repro.storage.disk import DiskModel
+from repro.storage.sharding import ShardedDiskArray
 from repro.units import GB, MB
 
 
@@ -236,7 +236,8 @@ class CachePlane:
         self.single_flight_hits += count
         self.single_flight_seconds_saved += saved_seconds
 
-    def sweep_tiers(self, clock: SimClock, slow: DiskModel) -> Tuple[int, int]:
+    def sweep_tiers(self, clock: SimClock,
+                    slow: ShardedDiskArray) -> Tuple[int, int]:
         """Run one promotion/demotion round (no-op without tiering)."""
         if self.tiers is None:
             return (0, 0)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.clock import SimClock
-from repro.storage.disk import DiskModel
+from repro.storage.sharding import ShardedDiskArray
 from repro.units import GB
 
 SegmentId = Tuple[str, int]  # (stream, segment index)
@@ -111,33 +111,17 @@ class TierManager:
 
     # -- migration ---------------------------------------------------------
 
-    @staticmethod
-    def _slow_disk(slow: DiskModel, seg: SegmentId) -> DiskModel:
-        """The slow-tier disk serving one segment.
-
-        A :class:`~repro.storage.sharding.ShardedDiskArray` resolves to
-        the segment's assigned shard (migration reads/writes occupy that
-        spindle); a plain :class:`DiskModel` is its own answer.
-        """
-        locate = getattr(slow, "segment_disk", None)
-        return slow if locate is None else locate(seg[0], seg[1])
-
-    @staticmethod
-    def _note_slow_io(slow: DiskModel, seg: SegmentId, seconds: float) -> None:
-        note = getattr(slow, "note_slow_io", None)
-        if note is not None:
-            note(seg[0], seg[1], seconds)
-
-    def sweep(self, clock: SimClock, slow: DiskModel) -> Tuple[int, int]:
+    def sweep(self, clock: SimClock,
+              slow: ShardedDiskArray) -> Tuple[int, int]:
         """One promotion/demotion round; returns (promoted, demoted).
 
         Demotes promoted segments whose decayed access count dropped below
         the cold threshold, then promotes the hottest unpromoted segments
         that fit the fast-tier budget.  Every byte moved is charged to the
         clock under the ``"migrate"`` category: a promotion reads from the
-        slow tier and writes to the fast one, a demotion the reverse.  On
-        a sharded slow tier the slow-side I/O runs against (and is
-        attributed to) the segment's assigned shard.  Access counts are
+        slow tier and writes to the fast one, a demotion the reverse.  The
+        slow-side I/O runs against (and is attributed to) the shard
+        serving the segment on the ``slow`` array.  Access counts are
         halved afterwards so heat reflects a sliding window rather than
         all time.
         """
@@ -147,17 +131,17 @@ class TierManager:
             if self._accesses.get(seg, 0) < self.config.demote_accesses:
                 placement = self._promoted.pop(seg)
                 self.fast_bytes -= placement.nbytes
-                disk = self._slow_disk(slow, seg)
-                # Keep the pre-sharding float association (a + b) + c: the
-                # one-shard array must charge bit-identical seconds.
+                disk = slow.segment_disk(*seg)
+                # Keep the float association (a + b) + c: regrouping it
+                # would move the charged seconds in their last bits.
                 self._charge(clock,
                              fast.read_seconds(placement.nbytes)
                              + placement.nbytes / disk.write_bandwidth
                              + disk.request_overhead,
                              placement.nbytes)
-                self._note_slow_io(slow, seg,
-                                   placement.nbytes / disk.write_bandwidth
-                                   + disk.request_overhead)
+                slow.note_slow_io(*seg,
+                                  placement.nbytes / disk.write_bandwidth
+                                  + disk.request_overhead)
                 self.demotions += 1
                 demoted += 1
 
@@ -176,12 +160,12 @@ class TierManager:
                 continue
             self._promoted[seg] = _Placement(nbytes, count)
             self.fast_bytes += nbytes
-            disk = self._slow_disk(slow, seg)
+            disk = slow.segment_disk(*seg)
             slow_seconds = nbytes / disk.read_bandwidth + disk.request_overhead
             self._charge(clock,
                          slow_seconds + fast.write_seconds(nbytes),
                          nbytes)
-            self._note_slow_io(slow, seg, slow_seconds)
+            slow.note_slow_io(*seg, slow_seconds)
             self.promotions += 1
             promoted += 1
 

@@ -393,10 +393,6 @@ def legacy_configuration(
 # package graph, so a module-level import would cycle.
 
 
-def _shard_disk(store: SegmentStore, shard: int):
-    return store.disk if store.array is None else store.array.shard(shard)
-
-
 def reencode_jobs(
     store: SegmentStore,
     stream: str,
@@ -427,11 +423,13 @@ def reencode_jobs(
         tasks: List[ResourceTask] = []
         for index in indices:
             meta = store.meta(stream, source, index)
-            disk = _shard_disk(store, meta.shard)
+            disk = store.array.shard(meta.shard)
+            # Read from the serving shard as a foreground read would, with
+            # any degrade factor folded into the bandwidth.
+            bandwidth, overhead = store.disk_params_for(stream, source, index)
             tasks.append(ResourceTask(
                 kind="read", resource="disk", units=1,
-                duration=(meta.size_bytes / disk.read_bandwidth
-                          + disk.request_overhead),
+                duration=meta.size_bytes / bandwidth + overhead,
                 category="disk", operator="reencode", shard=meta.shard,
             ))
             if not source.coding.raw:
@@ -487,10 +485,9 @@ def retirement_jobs(
         tasks: List[ResourceTask] = []
         for index in store.indices(stream, fmt):
             shard = store.shard_of(stream, fmt, index)
-            disk = _shard_disk(store, shard)
             tasks.append(ResourceTask(
                 kind="delete", resource="disk", units=1,
-                duration=disk.request_overhead,
+                duration=store.array.shard(shard).request_overhead,
                 category="disk", operator="retire", shard=shard,
                 on_done=(lambda s=stream, f=fmt, i=index:
                          store.delete(s, f, i)),

@@ -149,10 +149,11 @@ class VStore:
             CachePlane(cache_config) if cache_config is not None else None
         )
 
-        # The sharded storage plane.  One shard is bit-identical to the
-        # pre-sharding single DiskModel; more shards spread segments by
-        # ``placement`` ("round-robin" | "hash" | "locality" or a policy
-        # instance) and let concurrent retrievals overlap.
+        # The storage plane every segment store runs on.  One shard
+        # charges exactly its one DiskModel's arithmetic; more shards
+        # spread segments by ``placement`` ("round-robin" | "hash" |
+        # "locality" or a policy instance) and let concurrent retrievals
+        # overlap.
         # ``replication=k`` keeps every segment on k distinct shards, so
         # the store survives shard failures (see repro.storage.failures).
         self.disk_array = ShardedDiskArray(shards, placement=placement,

@@ -187,8 +187,8 @@ class ResourceTask:
     operator: str  # cascade stage this task belongs to
     access: Optional[RetrievalAccess] = None  # cache view of a retrieve task
     hit: bool = False  # True when planned as a committed cache hit
-    #: Disk shard serving a "disk" retrieval (0 on unsharded stores);
-    #: the executor routes the task onto that shard's channel pool.
+    #: Disk shard serving a "disk" retrieval; the executor routes the
+    #: task onto that shard's channel pool.
     shard: int = 0
     #: Completion hook, fired at the simulated instant the task finishes.
     #: Background evolution jobs commit their side effect here — a store
@@ -836,10 +836,10 @@ class ConcurrentExecutor:
         # store keeps the original one-pool layout and resource names.
         # The array itself names its channel pools (``io_resources``) so
         # the event loop keeps one ready queue per spindle.
-        self._disk_shards = getattr(store.disk, "n_shards", 1)
+        self._disk_shards = store.array.n_shards
         channels = disk_pool.channels if disk_pool else None
-        io_names = getattr(store.disk, "io_resources", lambda: ["disk"])()
-        disk_pools = {name: _Pool(name, channels) for name in io_names}
+        disk_pools = {name: _Pool(name, channels)
+                      for name in store.array.io_resources()}
         self._pools: Dict[str, _Pool] = {
             **disk_pools,
             "decoder": _Pool(
@@ -1346,7 +1346,7 @@ class ConcurrentExecutor:
         # Close the cross-layer loop: after the run, migrate segments the
         # access stats marked hot (the migration I/O is on the clock).
         if self.cache is not None and self.cache.tiers is not None:
-            self.cache.sweep_tiers(self.clock, self.store.disk)
+            self.cache.sweep_tiers(self.clock, self.store.array)
         return [self._outcome(s) for s in self._sessions]
 
     def _lower(self) -> _Fleet:

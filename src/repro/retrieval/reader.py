@@ -72,8 +72,8 @@ class SegmentReader:
         elementwise, with the exact operation order of the scalar
         per-segment reference (``assess`` in ``tests/oracles/reader.py``),
         so the results are bit-identical (the parity tests in
-        ``tests/test_retrieval.py`` hold it to that, on plain, sharded and
-        tiered stores).
+        ``tests/test_retrieval.py`` hold it to that, on one-shard,
+        sharded and tiered stores).
         """
         if not indices:
             return []
@@ -122,7 +122,7 @@ class SegmentReader:
     def _disk_params(self, stream: str, index: int) -> Tuple[float, float]:
         """(bandwidth, request overhead) serving this segment's raw reads.
 
-        On a sharded store these are the assigned shard's parameters (see
+        These are the serving shard's parameters (see
         :mod:`repro.storage.sharding`); hot segments promoted to the fast
         tier (:mod:`repro.cache.tiers`) stream at fast-tier bandwidth.
         """

@@ -283,8 +283,6 @@ def rebuild_jobs(store: "SegmentStore",
     from repro.query.scheduler import BackgroundJob, ResourceTask
 
     array = store.array
-    if array is None:
-        raise StorageError("rebuild jobs need a sharded store")
     jobs: List[BackgroundJob] = []
     for plan in plan_rebuilds(array, work):
         stream, fmt_text, index = plan.key

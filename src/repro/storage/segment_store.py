@@ -19,12 +19,11 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 from urllib.parse import quote, unquote
 
 from repro.codec.encoder import EncodedSegment
 from repro.errors import StorageError
-from repro.storage.disk import DiskModel, DEFAULT_DISK
 from repro.storage.kvstore import KVStore
 from repro.storage.sharding import RebalanceReport, ShardedDiskArray, plan_rebalance
 from repro.video.coding import Coding
@@ -53,7 +52,7 @@ class StoredSegment:
     activity: float
     seconds: float
     has_payload: bool
-    shard: int = 0  # disk shard holding the segment (0 on unsharded stores)
+    shard: int = 0  # disk shard serving the segment's reads
 
     @property
     def segment(self) -> Segment:
@@ -95,21 +94,20 @@ def _parse_fmt(text: str) -> StorageFormat:
 class SegmentStore:
     """Stores and retrieves per-format video segments.
 
+    The segments live on ``array``, a
+    :class:`~repro.storage.sharding.ShardedDiskArray`: its placement policy
+    picks each segment's shards, writes charge every copy's shard, and the
+    metadata record persists the copy set so placement survives reopen.
+
     When a cache plane is attached (``self.cache``), every write and
     delete invalidates the affected segment's cached artifacts — decoded
     frames, memoized operator results, tier placement — so re-ingest and
     erosion can never leave stale cache state behind.
     """
 
-    def __init__(self, kv: KVStore,
-                 disk: Union[DiskModel, ShardedDiskArray] = DEFAULT_DISK):
+    def __init__(self, kv: KVStore, array: ShardedDiskArray):
         self.kv = kv
-        self.disk = disk
-        #: The sharded storage plane, when one backs this store.  A plain
-        #: DiskModel keeps the pre-sharding single-spindle behavior.
-        self.array: Optional[ShardedDiskArray] = (
-            disk if isinstance(disk, ShardedDiskArray) else None
-        )
+        self.array = array
         self.cache = None  # Optional[repro.cache.plane.CachePlane]
         self._footprint: Dict[Tuple[str, str], int] = {}
         self._count: Dict[Tuple[str, str], int] = {}
@@ -180,12 +178,9 @@ class SegmentStore:
                 self._footprint.get(bucket, 0) + meta["size_bytes"]
             )
             self._count[bucket] = self._count.get(bucket, 0) + 1
-            if self.array is not None:
-                replicas = meta.get("replicas")
-                self.array.adopt(stream, fmt_text, index,
-                                 meta["shard"], meta["size_bytes"],
-                                 replicas=None if replicas is None
-                                 else tuple(replicas))
+            self.array.adopt(stream, fmt_text, index,
+                             meta["shard"], meta["size_bytes"],
+                             replicas=tuple(meta.get("replicas", ())))
 
     @staticmethod
     def _key_text(stream: str, fmt_text: str, index: int) -> str:
@@ -212,9 +207,9 @@ class SegmentStore:
             charge: bool = True) -> None:
         """Store an encoded segment (metadata + optional payload).
 
-        On a sharded store the placement policy assigns (or re-finds) the
-        segment's shard; the write is charged to that shard and the shard
-        id is persisted in the metadata record so placement survives
+        The array's placement policy assigns (or re-finds) the segment's
+        shard; the write is charged to every copy's shard and the shard
+        ids are persisted in the metadata record so placement survives
         reopen.
 
         Online evolution tags its writes with the in-flight format
@@ -229,21 +224,17 @@ class SegmentStore:
                 f"stream name {stream!r} collides with the reserved "
                 f"{_META_PREFIX!r} key prefix"
             )
-        shard = 0
-        replicas: Tuple[int, ...] = ()
-        if self.array is not None:
-            fmt_text = _fmt_key(encoded.fmt)
-            shard = self.array.place(stream, fmt_text, index,
-                                     encoded.size_bytes, encoded.activity)
-            if self.array.replication > 1:
-                replicas = self.array.replicas(stream, fmt_text, index)
+        fmt_text = _fmt_key(encoded.fmt)
+        self.array.place(stream, fmt_text, index, encoded.size_bytes,
+                         encoded.activity)
+        replicas = self.array.replicas(stream, fmt_text, index)
         meta = {
             "size_bytes": encoded.size_bytes,
             "n_frames": encoded.n_frames,
             "activity": encoded.activity,
             "seconds": encoded.segment.seconds,
             "payload": encoded.payload is not None,
-            "shard": shard,
+            "shard": replicas[0],
         }
         if len(replicas) > 1:
             meta["replicas"] = list(replicas)
@@ -256,12 +247,9 @@ class SegmentStore:
         existed = key in self.kv
         self.kv.put(key, blob)
         if charge:
-            if self.array is not None:
-                # A replicated write pays every copy's spindle.
-                for target in replicas or (shard,):
-                    self.array.write_at(target, encoded.size_bytes)
-            else:
-                self.disk.write(encoded.size_bytes)
+            # A replicated write pays every copy's spindle.
+            for target in replicas:
+                self.array.write_at(target, encoded.size_bytes)
         self._invalidate_cache(encoded.segment.stream, encoded.segment.index)
         bucket = (encoded.segment.stream, _fmt_key(encoded.fmt))
         if existed:
@@ -299,17 +287,12 @@ class SegmentStore:
         """Fetch one segment's metadata (charges no disk time: reads are
         the executor's retrieve tasks).
 
-        On a sharded store the reported shard is the array's *effective*
-        assignment, not the raw persisted field — a store written on a
-        wider array folds onto the current shard count at open, and the
-        metadata record may still carry the out-of-range original.
+        The reported shard is the array's *effective* assignment, not the
+        raw persisted field — a store written on a wider array folds onto
+        the current shard count at open, and the metadata record may
+        still carry the out-of-range original.
         """
-        key = self._require(stream, fmt, index)
-        meta = self._read_meta(key)
-        if self.array is not None:
-            shard = self.shard_of(stream, fmt, index)
-        else:
-            shard = meta["shard"]
+        meta = self._read_meta(self._require(stream, fmt, index))
         return StoredSegment(
             stream=stream,
             index=index,
@@ -319,7 +302,7 @@ class SegmentStore:
             activity=meta["activity"],
             seconds=meta["seconds"],
             has_payload=meta["payload"],
-            shard=shard,
+            shard=self.shard_of(stream, fmt, index),
         )
 
     def contains(self, stream: str, fmt: StorageFormat, index: int) -> bool:
@@ -357,8 +340,7 @@ class SegmentStore:
             return False
         size = self._read_meta(key)["size_bytes"]
         self.kv.delete(key)
-        if self.array is not None:
-            self.array.forget(stream, _fmt_key(fmt), index)
+        self.array.forget(stream, _fmt_key(fmt), index)
         self._invalidate_cache(stream, index)
         bucket = (stream, _fmt_key(fmt))
         remaining = self._count.get(bucket, 0) - 1
@@ -393,18 +375,16 @@ class SegmentStore:
 
     @property
     def n_shards(self) -> int:
-        return 1 if self.array is None else self.array.n_shards
+        return self.array.n_shards
 
     def shard_of(self, stream: str, fmt: StorageFormat, index: int) -> int:
-        """The shard a segment's *reads* route to (0 on unsharded stores).
+        """The shard a segment's *reads* route to.
 
         On a healthy array this is the placed primary.  Under shard
         failures it is the fastest surviving replica, and a segment whose
         every replica was destroyed raises
         :class:`~repro.errors.ReplicaUnavailableError` — the data is gone.
         """
-        if self.array is None:
-            return 0
         shard = self.array.effective_read_shard(stream, _fmt_key(fmt), index)
         return 0 if shard is None else shard
 
@@ -415,9 +395,7 @@ class SegmentStore:
         Routes through :meth:`shard_of`, so a degraded shard's factor is
         folded into the bandwidth and failed shards are bypassed.
         """
-        if self.array is not None:
-            return self.array.read_params_at(self.shard_of(stream, fmt, index))
-        return self.disk.read_bandwidth, self.disk.request_overhead
+        return self.array.read_params_at(self.shard_of(stream, fmt, index))
 
     def commit_replica(self, stream: str, fmt_text: str, index: int,
                        shard: int) -> None:
@@ -428,8 +406,6 @@ class SegmentStore:
         when the copy completes only the bookkeeping remains — the array's
         replica map and the metadata record's shard/replica fields.
         """
-        if self.array is None:
-            return
         self.array.add_replica(stream, fmt_text, index, shard)
         key = self._key_text(stream, fmt_text, index)
         blob = self.kv.get(key)
@@ -454,9 +430,9 @@ class SegmentStore:
         Cached decoded frames and results stay valid — the bytes did not
         change, only their spindle.
 
-        No-op (empty report) on unsharded and single-shard stores.
+        No-op (empty report) on single-shard stores.
         """
-        if self.array is None or self.array.n_shards <= 1:
+        if self.array.n_shards <= 1:
             return RebalanceReport(
                 moves=0, bytes_moved=0.0, seconds=0.0,
                 imbalance_before=0.0, imbalance_after=0.0,

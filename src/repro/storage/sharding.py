@@ -28,9 +28,9 @@ charges writes to the assigned shard through this class.  Reads are the
 executor's retrieve tasks: they are costed from the serving shard's
 :meth:`ShardedDiskArray.read_params_at` and run on its ``disk:i`` pool.
 
-A one-shard array is bit-identical to the pre-sharding single
-:class:`DiskModel` path — same float operations, same clock categories —
-which the parity tests enforce.
+A one-shard array charges exactly its one :class:`DiskModel`'s
+arithmetic — same float operations, same clock categories — which the
+parity tests enforce against a bare ``DiskModel``.
 
 Keys can be stored **k-way replicated** (``replication=k``): the policy's
 :meth:`PlacementPolicy.choose_replicas` picks k *distinct* shards (primary
@@ -40,9 +40,10 @@ tracked here too — ``fail_shard`` destroys a shard's replicas (promoting
 surviving copies, recording data loss when none survive),
 ``degrade_shard`` slows its reads by a factor, ``recover_shard`` returns
 the (empty) spindle to service — so the failure campaigns in
-:mod:`repro.storage.failures` have one place to flip.  With the default
-``replication=1`` and no health events none of this machinery executes,
-preserving the bit-parity contract above.
+:mod:`repro.storage.failures` have one place to flip.  With no health
+events none of this machinery executes, preserving the bit-parity
+contract above.  The placement books keep one copy set per key, primary
+first, whatever the replication factor.
 """
 
 from __future__ import annotations
@@ -192,11 +193,10 @@ def placement_named(name: Union[str, PlacementPolicy]) -> PlacementPolicy:
 class ShardedDiskArray:
     """N independent disk shards behind one placement map.
 
-    Duck-types the single :class:`DiskModel` (``write``, the speed
-    estimates and the ``read_bandwidth``/``request_overhead`` attributes
-    delegate to shard 0), so every pre-sharding caller keeps working; the
-    sharding-aware paths use the keyed entry points (``place``/``locate``/
-    ``write_at``/``read_params_at``/``migrate``).
+    Every :class:`~repro.storage.segment_store.SegmentStore` runs on one;
+    callers go through the keyed entry points (``place``/``locate``/
+    ``write_at``/``read_params_at``/``migrate``) or reach a shard's
+    :class:`DiskModel` with :meth:`shard`.
     """
 
     def __init__(
@@ -238,12 +238,9 @@ class ShardedDiskArray:
                 f"{len(self.disks)} (the shard count) copies"
             )
         self.replication = replication
-        # placement state
-        self._assignment: Dict[ShardKey, int] = {}
+        # placement state: every placed key's copy set, primary first
+        self._copies: Dict[ShardKey, Tuple[int, ...]] = {}
         self._key_bytes: Dict[ShardKey, float] = {}
-        #: replica sets, primary first; only populated for replicated keys,
-        #: so the replication=1 path never touches (or pays for) this map.
-        self._replicas: Dict[ShardKey, Tuple[int, ...]] = {}
         #: keys whose every replica was destroyed: key -> bytes lost.
         self._lost: Dict[ShardKey, float] = {}
         # shard health (empty containers = the bit-parity fast path)
@@ -282,9 +279,8 @@ class ShardedDiskArray:
         (:meth:`~repro.query.scheduler.ConcurrentExecutor._drain`), so
         retrievals queued on different spindles wait in different queues
         and overlap.
-        A one-shard array keeps the pre-sharding ``"disk"`` name so its
-        traces and stats stay bit-compatible with a plain
-        :class:`DiskModel`.
+        A one-shard array names its one pool ``"disk"``, the name its
+        traces and stats carry.
         """
         if self.n_shards > 1:
             return [f"disk:{i}" for i in range(self.n_shards)]
@@ -299,30 +295,6 @@ class ShardedDiskArray:
     def shard_keys(self) -> List[int]:
         """Stored keys per shard (a copy)."""
         return list(self._shard_keys)
-
-    # -- DiskModel compatibility (shard 0) ---------------------------------
-
-    @property
-    def read_bandwidth(self) -> float:
-        return self.disks[0].read_bandwidth
-
-    @property
-    def write_bandwidth(self) -> float:
-        return self.disks[0].write_bandwidth
-
-    @property
-    def request_overhead(self) -> float:
-        return self.disks[0].request_overhead
-
-    def write(self, n_bytes: float, requests: int = 1) -> float:
-        return self.write_at(0, n_bytes, requests)
-
-    def sequential_read_speed(self, bytes_per_video_second: float) -> float:
-        return self.disks[0].sequential_read_speed(bytes_per_video_second)
-
-    def raw_read_speed(self, stored, frame_bytes, consumer_sampling=None):
-        return self.disks[0].raw_read_speed(stored, frame_bytes,
-                                            consumer_sampling)
 
     # -- charged per-shard operations --------------------------------------
 
@@ -377,14 +349,13 @@ class ShardedDiskArray:
         refreshed (an overwrite may change the segment's size).
         """
         key = (stream, fmt_text, index)
-        shard = self._assignment.get(key)
-        if shard is not None:
-            old = self._key_bytes[key]
-            delta = nbytes - old
-            for replica in self._replicas.get(key, (shard,)):
+        copies = self._copies.get(key)
+        if copies is not None:
+            delta = nbytes - self._key_bytes[key]
+            for replica in copies:
                 self._shard_bytes[replica] += delta
             self._key_bytes[key] = nbytes
-            return shard
+            return copies[0]
         if self.replication > 1:
             return self._place_replicated(key, nbytes, activity)
         shard = self.placement.choose(self, stream, fmt_text, index,
@@ -396,7 +367,7 @@ class ShardedDiskArray:
             )
         if shard in self._failed:
             shard = self._healthiest_shard(exclude=())
-        self._record(key, shard, nbytes)
+        self._record(key, (shard,), nbytes)
         self.placements_made += 1
         return shard
 
@@ -435,11 +406,7 @@ class ShardedDiskArray:
                 f"placement {self.placement.name!r} produced only "
                 f"{len(replicas)} replicas for factor {self.replication}"
             )
-        self._record(key, replicas[0], nbytes)
-        for replica in replicas[1:]:
-            self._shard_bytes[replica] += nbytes
-            self._shard_keys[replica] += 1
-        self._replicas[key] = tuple(replicas)
+        self._record(key, tuple(replicas), nbytes)
         self.placements_made += 1
         return replicas[0]
 
@@ -461,55 +428,50 @@ class ShardedDiskArray:
         """Restore a persisted placement at store open.
 
         A store written on a wider array is folded onto this one
-        (``shard % n_shards``), counted in ``folded_placements`` so an
-        operator can see that a rebalance (or a wider reopen) is due.
-        ``replicas`` restores a replicated key's full copy set (primary
-        first); folded duplicates collapse to the surviving distinct set.
+        (``shard % n_shards``); each key with a folded copy counts once
+        in ``folded_placements``, so an operator can see that a rebalance
+        (or a wider reopen) is due.  ``replicas`` restores a replicated
+        key's full copy set (primary first); folded duplicates collapse
+        to the surviving distinct set.
         """
-        if shard >= self.n_shards or shard < 0:
-            shard = shard % self.n_shards
+        persisted = (shard, *(replicas or ()))
+        copies: List[int] = []
+        for copy in persisted:
+            if copy % self.n_shards not in copies:
+                copies.append(copy % self.n_shards)
+        if any(not 0 <= copy < self.n_shards for copy in persisted):
             self.folded_placements += 1
-        key = (stream, fmt_text, index)
-        self._record(key, shard, nbytes)
+        self._record((stream, fmt_text, index), tuple(copies), nbytes)
         self.placements_made += 1
-        if replicas is not None and len(replicas) > 1:
-            kept = [shard]
-            for replica in replicas:
-                folded = replica % self.n_shards
-                if folded != replica:
-                    self.folded_placements += 1
-                if folded not in kept:
-                    kept.append(folded)
-                    self._shard_bytes[folded] += nbytes
-                    self._shard_keys[folded] += 1
-            if len(kept) > 1:
-                self._replicas[key] = tuple(kept)
-        return shard
+        return copies[0]
 
-    def _record(self, key: ShardKey, shard: int, nbytes: float) -> None:
+    def _record(self, key: ShardKey, copies: Tuple[int, ...],
+                nbytes: float) -> None:
         # Re-placing a key destroyed by failures makes it live again.
         self._lost.pop(key, None)
-        self._assignment[key] = shard
+        self._copies[key] = copies
         self._key_bytes[key] = nbytes
-        self._shard_bytes[shard] += nbytes
-        self._shard_keys[shard] += 1
+        for shard in copies:
+            self._shard_bytes[shard] += nbytes
+            self._shard_keys[shard] += 1
         seg = (key[0], key[2])
-        self._segment_shard.setdefault(seg, shard)
+        self._segment_shard.setdefault(seg, copies[0])
         self._segment_formats[seg] = self._segment_formats.get(seg, 0) + 1
 
     def locate(self, stream: str, fmt_text: str, index: int) -> Optional[int]:
         """The shard a key was placed on, or None when never placed."""
-        return self._assignment.get((stream, fmt_text, index))
+        copies = self._copies.get((stream, fmt_text, index))
+        return None if copies is None else copies[0]
 
     def forget(self, stream: str, fmt_text: str, index: int) -> Optional[int]:
         """Drop a key's placement (the segment was deleted)."""
         key = (stream, fmt_text, index)
         self._lost.pop(key, None)
-        shard = self._assignment.pop(key, None)
-        if shard is None:
+        copies = self._copies.pop(key, None)
+        if copies is None:
             return None
         nbytes = self._key_bytes.pop(key)
-        for replica in self._replicas.pop(key, (shard,)):
+        for replica in copies:
             self._shard_bytes[replica] -= nbytes
             self._shard_keys[replica] -= 1
         seg = (key[0], key[2])
@@ -519,7 +481,7 @@ class ShardedDiskArray:
             self._segment_shard.pop(seg, None)
         else:
             self._segment_formats[seg] = remaining
-        return shard
+        return copies[0]
 
     def reassign(self, stream: str, fmt_text: str, index: int,
                  dst: int) -> int:
@@ -529,9 +491,10 @@ class ShardedDiskArray:
         (see :meth:`migrate`).
         """
         key = (stream, fmt_text, index)
-        src = self._assignment.get(key)
-        if src is None:
+        copies = self._copies.get(key)
+        if copies is None:
             raise StorageError(f"cannot reassign unplaced key {key!r}")
+        src = copies[0]
         if not 0 <= dst < self.n_shards:
             raise StorageError(f"no such shard: {dst}")
         if dst == src:
@@ -540,21 +503,16 @@ class ShardedDiskArray:
             raise ShardFailedError(
                 f"cannot reassign {key!r} onto failed shard {dst}"
             )
-        replicas = self._replicas.get(key)
-        if replicas is not None:
-            if dst in replicas:
-                raise StorageError(
-                    f"shard {dst} already holds a replica of {key!r}"
-                )
-            self._replicas[key] = tuple(
-                dst if r == src else r for r in replicas
+        if dst in copies:
+            raise StorageError(
+                f"shard {dst} already holds a replica of {key!r}"
             )
+        self._copies[key] = (dst,) + copies[1:]
         nbytes = self._key_bytes[key]
         self._shard_bytes[src] -= nbytes
         self._shard_keys[src] -= 1
         self._shard_bytes[dst] += nbytes
         self._shard_keys[dst] += 1
-        self._assignment[key] = dst
         seg = (key[0], key[2])
         if self._segment_shard.get(seg) == src:
             self._segment_shard[seg] = dst
@@ -568,19 +526,11 @@ class ShardedDiskArray:
 
         Unreplicated keys return a one-tuple; unplaced keys return ``()``.
         """
-        key = (stream, fmt_text, index)
-        existing = self._replicas.get(key)
-        if existing is not None:
-            return existing
-        shard = self._assignment.get(key)
-        return () if shard is None else (shard,)
+        return self._copies.get((stream, fmt_text, index), ())
 
     def replica_assignments(self) -> Dict[ShardKey, Tuple[int, ...]]:
         """Snapshot of every placed key's full replica set."""
-        return {
-            key: self._replicas.get(key, (shard,))
-            for key, shard in self._assignment.items()
-        }
+        return dict(self._copies)
 
     def add_replica(self, stream: str, fmt_text: str, index: int,
                     shard: int) -> None:
@@ -590,7 +540,8 @@ class ShardedDiskArray:
         the ``on_done`` commit that makes the new copy readable.
         """
         key = (stream, fmt_text, index)
-        if key not in self._assignment:
+        current = self._copies.get(key)
+        if current is None:
             raise StorageError(f"cannot replicate unplaced key {key!r}")
         if not 0 <= shard < self.n_shards:
             raise StorageError(f"no such shard: {shard}")
@@ -598,7 +549,6 @@ class ShardedDiskArray:
             raise ShardFailedError(
                 f"cannot place a replica on failed shard {shard}"
             )
-        current = self._replicas.get(key, (self._assignment[key],))
         if shard in current:
             raise StorageError(
                 f"shard {shard} already holds a replica of {key!r}"
@@ -606,7 +556,7 @@ class ShardedDiskArray:
         nbytes = self._key_bytes[key]
         self._shard_bytes[shard] += nbytes
         self._shard_keys[shard] += 1
-        self._replicas[key] = current + (shard,)
+        self._copies[key] = current + (shard,)
         self.replicas_rebuilt += 1
         self.rebuilt_bytes += nbytes
 
@@ -654,21 +604,17 @@ class ShardedDiskArray:
         self._degraded.pop(shard, None)
         self.failures_injected += 1
         rebuild: List[Tuple[ShardKey, float, int]] = []
-        for key in [k for k, s in self._assignment.items()
-                    if shard in self._replicas.get(k, (s,))]:
+        for key, copies in [(k, c) for k, c in self._copies.items()
+                            if shard in c]:
             nbytes = self._key_bytes[key]
             self._shard_bytes[shard] -= nbytes
             self._shard_keys[shard] -= 1
-            survivors = tuple(
-                r for r in self._replicas.get(key, (self._assignment[key],))
-                if r != shard
-            )
+            survivors = tuple(r for r in copies if r != shard)
             if not survivors:
                 # Data loss: the key is gone from the store's bookkeeping
                 # but remembered so reads can say *why* they fail.
-                del self._assignment[key]
+                del self._copies[key]
                 del self._key_bytes[key]
-                self._replicas.pop(key, None)
                 self._lost[key] = nbytes
                 seg = (key[0], key[2])
                 remaining = self._segment_formats.get(seg, 1) - 1
@@ -679,17 +625,16 @@ class ShardedDiskArray:
                     self._segment_formats[seg] = remaining
                 continue
             source = self._fastest_shard(survivors)
-            if self._assignment[key] == shard:
+            if copies[0] == shard:
                 # The promoted survivor leads the copy set: rebalance
                 # planning and reopen take the first copy as the primary.
-                self._assignment[key] = source
                 survivors = (source,) + tuple(
                     r for r in survivors if r != source
                 )
             seg = (key[0], key[2])
             if self._segment_shard.get(seg) == shard:
                 self._segment_shard[seg] = source
-            self._replicas[key] = survivors
+            self._copies[key] = survivors
             rebuild.append((key, nbytes, source))
         return rebuild
 
@@ -753,20 +698,18 @@ class ShardedDiskArray:
         :class:`~repro.errors.ReplicaUnavailableError`.
         """
         key = (stream, fmt_text, index)
-        primary = self._assignment.get(key)
-        if primary is None:
+        copies = self._copies.get(key)
+        if copies is None:
             if key in self._lost:
                 raise ReplicaUnavailableError(
                     f"all replicas of stream={stream} format={fmt_text} "
                     f"segment={index} were lost to shard failures"
                 )
             return None
+        primary = copies[0]
         if not self._failed and not self._degraded:
             return primary
-        survivors = tuple(
-            r for r in self._replicas.get(key, (primary,))
-            if r not in self._failed
-        )
+        survivors = tuple(r for r in copies if r not in self._failed)
         if not survivors:
             raise ShardFailedError(
                 f"every shard holding stream={stream} format={fmt_text} "
@@ -798,8 +741,8 @@ class ShardedDiskArray:
     def assignments(self) -> Dict[ShardKey, Tuple[int, float]]:
         """Snapshot of every placed key: key -> (shard, bytes)."""
         return {
-            key: (shard, self._key_bytes[key])
-            for key, shard in self._assignment.items()
+            key: (copies[0], self._key_bytes[key])
+            for key, copies in self._copies.items()
         }
 
     # -- balance metrics ---------------------------------------------------

@@ -16,10 +16,10 @@ from repro.core.erosion import ErosionPlanner
 from repro.operators.library import Consumer, default_library
 from repro.profiler.coding_profiler import CodingProfiler
 from repro.profiler.profiler import OperatorProfiler
-from repro.storage.disk import DiskModel
 from repro.storage.kvstore import KVStore
 from repro.storage.lifespan import apply_erosion_step
 from repro.storage.segment_store import SegmentStore
+from repro.storage.sharding import ShardedDiskArray
 from repro.units import DAY
 from repro.video.segment import Segment
 
@@ -55,7 +55,7 @@ def test_budgeted_erosion_end_to_end(tmp_path, plan_formats):
 
     # Materialize DAYS days of footage (scaled segments).
     kv = KVStore(str(tmp_path / "seg.log"))
-    store = SegmentStore(kv, DiskModel(clock=SimClock()))
+    store = SegmentStore(kv, ShardedDiskArray(1))
     enc = Encoder(clock=SimClock())
     n_segments = DAYS * 50
     for i in range(n_segments):

@@ -16,7 +16,7 @@ from repro.cache import (
     policy_named,
 )
 from repro.clock import SimClock
-from repro.storage.disk import DiskModel
+from repro.storage.sharding import ShardedDiskArray
 from repro.units import GB, MB
 
 
@@ -196,23 +196,23 @@ class TestTierManager:
     def test_promotion_requires_heat(self):
         tiers = self._manager(promote_accesses=3)
         clock = SimClock()
-        disk = DiskModel(clock=clock)
+        array = ShardedDiskArray(1, clock=clock)
         tiers.record_access("s", 0, 1.0 * MB)
-        tiers.sweep(clock, disk)
+        tiers.sweep(clock, array)
         assert not tiers.is_fast("s", 0)
         for _ in range(3):
             tiers.record_access("s", 0, 1.0 * MB)
-        tiers.sweep(clock, disk)
+        tiers.sweep(clock, array)
         assert tiers.is_fast("s", 0)
         assert tiers.promotions == 1
 
     def test_migration_charges_the_clock(self):
         tiers = self._manager(promote_accesses=1)
         clock = SimClock()
-        disk = DiskModel(clock=clock)
+        array = ShardedDiskArray(1, clock=clock)
         tiers.record_access("s", 0, 8.0 * MB)
         before = clock.now
-        tiers.sweep(clock, disk)
+        tiers.sweep(clock, array)
         assert clock.now > before
         assert clock.spent("migrate") == pytest.approx(clock.now - before)
         assert tiers.migrated_bytes == 8.0 * MB
@@ -220,36 +220,37 @@ class TestTierManager:
     def test_cold_promoted_segments_are_demoted(self):
         tiers = self._manager(promote_accesses=1, demote_accesses=1)
         clock = SimClock()
-        disk = DiskModel(clock=clock)
+        array = ShardedDiskArray(1, clock=clock)
         tiers.record_access("s", 0, 1.0 * MB)
-        tiers.sweep(clock, disk)
+        tiers.sweep(clock, array)
         assert tiers.is_fast("s", 0)
         # No further accesses: heat decays to zero, next sweeps demote.
-        tiers.sweep(clock, disk)
-        tiers.sweep(clock, disk)
+        tiers.sweep(clock, array)
+        tiers.sweep(clock, array)
         assert not tiers.is_fast("s", 0)
         assert tiers.demotions == 1
 
     def test_capacity_bounds_promotions(self):
         tiers = self._manager(promote_accesses=1, capacity_bytes=1.5 * MB)
         clock = SimClock()
-        disk = DiskModel(clock=clock)
+        array = ShardedDiskArray(1, clock=clock)
         tiers.record_access("s", 0, 1.0 * MB)
         tiers.record_access("s", 1, 1.0 * MB)
-        tiers.sweep(clock, disk)
+        tiers.sweep(clock, array)
         assert tiers.promoted_segments == 1
         assert tiers.fast_bytes <= 1.5 * MB
 
     def test_fast_tier_reads_are_faster(self):
         tiers = self._manager(promote_accesses=1)
         clock = SimClock()
-        disk = DiskModel(clock=clock)
+        array = ShardedDiskArray(1, clock=clock)
+        disk = array.shard(0)
         slow_bw, slow_ovh = tiers.read_params("s", 0, disk.read_bandwidth,
                                               disk.request_overhead)
         assert (slow_bw, slow_ovh) == (disk.read_bandwidth,
                                        disk.request_overhead)
         tiers.record_access("s", 0, 1.0 * MB)
-        tiers.sweep(clock, disk)
+        tiers.sweep(clock, array)
         fast_bw, fast_ovh = tiers.read_params("s", 0, disk.read_bandwidth,
                                               disk.request_overhead)
         assert fast_bw > slow_bw and fast_ovh < slow_ovh
@@ -257,9 +258,9 @@ class TestTierManager:
     def test_invalidation_frees_fast_tier_silently(self):
         tiers = self._manager(promote_accesses=1)
         clock = SimClock()
-        disk = DiskModel(clock=clock)
+        array = ShardedDiskArray(1, clock=clock)
         tiers.record_access("s", 0, 1.0 * MB)
-        tiers.sweep(clock, disk)
+        tiers.sweep(clock, array)
         migrated_before = tiers.migration_seconds
         assert tiers.invalidate("s", 0) == 1
         assert not tiers.is_fast("s", 0)

@@ -6,9 +6,9 @@ from repro.clock import SimClock
 from repro.codec.encoder import Encoder
 from repro.errors import StorageError
 from repro.retrieval.reader import SegmentReader
-from repro.storage.disk import DiskModel
 from repro.storage.kvstore import KVStore
 from repro.storage.segment_store import SegmentStore
+from repro.storage.sharding import ShardedDiskArray
 from repro.video.coding import Coding, RAW
 from repro.video.fidelity import Fidelity
 from repro.video.format import StorageFormat
@@ -78,7 +78,7 @@ def reader_for(tmp_path):
     def build(encoded, consumer):
         kv = KVStore(str(tmp_path / f"seg{len(kvs)}.log"))
         kvs.append(kv)
-        store = SegmentStore(kv, DiskModel(clock=SimClock()))
+        store = SegmentStore(kv, ShardedDiskArray(1))
         store.put(encoded)
         return SegmentReader(store, encoded.fmt, Fidelity.parse(consumer))
 
@@ -123,7 +123,7 @@ def test_decode_rejects_raw(clock, reader_for):
     reader = reader_for(encoded, "best-200p-1-100%")
     (out,) = reader.assess_many("s", [0])
     assert reader.category == "disk"
-    disk = reader.store.disk
+    disk = reader.store.array.shard(0)
     frame_bytes = enc.model.raw_frame_bytes(encoded.fmt.fidelity)
     assert out.retrieval_seconds == (encoded.n_frames * frame_bytes
                                      / disk.read_bandwidth

@@ -143,9 +143,9 @@ class TestErosionResilience:
         errors — deletions are idempotent."""
         from repro.clock import SimClock
         from repro.codec.encoder import Encoder
-        from repro.storage.disk import DiskModel
         from repro.storage.lifespan import apply_erosion_step
         from repro.storage.segment_store import SegmentStore
+        from repro.storage.sharding import ShardedDiskArray
         from repro.video.coding import Coding
         from repro.video.fidelity import Fidelity
         from repro.video.format import StorageFormat
@@ -154,7 +154,7 @@ class TestErosionResilience:
         fmt = StorageFormat(Fidelity.parse("bad-100p-1/30-50%"),
                             Coding("fastest", 5))
         kv = KVStore(str(tmp_path / "seg.log"))
-        store = SegmentStore(kv, DiskModel(clock=SimClock()))
+        store = SegmentStore(kv, ShardedDiskArray(1))
         enc = Encoder(clock=SimClock())
         for i in range(40):
             store.put(enc.encode(Segment("cam", i), fmt, 0.2))

@@ -126,7 +126,6 @@ class TestReplicaPlacement:
 
     def test_unreplicated_path_untouched(self):
         array = _fill(_array(shards=4, replication=1))
-        assert array._replicas == {}  # the k=1 path never touches the map
         assert all(len(r) == 1 for r in array.replica_assignments().values())
         assert array.replicas("cam", "fmt", 0) == (array.locate("cam", "fmt", 0),)
 

@@ -7,9 +7,9 @@ from repro.errors import BudgetError
 from repro.ingest.budget import IngestBudget, cores_required
 from repro.ingest.pipeline import IngestionPipeline
 from repro.ingest.transcoder import Transcoder
-from repro.storage.disk import DiskModel
 from repro.storage.kvstore import KVStore
 from repro.storage.segment_store import SegmentStore
+from repro.storage.sharding import ShardedDiskArray
 from repro.units import DAY, GB
 from repro.video.coding import Coding, RAW
 from repro.video.fidelity import Fidelity
@@ -82,7 +82,7 @@ class TestPipeline:
     @pytest.fixture()
     def store(self, tmp_path):
         kv = KVStore(str(tmp_path / "seg.log"))
-        yield SegmentStore(kv, DiskModel(clock=SimClock()))
+        yield SegmentStore(kv, ShardedDiskArray(1))
         kv.close()
 
     def test_ingest_segments_stores_everything(self, store):

@@ -4,7 +4,6 @@ import pytest
 
 from repro.clock import SimClock
 from repro.codec.encoder import Encoder
-from repro.storage.disk import DiskModel
 from repro.storage.kvstore import KVStore
 from repro.storage.lifespan import (
     AgeTracker,
@@ -13,6 +12,7 @@ from repro.storage.lifespan import (
     segment_age_days,
 )
 from repro.storage.segment_store import SegmentStore
+from repro.storage.sharding import ShardedDiskArray
 from repro.units import DAY
 from repro.video.coding import Coding
 from repro.video.fidelity import Fidelity
@@ -55,7 +55,7 @@ def test_age_tracker_groups():
 @pytest.fixture()
 def store(tmp_path):
     kv = KVStore(str(tmp_path / "seg.log"))
-    yield SegmentStore(kv, DiskModel(clock=SimClock()))
+    yield SegmentStore(kv, ShardedDiskArray(1))
     kv.close()
 
 

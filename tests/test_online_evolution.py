@@ -27,6 +27,7 @@ from repro.core.config import derive_configuration
 from repro.core.evolve import (
     decide_consumers,
     legacy_configuration,
+    reencode_jobs,
     replan_incremental,
 )
 from repro.core.store import VStore
@@ -43,9 +44,9 @@ N_SEGMENTS = 4
 T1 = N_SEGMENTS * SEGMENT_SECONDS - 1.0
 
 
-def build_store(workdir, consumers=PHASE1) -> VStore:
+def build_store(workdir, consumers=PHASE1, shards=1) -> VStore:
     store = VStore(workdir=str(workdir),
-                   library=default_library(names=OPERATORS))
+                   library=default_library(names=OPERATORS), shards=shards)
     store.configure(consumers=list(consumers))
     store.ingest("jackson", n_segments=N_SEGMENTS)
     return store
@@ -240,6 +241,25 @@ def test_evolve_without_drift_is_harmless(tmp_path):
 
 
 # -- crash recovery (format epochs) -------------------------------------------
+
+
+def test_reencode_reads_fold_in_a_degraded_shard(tmp_path):
+    """A re-encode job reads each golden segment as a foreground read
+    would: from the serving shard, at its degraded bandwidth."""
+    with build_store(tmp_path / "degraded", shards=2) as store:
+        for shard in range(store.n_shards):
+            store.disk_array.degrade_shard(shard, 8.0)
+        segments = store.segments
+        golden = store.configuration.plan.golden.fmt
+        (job,) = reencode_jobs(segments, "jackson", [golden], golden,
+                               epoch=segments.begin_epoch())
+        reads = [task for task in job.tasks if task.kind == "read"]
+        assert len(reads) == N_SEGMENTS
+        for index, task in enumerate(reads):
+            bandwidth, overhead = segments.disk_params_for("jackson", golden,
+                                                           index)
+            size = segments.meta("jackson", golden, index).size_bytes
+            assert task.duration == size / bandwidth + overhead
 
 
 def test_uncommitted_epoch_rolls_back_at_reopen(drifted_store):

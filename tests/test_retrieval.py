@@ -67,7 +67,7 @@ class TestReader:
     @pytest.fixture()
     def store(self, tmp_path):
         kv = KVStore(str(tmp_path / "seg.log"))
-        store = SegmentStore(kv, DiskModel(clock=SimClock()))
+        store = SegmentStore(kv, ShardedDiskArray(1))
         enc = Encoder(clock=SimClock())
         for fmt in (ENCODED, RAW_FMT):
             for i in range(3):
@@ -157,7 +157,7 @@ class TestBatchAssessParity:
     @pytest.fixture()
     def store(self, tmp_path):
         kv = KVStore(str(tmp_path / "seg.log"))
-        store = SegmentStore(kv, DiskModel(clock=SimClock()))
+        store = SegmentStore(kv, ShardedDiskArray(1))
         enc = Encoder(clock=SimClock())
         for fmt in (ENCODED, RAW_FMT):
             for i in range(5):
@@ -239,8 +239,8 @@ class TestRoutedAssessParity:
     def test_tiering_cache_with_a_promoted_segment(self, tmp_path,
                                                    fmt, consumer):
         kv = KVStore(str(tmp_path / "seg.log"))
-        disk = DiskModel(clock=SimClock())
-        store = SegmentStore(kv, disk)
+        array = ShardedDiskArray(1)
+        store = SegmentStore(kv, array)
         enc = Encoder(clock=SimClock())
         for f in (ENCODED, RAW_FMT):
             for i in range(self.N):
@@ -248,7 +248,7 @@ class TestRoutedAssessParity:
         plane = CachePlane(CacheConfig(tiering=TierConfig()))
         for _ in range(plane.tiers.config.promote_accesses):
             plane.tiers.record_access("cam", 2, 1e6)
-        assert plane.tiers.sweep(SimClock(), disk) == (1, 0)
+        assert plane.tiers.sweep(SimClock(), array) == (1, 0)
         assert plane.tiers.is_fast("cam", 2)
 
         reader = SegmentReader(store, fmt, Fidelity.parse(consumer),

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from repro.clock import SimClock
 from repro.codec.encoder import Encoder
 from repro.errors import StorageError
-from repro.storage.disk import DiskModel
 from repro.storage.kvstore import KVStore
 from repro.storage.segment_store import (
     SegmentStore,
@@ -15,6 +14,7 @@ from repro.storage.segment_store import (
     _parse_fmt,
     _unescape_label,
 )
+from repro.storage.sharding import ShardedDiskArray
 from repro.video.coding import Coding, RAW, coding_space
 from repro.video.fidelity import Fidelity, fidelity_space
 from repro.video.format import StorageFormat
@@ -27,7 +27,7 @@ FMT_B = StorageFormat(Fidelity.parse("best-200p-1-100%"), RAW)
 @pytest.fixture()
 def store(tmp_path):
     kv = KVStore(str(tmp_path / "segments.log"))
-    yield SegmentStore(kv, DiskModel(clock=SimClock()))
+    yield SegmentStore(kv, ShardedDiskArray(1))
     kv.close()
 
 
@@ -49,9 +49,9 @@ def test_put_get_roundtrip(store):
 
 def test_meta_does_not_charge_disk(store):
     store.put(_encode(FMT_A, 0))
-    spent = store.disk.clock.spent("disk")
+    spent = store.array.clock.spent("disk")
     store.meta("cam", FMT_A, 0)
-    assert store.disk.clock.spent("disk") == spent
+    assert store.array.clock.spent("disk") == spent
 
 
 def test_indices_and_formats(store):
@@ -93,13 +93,13 @@ def test_payload_roundtrip(store):
 def test_footprints_survive_reopen(tmp_path):
     path = str(tmp_path / "segments.log")
     kv = KVStore(path)
-    store = SegmentStore(kv, DiskModel(clock=SimClock()))
+    store = SegmentStore(kv, ShardedDiskArray(1))
     e = _encode(FMT_A, 0)
     store.put(e)
     kv.close()
 
     kv2 = KVStore(path)
-    store2 = SegmentStore(kv2, DiskModel(clock=SimClock()))
+    store2 = SegmentStore(kv2, ShardedDiskArray(1))
     assert store2.footprint("cam", FMT_A) == e.size_bytes
     assert store2.indices("cam", FMT_A) == [0]
     kv2.close()

@@ -87,30 +87,35 @@ class TestShardedDiskArray:
         assert array.busy_write_seconds[array.n_shards - 1] > 0
 
     def test_one_shard_read_bit_identical_to_disk_model(self, tmp_path):
-        """A one-shard array serves raw reads with the plain DiskModel's
-        parameters, so retrieval costs match bit for bit — and the
-        ingest writes charge the same clock time."""
-        clock_a, clock_b = SimClock(), SimClock()
-        costs = []
-        for name, disk in (("single", DiskModel(clock=clock_a)),
-                           ("array", ShardedDiskArray(1, clock=clock_b))):
-            kv = KVStore(str(tmp_path / f"{name}.log"))
-            store = SegmentStore(kv, disk)
-            for i in range(3):
-                store.put(_encode(FMT_B, i))
-            reader = SegmentReader(store, FMT_B,
-                                   Fidelity.parse("best-200p-1/6-100%"))
-            costs.append([clip.retrieval_seconds
-                          for clip in reader.assess_many("cam", [0, 1, 2])])
-            kv.close()
-        assert costs[0] == costs[1]
-        assert clock_a.now == clock_b.now
-        assert clock_a.by_category == clock_b.by_category
+        """A one-shard store costs raw reads and charges ingest writes
+        with exactly a bare DiskModel's arithmetic, bit for bit."""
+        reference = DiskModel(clock=SimClock())
+        array = ShardedDiskArray(1)
+        kv = KVStore(str(tmp_path / "segments.log"))
+        store = SegmentStore(kv, array)
+        encoded = [_encode(FMT_B, i) for i in range(3)]
+        for segment in encoded:
+            store.put(segment)
+            reference.write(segment.size_bytes)
+        assert array.clock.now == reference.clock.now
+        assert array.clock.by_category == reference.clock.by_category
 
-    def test_disk_model_compat_surface(self):
-        array = ShardedDiskArray(2)
-        assert array.read_bandwidth == array.disks[0].read_bandwidth
-        assert array.sequential_read_speed(1e6) == array.disks[0].sequential_read_speed(1e6)
+        consumer = Fidelity.parse("best-200p-1/6-100%")
+        reader = SegmentReader(store, FMT_B, consumer)
+        stride = reader.codec.consumer_stride(FMT_B.fidelity,
+                                              consumer.sampling)
+        frame_bytes = reader.codec.raw_frame_bytes(FMT_B.fidelity)
+        bandwidth = reference.read_bandwidth
+        overhead = reference.request_overhead
+        for segment, clip in zip(encoded,
+                                 reader.assess_many("cam", [0, 1, 2])):
+            n_stored = max(1, segment.n_frames)
+            consumed = len(range(0, n_stored, stride))
+            assert clip.retrieval_seconds == min(
+                n_stored * frame_bytes / bandwidth + overhead,
+                consumed * frame_bytes / bandwidth + consumed * overhead,
+            )
+        kv.close()
 
     def test_migrate_charges_both_sides(self):
         array = ShardedDiskArray(2)
@@ -130,6 +135,14 @@ class TestShardedDiskArray:
         shard = array.adopt("cam", "fmt", 0, shard=5, nbytes=100.0)
         assert shard == 5 % 2
         assert array.folded_placements == 1
+
+    def test_adopt_counts_a_folded_replicated_key_once(self):
+        """``folded_placements`` counts adopted keys, not their copies."""
+        array = ShardedDiskArray(4, replication=2)
+        array.adopt("cam", "fmt", 0, shard=5, nbytes=100.0, replicas=(5, 6))
+        assert array.folded_placements == 1
+        assert array.replicas("cam", "fmt", 0) == (1, 2)
+        assert array.shard_bytes == [0.0, 100.0, 100.0, 0.0]
 
     def test_place_is_sticky_and_tracks_bytes(self):
         array = ShardedDiskArray(N_SHARDS, placement="round-robin")
@@ -252,21 +265,6 @@ class TestStoreIntegration:
             meta = narrow.meta("cam", FMT_A, i)
             assert meta.shard == i % 2
             assert narrow.shard_of("cam", FMT_A, i) == i % 2
-        kv.close()
-
-    def test_pre_sharding_store_reads_as_shard_zero(self, tmp_path):
-        """A store written before sharding carries no shard field — every
-        segment folds onto shard 0 and all lookups keep working."""
-        path = str(tmp_path / "segments.log")
-        kv = KVStore(path)
-        plain = SegmentStore(kv, DiskModel(clock=SimClock()))
-        plain.put(_encode(FMT_A, 7))
-        kv.close()
-
-        kv = KVStore(path)
-        sharded = SegmentStore(kv, ShardedDiskArray(4))
-        assert sharded.meta("cam", FMT_A, 7).shard == 0
-        assert sharded.shard_of("cam", FMT_A, 7) == 0
         kv.close()
 
     def test_disk_params_follow_heterogeneous_shards(self, tmp_path):
@@ -397,13 +395,6 @@ class TestRebalance:
         assert report.seconds == 0.0
         kv.close()
 
-    def test_rebalance_noop_on_plain_disk_model(self, tmp_path):
-        kv = KVStore(str(tmp_path / "segments.log"))
-        store = SegmentStore(kv, DiskModel(clock=SimClock()))
-        store.put(_encode(FMT_A, 0))
-        assert store.rebalance().moves == 0
-        kv.close()
-
 
 # ---------------------------------------------------------------------------
 # End to end through the facade and the executor
@@ -431,8 +422,8 @@ def fleet_stores(tmp_path_factory):
 
 class TestEndToEnd:
     def test_single_shard_parity_with_pre_sharding_store(self, fleet_stores):
-        """shards=1 must charge bit-identical time to the pre-sharding
-        sequential reference (the original plain-DiskModel loop)."""
+        """shards=1 must charge bit-identical time to the sequential
+        reference loop in ``tests/oracles``."""
         store = fleet_stores[1]
         engine = store.engine("jackson")
         new = engine.execute(QUERY_A, 0.9, store.segments, 0.0, 32.0)

@@ -234,15 +234,18 @@ def _check_books(array):
         assert per_shard_keys[i] == 0
 
 
-@given(ops=_fault_ops, n_shards=st.integers(min_value=2, max_value=6))
+@given(ops=_fault_ops, n_shards=st.integers(min_value=2, max_value=6),
+       replication=st.integers(min_value=1, max_value=3))
 @settings(max_examples=60, deadline=None)
-def test_fail_rebuild_interleavings_keep_books_consistent(ops, n_shards):
+def test_fail_rebuild_interleavings_keep_books_consistent(ops, n_shards,
+                                                          replication):
     """reassign/migrate/forget interleaved with shard failures and replica
-    rebuilds conserve bytes and keep locate/assignments consistent."""
+    rebuilds conserve bytes and keep locate/assignments consistent, and
+    the final books replay through ``adopt`` as a store reopen does."""
     from repro.errors import ShardFailedError, StorageError
 
     array = ShardedDiskArray(n_shards, placement="round-robin",
-                             replication=min(2, n_shards))
+                             replication=min(replication, n_shards))
     pending = []  # (key, nbytes, source) rebuild work from failures
     for op, idx, arg in ops:
         shard = arg % n_shards
@@ -284,3 +287,14 @@ def test_fail_rebuild_interleavings_keep_books_consistent(ops, n_shards):
         for key, replicas in array.replica_assignments().items()
     )
     assert sum(array.shard_bytes) == pytest.approx(total)
+    # Reopen: a fresh array adopting every persisted copy set rebuilds
+    # the same books.
+    reopened = ShardedDiskArray(n_shards, placement="round-robin",
+                                replication=array.replication)
+    for key, (primary, nbytes) in array.assignments().items():
+        reopened.adopt(*key, primary, nbytes,
+                       replicas=array.replicas(*key))
+    assert reopened.replica_assignments() == array.replica_assignments()
+    assert reopened.shard_bytes == array.shard_bytes
+    assert reopened.shard_keys == array.shard_keys
+    _check_books(reopened)
