@@ -11,6 +11,9 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
+# NumPy loads ``numpy.random`` on first attribute access; importing it here
+# pays that once at import time rather than inside the first cold build.
+import numpy.random  # noqa: F401
 
 
 def stable_seed(*parts: object) -> int:

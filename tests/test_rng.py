@@ -26,3 +26,12 @@ def test_rng_for_independent_streams():
     a = rng_for("dataset", 7).normal(size=16)
     b = rng_for("dataset", 8).normal(size=16)
     assert (a != b).any()
+
+
+def test_importing_rng_loads_numpy_random(under_hash_seed):
+    """``numpy.random`` loads with this module, not on the first
+    ``rng_for`` call, so a cold build never pays for the import."""
+    out = under_hash_seed(
+        "import sys, repro.rng; print('numpy.random' in sys.modules)", "0"
+    )
+    assert out.strip() == "True"
