@@ -37,13 +37,6 @@ def logistic(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
 
 
-def propagation_map(n_frames: int, consumed: np.ndarray) -> np.ndarray:
-    """For each ingest frame j, the index of the consumed frame whose output
-    covers j (the latest consumed frame at or before j)."""
-    positions = np.searchsorted(consumed, np.arange(n_frames), side="right") - 1
-    return consumed[np.maximum(positions, 0)]
-
-
 class Operator(abc.ABC):
     """An algorithmic video consumer."""
 

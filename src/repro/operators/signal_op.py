@@ -17,13 +17,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.operators.accuracy import Confusion
-from repro.operators.base import (
-    Operator,
-    QUALITY_DETAIL,
-    logistic,
-    propagation_map,
-)
-from repro.video.content import ClipTruth
+from repro.operators.base import Operator, QUALITY_DETAIL, logistic
+from repro.video.content import ClipTruth, readonly
 from repro.video.fidelity import Fidelity, RESOLUTIONS
 
 
@@ -62,36 +57,43 @@ class SignalOperator(Operator):
             [t.size * min(1.0, t.speed / 0.05) for t in clip.tracks]
         )
 
+    def _weight(self, sizes: np.ndarray, res_name: str,
+                quality: str) -> np.ndarray:
+        """How well tracks of these sizes are resolved at a resolution and
+        quality (unnormalized)."""
+        res_h = RESOLUTIONS[res_name][1]
+        detail = QUALITY_DETAIL[quality] ** (self.quality_alpha * 0.5)
+        eff = np.maximum(sizes * res_h * detail, 1e-6)
+        return logistic((np.log2(eff) - self.detect_theta) / self.detect_width)
+
     def resolve_weight(self, clip: ClipTruth, fidelity: Fidelity) -> np.ndarray:
         """How well each track is resolved at ``fidelity`` (nt,), in [0, 1],
         normalized to 1 at the ingest fidelity."""
         if not clip.tracks:
             return np.zeros(0)
+        return self._resolve_weight(self._terms(clip), fidelity)
 
-        def weight(res_name: str, quality: str) -> np.ndarray:
-            res_h = RESOLUTIONS[res_name][1]
-            detail = QUALITY_DETAIL[quality] ** (self.quality_alpha * 0.5)
-            sizes = np.array([t.size for t in clip.tracks])
-            eff = np.maximum(sizes * res_h * detail, 1e-6)
-            return logistic((np.log2(eff) - self.detect_theta) / self.detect_width)
-
-        full = weight("720p", "best")
-        now = weight(fidelity.resolution, fidelity.quality)
+    def _resolve_weight(self, terms: "_SignalTerms",
+                        fidelity: Fidelity) -> np.ndarray:
+        now = self._weight(terms.sizes, fidelity.resolution, fidelity.quality)
+        full = terms.full
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(full > 0, np.minimum(1.0, now / full), 0.0)
 
     def signal(self, clip: ClipTruth, fidelity: Fidelity) -> np.ndarray:
         """Measured per-frame signal at ``fidelity`` (n,)."""
-        base = self.camera_weight * _camera_activity(clip)
+        return self._signal(clip, self._terms(clip), fidelity)
+
+    def _signal(self, clip: ClipTruth, terms: "_SignalTerms",
+                fidelity: Fidelity) -> np.ndarray:
         if not clip.tracks:
-            return base
-        contribution = self.object_contribution(clip)
-        weights = self.resolve_weight(clip, fidelity)
+            return terms.base
+        weights = self._resolve_weight(terms, fidelity)
         # Only objects that are both inside the cropped view and in the
         # moving phase of their duty cycle change pixels frame to frame.
         active = clip.in_crop(fidelity.crop) & clip.moving
-        per_frame = (contribution * weights)[:, None] * active
-        return base + per_frame.sum(axis=0)
+        per_frame = (terms.contribution * weights)[:, None] * active
+        return terms.base + per_frame.sum(axis=0)
 
     def true_signal(self, clip: ClipTruth) -> np.ndarray:
         """The signal at the ingest fidelity (full crop, full detail)."""
@@ -113,23 +115,25 @@ class SignalOperator(Operator):
 
     # -- scoring --------------------------------------------------------------------
 
+    def _terms(self, clip: ClipTruth) -> "_SignalTerms":
+        return clip.memo(self, lambda c: _SignalTerms(self, c))
+
     def _held_probability(self, clip: ClipTruth,
                           fidelity: Fidelity) -> np.ndarray:
         """Per-frame positive-label probability after label hold: the
         covering sample's label, decayed toward 0.5 with the hold gap."""
         p = self.label_probability(clip, fidelity)
-        consumed = clip.consumed_index(fidelity)
-        covering = propagation_map(clip.n_frames, consumed)
-        gaps = (np.arange(clip.n_frames) - covering) / float(clip.fps)
+        covering, gaps = clip.label_hold(fidelity)
         confidence = np.exp(-gaps * self.hold_decay)
         return 0.5 + (p[covering] - 0.5) * confidence
 
     def expected_confusion(self, clip: ClipTruth, fidelity: Fidelity) -> Confusion:
-        truth = self.true_signal(clip) > self.threshold
+        terms = self._terms(clip)
         p_held = self._held_probability(clip, fidelity)
-        tp = float(p_held[truth].sum())
-        fn = float((1.0 - p_held[truth]).sum())
-        fp = float(p_held[~truth].sum())
+        held_true = p_held[terms.truth]
+        tp = float(held_true.sum())
+        fn = float((1.0 - held_true).sum())
+        fp = float(p_held[terms.absent].sum())
         return Confusion(tp, fp, fn)
 
     def expected_positive_fraction(self, clip: ClipTruth,
@@ -156,3 +160,26 @@ def _camera_activity(clip: ClipTruth) -> np.ndarray:
         * clip.moving
     ).sum(axis=0)
     return np.maximum(0.0, clip.activity - boost)
+
+
+class _SignalTerms:
+    """What scoring one signal operator on one clip shares across
+    fidelities.
+
+    Built on the first probe and kept in the clip's memo under the
+    operator: the camera component of the signal (``base``), per-track
+    ``sizes`` and fully-resolved ``contribution``, the ingest-fidelity
+    resolve weight ``full`` (these three only when the clip has tracks),
+    and the ingest-fidelity labels ``truth`` and their complement.
+    Every array is read-only.
+    """
+
+    def __init__(self, op: SignalOperator, clip: ClipTruth):
+        self.base = readonly(op.camera_weight * _camera_activity(clip))
+        if clip.tracks:
+            self.sizes = readonly(np.array([t.size for t in clip.tracks]))
+            self.contribution = readonly(op.object_contribution(clip))
+            self.full = readonly(op._weight(self.sizes, "720p", "best"))
+        truth = op._signal(clip, self, op.ingest_fidelity) > op.threshold
+        self.truth = readonly(truth)
+        self.absent = readonly(~truth)

@@ -18,7 +18,9 @@ any clip can be regenerated bit-identically at any point of the pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Hashable, List, Optional, Sequence, Tuple, TypeVar,
+)
 
 import numpy as np
 
@@ -33,6 +35,22 @@ VEHICLE_COLORS: Tuple[str, ...] = ("white", "black", "silver", "red", "blue")
 
 #: Characters a synthetic license plate is made of.
 _PLATE_ALPHABET = "ABCDEFGHJKLMNPRSTUVWXYZ0123456789"
+
+_T = TypeVar("_T")
+
+
+def readonly(array: np.ndarray) -> np.ndarray:
+    """``array``, frozen: a memoized view is shared by every caller, so
+    writing into it raises instead of corrupting later scores."""
+    array.flags.writeable = False
+    return array
+
+
+def propagation_map(n_frames: int, consumed: np.ndarray) -> np.ndarray:
+    """For each ingest frame j, the index of the consumed frame whose output
+    covers j (the latest consumed frame at or before j)."""
+    positions = np.searchsorted(consumed, np.arange(n_frames), side="right") - 1
+    return consumed[np.maximum(positions, 0)]
 
 
 @dataclass(frozen=True)
@@ -225,6 +243,12 @@ class ClipTruth:
     Holds, for each of ``n`` frames and each of the clip's tracks, visibility
     and position, plus the per-frame activity signal.  Operators evaluate
     their detection models against these arrays.
+
+    The per-knob views (:meth:`consumed_index` and :meth:`label_hold` per
+    sampling rate, :meth:`in_crop` per crop factor) are computed once per
+    clip and returned read-only; :meth:`memo` keeps any other per-clip
+    terms (operators keep their scoring terms there).  All of it lives as
+    long as the clip.
     """
 
     def __init__(
@@ -250,6 +274,10 @@ class ClipTruth:
         self.ys = ys
         self.moving = moving  # (n_tracks, n) bool: in the moving duty phase
         self.activity = activity  # (n,)
+        self._consumed: Dict[int, np.ndarray] = {}  # by sampling knob index
+        self._hold: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        self._in_crop: Dict[float, np.ndarray] = {}  # by crop factor
+        self._memo: Dict[Hashable, object] = {}
 
     @classmethod
     def build(cls, model: ContentModel, t0: float, duration: float,
@@ -291,30 +319,65 @@ class ClipTruth:
 
     def in_crop(self, crop: float) -> np.ndarray:
         """(n_tracks, n) mask: visible and inside the central crop window."""
-        if not self.tracks:
-            return self.visible
-        margin = (1.0 - crop) / 2.0
-        inside = (
-            (self.xs >= margin)
-            & (self.xs <= 1.0 - margin)
-            & (self.ys >= margin)
-            & (self.ys <= 1.0 - margin)
-        )
-        return self.visible & inside
+        mask = self._in_crop.get(crop)
+        if mask is None:
+            if not self.tracks:
+                mask = self.visible.view()
+            else:
+                margin = (1.0 - crop) / 2.0
+                inside = (
+                    (self.xs >= margin)
+                    & (self.xs <= 1.0 - margin)
+                    & (self.ys >= margin)
+                    & (self.ys <= 1.0 - margin)
+                )
+                mask = self.visible & inside
+            mask = self._in_crop[crop] = readonly(mask)
+        return mask
 
     def consumed_index(self, fidelity: Fidelity) -> np.ndarray:
         """Indices of frames a consumer at ``fidelity`` actually receives.
 
         Sampling rate s keeps a fraction s of ingest frames, evenly spaced
         and starting at frame 0 (e.g. 1/30 keeps frames 0, 30, 60, ...;
-        2/3 keeps frames 0, 1, 3, 4, 6, ...).
+        2/3 keeps frames 0, 1, 3, 4, 6, ...).  Since 1/s >= 1, consecutive
+        indices floor(k/s) differ by at least one, so they come out
+        strictly increasing with no duplicates to remove.
         """
-        s = float(fidelity.sampling)
-        if s >= 1.0:
-            return np.arange(self.n_frames)
-        n_consumed = int(np.ceil(self.n_frames * s))
-        idx = np.unique(np.floor(np.arange(n_consumed) / s).astype(int))
-        return idx[idx < self.n_frames]
+        idx = self._consumed.get(fidelity.sampling_idx)
+        if idx is None:
+            s = float(fidelity.sampling)
+            if s >= 1.0:
+                idx = np.arange(self.n_frames)
+            else:
+                n_consumed = int(np.ceil(self.n_frames * s))
+                idx = np.floor(np.arange(n_consumed) / s).astype(int)
+                idx = idx[idx < self.n_frames]
+            idx = self._consumed[fidelity.sampling_idx] = readonly(idx)
+        return idx
+
+    def label_hold(self, fidelity: Fidelity) -> Tuple[np.ndarray, np.ndarray]:
+        """(covering, gaps) per ingest frame under label hold at
+        ``fidelity``'s sampling rate: the consumed frame whose output covers
+        each frame (:func:`propagation_map`), and how many seconds that
+        output is stale."""
+        hold = self._hold.get(fidelity.sampling_idx)
+        if hold is None:
+            covering = propagation_map(self.n_frames,
+                                       self.consumed_index(fidelity))
+            gaps = (np.arange(self.n_frames) - covering) / float(self.fps)
+            hold = self._hold[fidelity.sampling_idx] = (
+                readonly(covering), readonly(gaps)
+            )
+        return hold
+
+    def memo(self, key: Hashable, build: Callable[["ClipTruth"], _T]) -> _T:
+        """``build(self)``, computed on the first call for ``key`` and
+        returned by every later one while this clip lives."""
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = build(self)
+        return value
 
     def mean_activity(self) -> float:
         """Average frame-change activity; drives the codec size model."""

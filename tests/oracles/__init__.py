@@ -4,7 +4,9 @@ must match bit for bit.
 Tests import this package as ``oracles``; ``benchmarks/conftest.py`` puts
 ``tests/`` on ``sys.path`` so the benchmarks import it the same way.  The
 scalar segment reader (``assess`` and the clock-charging ``read``) lives
-in :mod:`.reader`; import it as ``from oracles import reader``.
+in :mod:`.reader`; import it as ``from oracles import reader``.  Operator
+scoring recomputed on every probe lives in :mod:`.scoring`; import it as
+``from oracles import scoring``.
 """
 
 from .executor import _execute_sequential, reference_loop
