@@ -10,7 +10,8 @@ planner query into an O(1) table lookup:
 * ``retrieval_speed``  — per consumer sampling rate, chunk skipping included;
 * ``storage_rank``     — the per-fidelity cheapest-storage-first coding
   order, a precomputed argsort instead of a sort per
-  ``cheapest_adequate_coding`` call.
+  ``cheapest_adequate_coding`` call; ``storage_formats`` is the same
+  order as interned storage formats, which the planner's walk reads.
 
 Tables are cached per ``(CodecModel, DiskModel parameters, activity)`` so
 every profiler, sweep point and benchmark in a process shares one build.
@@ -115,6 +116,7 @@ class ProfileTable:
         # cheapest-adequate walk visits candidates in the exact legacy order.
         self._rank = np.argsort(self._size, axis=1, kind="stable")
         self._rank_cache: Dict[int, Tuple[Coding, ...]] = {}
+        self._rank_formats: Dict[int, Tuple[StorageFormat, ...]] = {}
 
     # -- lookups -------------------------------------------------------------
 
@@ -161,6 +163,17 @@ class ProfileTable:
         if cached is None:
             cached = tuple(self._codings[k] for k in self._rank[fi])
             self._rank_cache[fi] = cached
+        return cached
+
+    def storage_formats(self, fidelity: Fidelity
+                        ) -> Tuple[StorageFormat, ...]:
+        """``fidelity``'s encoded storage formats in :meth:`storage_rank`
+        order."""
+        cached = self._rank_formats.get(fidelity.index)
+        if cached is None:
+            cached = tuple(StorageFormat(fidelity, coding)
+                           for coding in self.storage_rank(fidelity))
+            self._rank_formats[fidelity.index] = cached
         return cached
 
 

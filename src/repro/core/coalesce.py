@@ -270,9 +270,24 @@ class StorageFormatPlanner:
     def _cheapest_adequate_coding(
         self, fidelity: Fidelity, demands: Sequence[Demand]
     ) -> Coding:
-        for coding in _storage_rank(self.profiler, fidelity):
-            if self._adequate(StorageFormat(fidelity, coding), demands):
-                return coding
+        """:func:`cheapest_adequate_coding` through the adequacy memo.
+
+        Visits the same (format, demand) pairs in the same order as
+        ``_adequate`` over each ranked format would, so every counter
+        and clock charge is the same; a memo hit is inlined.
+        """
+        adequacy = self._adequacy
+        for fmt in self.profiler.table.storage_formats(fidelity):
+            for demand in demands:
+                verdict = adequacy.get((fmt, demand))
+                if verdict is None:
+                    verdict = self._demand_adequate(fmt, demand)
+                else:
+                    self.profiler.stats.adequacy_hits += 1
+                if not verdict:
+                    break
+            else:
+                return fmt.coding
         return RAW
 
     # -- cost accounting --------------------------------------------------------------

@@ -61,6 +61,9 @@ class ScalarSurfaces:
         )
         return options
 
+    def storage_formats(self, fidelity: Fidelity) -> List[StorageFormat]:
+        return [StorageFormat(fidelity, c) for c in self.storage_rank(fidelity)]
+
 
 def scalar_profiler(**kwargs) -> CodingProfiler:
     """A ``CodingProfiler(**kwargs)`` on :class:`ScalarSurfaces`.
