@@ -121,9 +121,11 @@ class TierManager:
         clock under the ``"migrate"`` category: a promotion reads from the
         slow tier and writes to the fast one, a demotion the reverse.  The
         slow-side I/O runs against (and is attributed to) the shard
-        serving the segment on the ``slow`` array.  Access counts are
-        halved afterwards so heat reflects a sliding window rather than
-        all time.
+        serving the segment on the ``slow`` array.  A promotion's read is
+        costed like a served read, so a degraded shard reads slower;
+        degrading slows no writes, so demotions cost the same.  Access
+        counts are halved afterwards so heat reflects a sliding window
+        rather than all time.
         """
         fast = self.config.fast
         demoted = 0
@@ -160,8 +162,12 @@ class TierManager:
                 continue
             self._promoted[seg] = _Placement(nbytes, count)
             self.fast_bytes += nbytes
-            disk = slow.segment_disk(*seg)
-            slow_seconds = nbytes / disk.read_bandwidth + disk.request_overhead
+            # Read as a served read of the segment would be: a degraded
+            # shard's factor is folded into its bandwidth.
+            bandwidth, overhead = slow.read_params_at(
+                slow.segment_shard(*seg) or 0
+            )
+            slow_seconds = nbytes / bandwidth + overhead
             self._charge(clock,
                          slow_seconds + fast.write_seconds(nbytes),
                          nbytes)

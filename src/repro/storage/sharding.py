@@ -312,7 +312,9 @@ class ShardedDiskArray:
 
         The I/O is charged to *both* sides — the source's read and the
         destination's write each occupy their spindle — and the clock
-        advances by the sum (the move is not pipelined).
+        advances by the sum (the move is not pipelined).  The source is
+        read at :meth:`read_params_at`, so a degraded source reads
+        slower.
         """
         if n_bytes < 0:
             raise StorageError(f"cannot migrate negative bytes: {n_bytes}")
@@ -321,9 +323,9 @@ class ShardedDiskArray:
             raise ShardFailedError(
                 f"cannot migrate via failed shard {failed}"
             )
-        source, dest = self.disks[src], self.disks[dst]
-        read_seconds = (n_bytes / source.read_bandwidth
-                        + requests * source.request_overhead)
+        bandwidth, overhead = self.read_params_at(src)
+        dest = self.disks[dst]
+        read_seconds = n_bytes / bandwidth + requests * overhead
         write_seconds = (n_bytes / dest.write_bandwidth
                          + requests * dest.request_overhead)
         self.clock.charge(read_seconds + write_seconds, category)

@@ -217,6 +217,22 @@ class TestTierManager:
         assert clock.spent("migrate") == pytest.approx(clock.now - before)
         assert tiers.migrated_bytes == 8.0 * MB
 
+    def test_promotion_reads_a_degraded_shard_as_served(self):
+        """A promotion's slow-side read costs what a served read of the
+        same bytes costs, degrade factor included."""
+        tiers = self._manager(promote_accesses=1)
+        clock = SimClock()
+        array = ShardedDiskArray(2, clock=clock)
+        array.adopt("s", "fmt", 0, shard=0, nbytes=8e6)
+        array.degrade_shard(0, 8.0)
+        tiers.record_access("s", 0, 8e6)
+        tiers.sweep(clock, array)
+        assert tiers.is_fast("s", 0)
+        bandwidth, overhead = array.read_params_at(0)
+        assert bandwidth == array.shard(0).read_bandwidth / 8.0
+        assert array.busy_migrate_seconds == [8e6 / bandwidth + overhead,
+                                              0.0]
+
     def test_cold_promoted_segments_are_demoted(self):
         tiers = self._manager(promote_accesses=1, demote_accesses=1)
         clock = SimClock()

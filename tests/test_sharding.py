@@ -130,6 +130,20 @@ class TestShardedDiskArray:
         assert array.busy_migrate_seconds[1] > 0
         assert array.migrated_bytes == 8e6
 
+    def test_migrate_reads_a_degraded_source_as_served(self):
+        """A migration's source read costs what a served read of the same
+        bytes costs, degrade factor included; the write is not slowed."""
+        array = ShardedDiskArray(2)
+        array.degrade_shard(0, 8.0)
+        seconds = array.migrate(0, 1, 8e6)
+        bandwidth, overhead = array.read_params_at(0)
+        assert bandwidth == array.disks[0].read_bandwidth / 8.0
+        read = 8e6 / bandwidth + overhead
+        write = (8e6 / array.disks[1].write_bandwidth
+                 + array.disks[1].request_overhead)
+        assert array.busy_migrate_seconds == [read, write]
+        assert seconds == read + write
+
     def test_adopt_folds_out_of_range_shards(self):
         array = ShardedDiskArray(2)
         shard = array.adopt("cam", "fmt", 0, shard=5, nbytes=100.0)
