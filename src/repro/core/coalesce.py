@@ -126,11 +126,6 @@ class CoalescePlan:
         raise ConfigurationError(f"consumer {consumer} has no storage format")
 
 
-def _storage_rank(profiler: CodingProfiler, fidelity: Fidelity) -> List[Coding]:
-    """Encoded coding options ordered by on-disk size, cheapest first."""
-    return list(profiler.table.storage_rank(fidelity))
-
-
 def coding_is_adequate(
     profiler: CodingProfiler,
     fmt: StorageFormat,
@@ -156,9 +151,9 @@ def cheapest_adequate_coding(
     encoded option is too slow, the coding bypass (raw frames) is chosen —
     exactly the rule of Section 4.3.
     """
-    for coding in _storage_rank(profiler, fidelity):
-        if coding_is_adequate(profiler, StorageFormat(fidelity, coding), demands):
-            return coding
+    for fmt in profiler.table.storage_formats(fidelity):
+        if coding_is_adequate(profiler, fmt, demands):
+            return fmt.coding
     return RAW
 
 

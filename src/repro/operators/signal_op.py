@@ -66,20 +66,6 @@ class SignalOperator(Operator):
         eff = np.maximum(sizes * res_h * detail, 1e-6)
         return logistic((np.log2(eff) - self.detect_theta) / self.detect_width)
 
-    def resolve_weight(self, clip: ClipTruth, fidelity: Fidelity) -> np.ndarray:
-        """How well each track is resolved at ``fidelity`` (nt,), in [0, 1],
-        normalized to 1 at the ingest fidelity."""
-        if not clip.tracks:
-            return np.zeros(0)
-        return self._resolve_weight(self._terms(clip), fidelity)
-
-    def _resolve_weight(self, terms: "_SignalTerms",
-                        fidelity: Fidelity) -> np.ndarray:
-        now = self._weight(terms.sizes, fidelity.resolution, fidelity.quality)
-        full = terms.full
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(full > 0, np.minimum(1.0, now / full), 0.0)
-
     def signal(self, clip: ClipTruth, fidelity: Fidelity) -> np.ndarray:
         """Measured per-frame signal at ``fidelity`` (n,)."""
         return self._signal(clip, self._terms(clip), fidelity)
@@ -88,16 +74,17 @@ class SignalOperator(Operator):
                 fidelity: Fidelity) -> np.ndarray:
         if not clip.tracks:
             return terms.base
-        weights = self._resolve_weight(terms, fidelity)
+        # How well each track is resolved at ``fidelity``, in [0, 1],
+        # normalized to 1 at the ingest fidelity.
+        now = self._weight(terms.sizes, fidelity.resolution, fidelity.quality)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            weights = np.where(terms.full > 0,
+                               np.minimum(1.0, now / terms.full), 0.0)
         # Only objects that are both inside the cropped view and in the
         # moving phase of their duty cycle change pixels frame to frame.
         active = clip.in_crop(fidelity.crop) & clip.moving
         per_frame = (terms.contribution * weights)[:, None] * active
         return terms.base + per_frame.sum(axis=0)
-
-    def true_signal(self, clip: ClipTruth) -> np.ndarray:
-        """The signal at the ingest fidelity (full crop, full detail)."""
-        return self.signal(clip, self.ingest_fidelity)
 
     def noise_scale(self, fidelity: Fidelity) -> float:
         lost = 1.0 - QUALITY_DETAIL[fidelity.quality]
