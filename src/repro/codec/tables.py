@@ -115,7 +115,6 @@ class ProfileTable:
         # Stable argsort matches list.sort over coding_space order, so the
         # cheapest-adequate walk visits candidates in the exact legacy order.
         self._rank = np.argsort(self._size, axis=1, kind="stable")
-        self._rank_cache: Dict[int, Tuple[Coding, ...]] = {}
         self._rank_formats: Dict[int, Tuple[StorageFormat, ...]] = {}
 
     # -- lookups -------------------------------------------------------------
@@ -158,22 +157,18 @@ class ProfileTable:
 
     def storage_rank(self, fidelity: Fidelity) -> Tuple[Coding, ...]:
         """Encoded coding options ordered by on-disk size, cheapest first."""
-        fi = fidelity.index
-        cached = self._rank_cache.get(fi)
-        if cached is None:
-            cached = tuple(self._codings[k] for k in self._rank[fi])
-            self._rank_cache[fi] = cached
-        return cached
+        return tuple(fmt.coding for fmt in self.storage_formats(fidelity))
 
     def storage_formats(self, fidelity: Fidelity
                         ) -> Tuple[StorageFormat, ...]:
         """``fidelity``'s encoded storage formats in :meth:`storage_rank`
-        order."""
-        cached = self._rank_formats.get(fidelity.index)
+        order, interned."""
+        fi = fidelity.index
+        cached = self._rank_formats.get(fi)
         if cached is None:
-            cached = tuple(StorageFormat(fidelity, coding)
-                           for coding in self.storage_rank(fidelity))
-            self._rank_formats[fidelity.index] = cached
+            cached = tuple(StorageFormat(fidelity, self._codings[k])
+                           for k in self._rank[fi])
+            self._rank_formats[fi] = cached
         return cached
 
 

@@ -160,7 +160,9 @@ class _DetectorTerms:
     yields, the ``truth`` mask and its complement, and each track's
     box-drift rate.  ``p_rel`` is kept per (resolution, quality) and
     ``(present_at_sample, match)`` per (sampling, crop), the knobs each
-    depends on.  Every array is read-only.
+    depends on.  Every array is read-only.  Methods take the clip rather
+    than keep it: a reference back from the clip's memo would be a cycle
+    that only the garbage collector frees.
     """
 
     def __init__(self, op: DetectorOperator, clip: ClipTruth):
