@@ -69,21 +69,17 @@ class IngestionPipeline:
         self.codec = codec
         self.clock = clock or SimClock()
         self.transcoder = Transcoder(self.formats, codec, self.clock, budget)
-        self._mean_activity: Optional[float] = None
 
     # -- activity ------------------------------------------------------------
+    # Both read the dataset's shared content model, which memoizes them.
 
     def mean_activity(self) -> float:
-        """Mean frame-change activity over a sample window (cached)."""
-        if self._mean_activity is None:
-            clip = self.content.clip(0.0, self.ACTIVITY_WINDOW, fps=2)
-            self._mean_activity = clip.mean_activity()
-        return self._mean_activity
+        """Mean frame-change activity over a sample window."""
+        return self.content.mean_activity(0.0, self.ACTIVITY_WINDOW, fps=2)
 
     def segment_activity(self, segment: Segment) -> float:
         """Activity of one segment (coarse 2 fps ground-truth pass)."""
-        clip = self.content.clip(segment.t0, segment.seconds, fps=2)
-        return clip.mean_activity()
+        return self.content.mean_activity(segment.t0, segment.seconds, fps=2)
 
     # -- actual ingestion -----------------------------------------------------
 

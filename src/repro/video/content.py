@@ -133,12 +133,19 @@ class FrameTruth:
 
 
 class ContentModel:
-    """Deterministic scene generator for one dataset."""
+    """Deterministic scene generator for one dataset.
+
+    Tracks are seeded by (dataset, window), so two models of one dataset
+    generate the same footage; :meth:`Dataset.content` keeps one model per
+    dataset so that every stream alias, profiler and query engine of a
+    process reads one window cache and one segment-activity memo.
+    """
 
     def __init__(self, name: str, params: ContentParams):
         self.name = name
         self.params = params
         self._window_cache: Dict[int, List[Track]] = {}
+        self._activity: Dict[Tuple[float, float, int], float] = {}
 
     # -- track generation ----------------------------------------------------
 
@@ -235,6 +242,17 @@ class ContentModel:
     def clip(self, t0: float, duration: float, fps: int = INGEST_FPS) -> "ClipTruth":
         """Materialize ground truth for a clip (used by profiler and queries)."""
         return ClipTruth.build(self, t0, duration, fps)
+
+    def mean_activity(self, t0: float, duration: float, fps: int) -> float:
+        """The mean activity of :meth:`clip` ``(t0, duration, fps)``,
+        memoized: ingest reads one per segment, so stream aliases of this
+        dataset clip each segment once between them."""
+        key = (t0, duration, fps)
+        activity = self._activity.get(key)
+        if activity is None:
+            activity = self._activity[key] = self.clip(
+                t0, duration, fps).mean_activity()
+        return activity
 
 
 class ClipTruth:

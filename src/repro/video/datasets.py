@@ -28,8 +28,18 @@ class Dataset:
     params: ContentParams
 
     def content(self) -> ContentModel:
-        """A deterministic content model for this stream."""
-        return ContentModel(self.name, self.params)
+        """This stream's content model, built on first use and shared by
+        every caller in the process: the footage is a pure function of the
+        dataset and the time, so one window cache serves them all."""
+        key = (self.name, self.params)
+        model = _MODELS.get(key)
+        if model is None:
+            model = _MODELS[key] = ContentModel(self.name, self.params)
+        return model
+
+
+#: The one content model per (name, params), see :meth:`Dataset.content`.
+_MODELS: Dict[Tuple[str, ContentParams], ContentModel] = {}
 
 
 def _d(name: str, kind: str, description: str, **kw) -> Dataset:

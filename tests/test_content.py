@@ -17,7 +17,8 @@ def model():
 
 
 def test_tracks_are_deterministic(model):
-    again = get_dataset("jackson").content()
+    # A second, independent model: ``content()`` would hand back ``model``.
+    again = ContentModel("jackson", DATASETS["jackson"].params)
     a = model.tracks_between(0.0, 300.0)
     b = again.tracks_between(0.0, 300.0)
     assert [t.tid for t in a] == [t.tid for t in b]

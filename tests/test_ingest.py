@@ -1,5 +1,7 @@
 """Ingestion: budgets, transcoder fan-out, pipeline accounting."""
 
+from collections import Counter
+
 import pytest
 
 from repro.clock import SimClock
@@ -11,8 +13,10 @@ from repro.storage.kvstore import KVStore
 from repro.storage.segment_store import SegmentStore
 from repro.storage.sharding import ShardedDiskArray
 from repro.units import DAY, GB
+from repro.video import content, datasets
 from repro.video.coding import Coding, RAW
-from repro.video.fidelity import Fidelity
+from repro.video.content import ContentModel
+from repro.video.fidelity import Fidelity, INGEST_FPS
 from repro.video.format import StorageFormat
 from repro.video.segment import Segment
 
@@ -131,3 +135,59 @@ class TestPipeline:
         pipe = IngestionPipeline("jackson", FORMATS, clock=SimClock())
         a = pipe.mean_activity()
         assert pipe.mean_activity() == a
+
+
+class TestSharedGroundTruth:
+    """Stream aliases of one dataset read one content model."""
+
+    ALIASES = ("cam0", "cam1", "cam2", "cam3")
+    SEGMENTS = 12  # 96 s of footage, so two track windows
+
+    @pytest.fixture()
+    def store(self, tmp_path):
+        kv = KVStore(str(tmp_path / "seg.log"))
+        yield SegmentStore(kv, ShardedDiskArray(1))
+        kv.close()
+
+    def ingest_aliases(self, store, dataset):
+        for alias in self.ALIASES:
+            IngestionPipeline(dataset, FORMATS, store=store, clock=SimClock(),
+                              stream=alias).ingest_segments(self.SEGMENTS)
+
+    def test_aliases_generate_each_window_and_clip_each_segment_once(
+            self, store, monkeypatch):
+        monkeypatch.setattr(datasets, "_MODELS", {})  # no model built yet
+        windows, clips = Counter(), Counter()
+
+        def counted_rng_for(*key, _rng_for=content.rng_for):
+            if key[1] == "window":
+                windows[key] += 1
+            return _rng_for(*key)
+
+        def counted_clip(model, t0, duration, fps=INGEST_FPS,
+                         _clip=ContentModel.clip):
+            clips[t0, duration, fps] += 1
+            return _clip(model, t0, duration, fps)
+
+        monkeypatch.setattr(content, "rng_for", counted_rng_for)
+        monkeypatch.setattr(ContentModel, "clip", counted_clip)
+        self.ingest_aliases(store, "tucson")
+        assert windows == {("tucson", "window", 0): 1,
+                           ("tucson", "window", 1): 1}
+        assert clips == {(Segment("cam0", i).t0, 8.0, 2): 1
+                         for i in range(self.SEGMENTS)}
+
+    @pytest.mark.parametrize("dataset", ["jackson", "dashcam"])
+    def test_recorded_activity_equals_a_fresh_models(self, store, dataset):
+        self.ingest_aliases(store, dataset)
+        params = datasets.get_dataset(dataset).params
+        for alias in self.ALIASES:
+            # One model per stream, as each pipeline once built its own.
+            fresh = ContentModel(dataset, params)
+            for fmt in FORMATS:
+                assert store.indices(alias, fmt) == list(range(self.SEGMENTS))
+                for index in range(self.SEGMENTS):
+                    meta = store.meta(alias, fmt, index)
+                    want = fresh.clip(meta.segment.t0, meta.seconds,
+                                      fps=2).mean_activity()
+                    assert meta.activity.hex() == want.hex()
