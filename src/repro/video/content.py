@@ -219,22 +219,23 @@ class ContentModel:
 
     # -- per-frame truth -----------------------------------------------------
 
-    def camera_activity(self, t: float) -> float:
-        """Camera-induced frame change (high and bursty for dash cameras)."""
+    def camera_activity(self, t: "float | np.ndarray") -> np.ndarray:
+        """Camera-induced frame change at time ``t``, a scalar or an array
+        of frame times (high and bursty for dash cameras)."""
         p = self.params
         if p.camera_motion <= 0.0:
-            return p.activity_floor
+            return np.full(np.shape(t), p.activity_floor)
         # A clipped oscillation models driving/stopping cycles: the vehicle
         # actually stops (activity ~ floor) for stretches of most windows.
         raw = np.sin(t / 2.9) + 0.3 * np.sin(t / 1.1 + 1.0)
-        wave = float(np.clip(raw, 0.0, 1.2)) / 1.2
+        wave = np.clip(raw, 0.0, 1.2) / 1.2
         return p.activity_floor + p.camera_motion * (0.03 + 0.97 * wave)
 
     def frame_truth(self, t: float) -> FrameTruth:
         """Ground truth for the frame at absolute time ``t``."""
         visible = [tr for tr in self.tracks_between(t - 0.001, t + 0.001)
                    if tr.in_frame(t)]
-        activity = self.camera_activity(t)
+        activity = float(self.camera_activity(t))
         for tr in visible:
             activity += tr.size * tr.size * tr.speed * 25.0
         return FrameTruth(t=t, visible=visible, activity=min(2.0, activity))
@@ -303,28 +304,26 @@ class ClipTruth:
         n = max(1, int(round(duration * fps)))
         times = t0 + np.arange(n) / float(fps)
         tracks = model.tracks_between(t0, t0 + duration)
-        nt = len(tracks)
-        visible = np.zeros((nt, n), dtype=bool)
-        xs = np.full((nt, n), np.nan)
-        ys = np.full((nt, n), np.nan)
-        moving = np.zeros((nt, n), dtype=bool)
-        for i, tr in enumerate(tracks):
-            alive = (times >= tr.t0) & (times <= tr.t1)
-            dt = times - tr.t0
-            x = tr.x0 + tr.vx * dt
-            y = tr.y0 + tr.vy * dt
-            vis = alive & (x >= 0) & (x <= 1) & (y >= 0) & (y <= 1)
-            visible[i] = vis
-            xs[i, vis] = x[vis]
-            ys[i, vis] = y[vis]
-            cycle = (dt / tr.period + tr.phase) % 1.0
-            moving[i] = vis & (cycle < tr.duty)
-        activity = np.array([model.camera_activity(t) for t in times])
-        if nt:
-            boost = (np.array([tr.size**2 * tr.speed * 25.0 for tr in tracks])
-                     [:, None] * moving)
-            activity = activity + boost.sum(axis=0)
-        return cls(model.name, t0, fps, times, tracks, visible, xs, ys,
+        activity = model.camera_activity(times)
+        if not tracks:
+            hidden, nowhere = np.zeros((0, n), dtype=bool), np.zeros((0, n))
+            return cls(model.name, t0, fps, times, tracks, hidden, nowhere,
+                       nowhere, hidden, np.minimum(activity, 2.0))
+        # Per-track columns, each (n_tracks, 1), broadcast against times;
+        # ``boost`` is the activity a moving track adds.
+        start, end, x0, y0, vx, vy, period, phase, duty, boost = np.array(
+            [(tr.t0, tr.t1, tr.x0, tr.y0, tr.vx, tr.vy, tr.period, tr.phase,
+              tr.duty, tr.size**2 * tr.speed * 25.0) for tr in tracks]
+        ).T[:, :, None]
+        dt = times - start
+        x = x0 + vx * dt
+        y = y0 + vy * dt
+        visible = ((times >= start) & (times <= end)
+                   & (x >= 0.0) & (x <= 1.0) & (y >= 0.0) & (y <= 1.0))
+        moving = visible & ((dt / period + phase) % 1.0 < duty)
+        activity = activity + (boost * moving).sum(axis=0)
+        return cls(model.name, t0, fps, times, tracks, visible,
+                   np.where(visible, x, np.nan), np.where(visible, y, np.nan),
                    moving, np.minimum(activity, 2.0))
 
     @property

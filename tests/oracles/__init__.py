@@ -6,7 +6,8 @@ Tests import this package as ``oracles``; ``benchmarks/conftest.py`` puts
 scalar segment reader (``assess`` and the clock-charging ``read``) lives
 in :mod:`.reader`; import it as ``from oracles import reader``.  Operator
 scoring recomputed on every probe lives in :mod:`.scoring`; import it as
-``from oracles import scoring``.
+``from oracles import scoring``.  The per-track clip build lives in
+:mod:`.content`; import it as ``from oracles import content``.
 """
 
 from .executor import _execute_sequential, reference_loop

@@ -1,5 +1,6 @@
 """Synthetic content model: determinism, geometry, clip truth."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 from repro.video.content import ContentModel, WINDOW_SECONDS
 from repro.video.datasets import DATASETS, get_dataset
 from repro.video.fidelity import Fidelity
+
+from oracles import content as per_track
 
 
 @pytest.fixture(scope="module")
@@ -141,3 +144,56 @@ def test_window_cache_returns_same_objects(model):
 
 def test_window_seconds_sane():
     assert WINDOW_SECONDS > 0
+
+
+# -- parity with the per-track clip build -------------------------------------
+
+#: Clip shapes as (fps, seconds, offsets): 10-s clips at the ingest rate, as
+#: profiling scans them, and 8-s segments at ingest's 2-fps activity pass.
+CLIP_SHAPES = [
+    pytest.param(30, 10.0, (0.0, 64.0, 320.0, 1000.0), id="30fps"),
+    pytest.param(2, 8.0, tuple(8.0 * i for i in range(32)), id="2fps"),
+]
+
+
+def assert_same_clip(got, want):
+    """Equal tracks, and every array equal in dtype, shape and bytes."""
+    assert got.tracks == want.tracks
+    for name in ("times", "visible", "xs", "ys", "moving", "activity"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape,
+                                                   b.tobytes()), name
+
+
+@pytest.mark.parametrize("fps, seconds, offsets", CLIP_SHAPES)
+@pytest.mark.parametrize("dataset", sorted(DATASETS))
+def test_clip_matches_the_per_track_build(dataset, fps, seconds, offsets):
+    model = ContentModel(dataset, DATASETS[dataset].params)
+    clips = [model.clip(t0, seconds, fps) for t0 in offsets]
+    assert any(clip.tracks for clip in clips)
+    for t0, clip in zip(offsets, clips):
+        assert_same_clip(clip, per_track.clip(model, t0, seconds, fps))
+
+
+# dashcam's moving camera and park's static one: both activity branches.
+CAMERAS = pytest.mark.parametrize("dataset", ["dashcam", "park"])
+
+
+@CAMERAS
+@pytest.mark.parametrize("fps, seconds", [(30, 10.0), (2, 8.0)])
+def test_trackless_clip_matches_the_per_track_build(dataset, fps, seconds):
+    params = dataclasses.replace(DATASETS[dataset].params, arrival_rate=0.0)
+    model = ContentModel(dataset, params)
+    clip = model.clip(64.0, seconds, fps)
+    assert not clip.tracks
+    assert_same_clip(clip, per_track.clip(model, 64.0, seconds, fps))
+
+
+@CAMERAS
+def test_camera_activity_is_one_formula_for_scalars_and_arrays(dataset):
+    model = ContentModel(dataset, DATASETS[dataset].params)
+    times = 64.0 + np.arange(300) / 30.0
+    want = [per_track.camera_activity(model, t) for t in times]
+    assert model.camera_activity(times).tolist() == want
+    assert [float(model.camera_activity(float(t))) for t in times] == want
+    assert (len(set(want)) > 1) == (model.params.camera_motion > 0.0)
