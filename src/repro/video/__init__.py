@@ -12,8 +12,7 @@ This subpackage defines the vocabulary the rest of the system speaks:
   substitutes for the paper's real video datasets;
 * :mod:`repro.video.datasets` — the six benchmark streams (jackson, miami,
   tucson, dashcam, park, airport);
-* :mod:`repro.video.segment` — 8-second segments, the storage unit;
-* :mod:`repro.video.render` — optional pixel rendering of synthetic frames.
+* :mod:`repro.video.segment` — 8-second segments, the storage unit.
 """
 
 from repro.video.coding import (
