@@ -554,3 +554,32 @@ class TestAvailabilityAnalysis:
         assert "data lost          no" in text
         assert "replication k      2" in text
         assert "rebuild window" in text
+
+
+# ---------------------------------------------------------------------------
+# Persistence of failure damage across reopen
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "known defect, ROADMAP item 6: fail_shard drops the failed shard's "
+    "copies from the array's books only; the segment metadata still lists "
+    "them, so reopen() books them again"))
+def test_reopen_keeps_replicas_a_shard_failure_destroyed(tmp_path):
+    with VStore(workdir=str(tmp_path / "store"),
+                library=default_library(names=("Diff", "S-NN", "NN")),
+                shards=4, replication=2) as s:
+        s.configure()
+        s.ingest("jackson", n_segments=4)
+
+        def on_shard_1():
+            return [key for key, copies
+                    in s.disk_array.replica_assignments().items()
+                    if 1 in copies]
+
+        s.inject_failures("fail@0:1")
+        assert len(s.disk_array.replica_assignments()) == 16
+        assert on_shard_1() == []
+        s.flush()
+        s.reopen()
+        assert on_shard_1() == []  # 8 of the 16 keys have a copy there again
