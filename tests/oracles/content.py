@@ -2,7 +2,7 @@
 track and one scalar camera-activity call per frame.
 
 ``clip(model, t0, duration, fps)`` must equal ``model.clip(t0, duration,
-fps)`` bit for bit in every array (``tests/test_content_parity.py``).
+fps)`` bit for bit in every array (``tests/test_content.py``).
 """
 
 from __future__ import annotations

@@ -82,13 +82,14 @@ class TestTranscoder:
             Transcoder(FORMATS, budget=IngestBudget(0.01))
 
 
-class TestPipeline:
-    @pytest.fixture()
-    def store(self, tmp_path):
-        kv = KVStore(str(tmp_path / "seg.log"))
-        yield SegmentStore(kv, ShardedDiskArray(1))
-        kv.close()
+@pytest.fixture()
+def store(tmp_path):
+    kv = KVStore(str(tmp_path / "seg.log"))
+    yield SegmentStore(kv, ShardedDiskArray(1))
+    kv.close()
 
+
+class TestPipeline:
     def test_ingest_segments_stores_everything(self, store):
         pipe = IngestionPipeline("tucson", FORMATS, store=store,
                                  clock=SimClock())
@@ -142,12 +143,6 @@ class TestSharedGroundTruth:
 
     ALIASES = ("cam0", "cam1", "cam2", "cam3")
     SEGMENTS = 12  # 96 s of footage, so two track windows
-
-    @pytest.fixture()
-    def store(self, tmp_path):
-        kv = KVStore(str(tmp_path / "seg.log"))
-        yield SegmentStore(kv, ShardedDiskArray(1))
-        kv.close()
 
     def ingest_aliases(self, store, dataset):
         for alias in self.ALIASES:
