@@ -27,6 +27,7 @@ from repro.cache.frames import (
 from repro.cache.results import ResultCache
 from repro.cache.tiers import TierConfig, TierManager
 from repro.clock import SimClock
+from repro.storage.disk import transfer_seconds
 from repro.storage.sharding import ShardedDiskArray
 from repro.units import GB, MB
 
@@ -163,7 +164,7 @@ class CachePlane:
         """Simulated seconds to serve ``nbytes`` from the RAM tier."""
         if self.config.ram_bandwidth <= 0:
             return 0.0
-        return nbytes / self.config.ram_bandwidth
+        return transfer_seconds(nbytes, self.config.ram_bandwidth, 0.0)
 
     # -- keys --------------------------------------------------------------
 

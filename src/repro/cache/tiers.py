@@ -12,6 +12,10 @@ Only the *disk-bound* part of retrieval benefits: encoded segments are
 decode-bound in this model, so promotion pays off for raw storage formats
 (and for any future format whose retrieval is bandwidth-limited), exactly
 as in the paper's bottleneck analysis (Section 2.2).
+
+Migrations are costed by :func:`~repro.storage.disk.transfer_seconds`, the
+store's one I/O formula: the fast leg on the :class:`StorageTier` envelope,
+the slow leg through the shard array, which folds in shard health.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.clock import SimClock
+from repro.storage.disk import transfer_seconds
 from repro.storage.sharding import ShardedDiskArray
 from repro.units import GB
 
@@ -34,12 +39,6 @@ class StorageTier:
     read_bandwidth: float  # bytes per second, sequential
     write_bandwidth: float
     request_overhead: float  # seconds per random request
-
-    def read_seconds(self, n_bytes: float, requests: int = 1) -> float:
-        return n_bytes / self.read_bandwidth + requests * self.request_overhead
-
-    def write_seconds(self, n_bytes: float, requests: int = 1) -> float:
-        return n_bytes / self.write_bandwidth + requests * self.request_overhead
 
 
 #: The fast tier the paper's platform would add today (NVMe class).
@@ -119,11 +118,11 @@ class TierManager:
         the cold threshold, then promotes the hottest unpromoted segments
         that fit the fast-tier budget.  Every byte moved is charged to the
         clock under the ``"migrate"`` category: a promotion reads from the
-        slow tier and writes to the fast one, a demotion the reverse.  The
-        slow-side I/O runs against (and is attributed to) the shard
-        serving the segment on the ``slow`` array.  A promotion's read is
-        costed like a served read, so a degraded shard reads slower;
-        degrading slows no writes, so demotions cost the same.  Access
+        slow tier and writes to the fast one, a demotion the reverse, and
+        each charge is the fast leg plus the slow leg.  The slow leg runs
+        against (and is attributed to) the shard serving the segment on
+        the ``slow`` array, as a served read (a degraded shard reads
+        slower) or a write (degrading slows no writes).  Access
         counts are halved afterwards so heat reflects a sliding window
         rather than all time.
         """
@@ -133,17 +132,16 @@ class TierManager:
             if self._accesses.get(seg, 0) < self.config.demote_accesses:
                 placement = self._promoted.pop(seg)
                 self.fast_bytes -= placement.nbytes
-                disk = slow.segment_disk(*seg)
-                # Keep the float association (a + b) + c: regrouping it
-                # would move the charged seconds in their last bits.
+                slow_seconds = slow.write_seconds(
+                    slow.segment_shard(*seg) or 0, placement.nbytes
+                )
                 self._charge(clock,
-                             fast.read_seconds(placement.nbytes)
-                             + placement.nbytes / disk.write_bandwidth
-                             + disk.request_overhead,
+                             transfer_seconds(placement.nbytes,
+                                              fast.read_bandwidth,
+                                              fast.request_overhead)
+                             + slow_seconds,
                              placement.nbytes)
-                slow.note_slow_io(*seg,
-                                  placement.nbytes / disk.write_bandwidth
-                                  + disk.request_overhead)
+                slow.note_slow_io(*seg, slow_seconds)
                 self.demotions += 1
                 demoted += 1
 
@@ -162,14 +160,12 @@ class TierManager:
                 continue
             self._promoted[seg] = _Placement(nbytes, count)
             self.fast_bytes += nbytes
-            # Read as a served read of the segment would be: a degraded
-            # shard's factor is folded into its bandwidth.
-            bandwidth, overhead = slow.read_params_at(
-                slow.segment_shard(*seg) or 0
-            )
-            slow_seconds = nbytes / bandwidth + overhead
+            slow_seconds = slow.read_seconds(slow.segment_shard(*seg) or 0,
+                                             nbytes)
             self._charge(clock,
-                         slow_seconds + fast.write_seconds(nbytes),
+                         slow_seconds
+                         + transfer_seconds(nbytes, fast.write_bandwidth,
+                                            fast.request_overhead),
                          nbytes)
             slow.note_slow_io(*seg, slow_seconds)
             self.promotions += 1

@@ -29,7 +29,8 @@ import numpy as np
 
 from repro.codec.chunks import decoded_frame_fraction
 from repro.codec.model import CodecModel
-from repro.storage.disk import DiskModel
+from repro.storage.disk import DiskModel, raw_read_seconds
+from repro.units import SEGMENT_SECONDS
 from repro.video.coding import Coding, coding_space
 from repro.video.fidelity import (
     SAMPLING_RATES,
@@ -94,15 +95,17 @@ class ProfileTable:
             self._retr_enc[:, :, i_co] = np.minimum(1.0 / cost, disk_speed)
 
         # -- retrieval speed, raw formats -----------------------------------
+        # One video second per (fidelity, consumer sampling) cell, as
+        # DiskModel.raw_read_speed costs it: one scan request per segment.
         frame_bytes = np.array([codec.raw_frame_bytes(f) for f in fids])
-        overhead = disk.request_overhead
-        scan = fps * frame_bytes / disk.read_bandwidth + overhead / 8.0
-        self._retr_raw = np.empty((len(fids), len(SAMPLING_RATES)))
-        for i_co, s_cons in enumerate(SAMPLING_RATES):
-            consumed = np.minimum(fps, 30.0 * float(s_cons))
-            sparse = consumed * frame_bytes / disk.read_bandwidth \
-                + consumed * overhead
-            self._retr_raw[:, i_co] = 1.0 / np.minimum(scan, sparse)
+        consumed = np.minimum(
+            fps[:, None], 30.0 * np.array([float(s) for s in SAMPLING_RATES])
+        )
+        self._retr_raw = 1.0 / raw_read_seconds(
+            fps[:, None], consumed, frame_bytes[:, None],
+            disk.read_bandwidth, disk.request_overhead,
+            scan_requests=1 / SEGMENT_SECONDS,
+        )
 
         # Base retrieval (consumer taking every stored frame) is the column
         # matching each fidelity's own sampling rate.

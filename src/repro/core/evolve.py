@@ -423,13 +423,13 @@ def reencode_jobs(
         tasks: List[ResourceTask] = []
         for index in indices:
             meta = store.meta(stream, source, index)
-            disk = store.array.shard(meta.shard)
             # Read from the serving shard as a foreground read would, with
             # any degrade factor folded into the bandwidth.
-            bandwidth, overhead = store.disk_params_for(stream, source, index)
             tasks.append(ResourceTask(
                 kind="read", resource="disk", units=1,
-                duration=meta.size_bytes / bandwidth + overhead,
+                duration=store.array.read_seconds(
+                    store.shard_of(stream, source, index), meta.size_bytes
+                ),
                 category="disk", operator="reencode", shard=meta.shard,
             ))
             if not source.coding.raw:
@@ -453,8 +453,8 @@ def reencode_jobs(
             ))
             tasks.append(ResourceTask(
                 kind="write", resource="disk", units=1,
-                duration=(encoded.size_bytes / disk.write_bandwidth
-                          + disk.request_overhead),
+                duration=store.array.write_seconds(meta.shard,
+                                                   encoded.size_bytes),
                 category="disk", operator="reencode", shard=meta.shard,
                 on_done=(lambda e=encoded:
                          store.put(e, epoch=epoch, charge=False)),
@@ -474,9 +474,10 @@ def retirement_jobs(
 ) -> List["BackgroundJob"]:  # noqa: F821
     """Delete every stored segment of the formats the new plan dropped.
 
-    Deletes are metadata operations: each costs one request overhead on
-    the segment's shard channel, and the ``on_done`` hook performs the
-    actual :meth:`SegmentStore.delete` at the simulated instant.
+    Deletes are metadata operations: each is a zero-byte write (one
+    request overhead) on the segment's shard channel, and the ``on_done``
+    hook performs the actual :meth:`SegmentStore.delete` at the simulated
+    instant.
     """
     from repro.query.scheduler import BackgroundJob, ResourceTask
 
@@ -487,7 +488,7 @@ def retirement_jobs(
             shard = store.shard_of(stream, fmt, index)
             tasks.append(ResourceTask(
                 kind="delete", resource="disk", units=1,
-                duration=store.array.shard(shard).request_overhead,
+                duration=store.array.write_seconds(shard, 0.0),
                 category="disk", operator="retire", shard=shard,
                 on_done=(lambda s=stream, f=fmt, i=index:
                          store.delete(s, f, i)),

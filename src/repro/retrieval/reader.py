@@ -19,6 +19,7 @@ from repro.cache.plane import CachePlane, RetrievalAccess
 from repro.codec.chunks import decoded_frame_count
 from repro.codec.model import CodecModel, DEFAULT_CODEC
 from repro.errors import StorageError
+from repro.storage.disk import raw_read_seconds
 from repro.storage.segment_store import SegmentStore, StoredSegment  # noqa: F401
 from repro.video.fidelity import Fidelity
 from repro.video.format import StorageFormat
@@ -87,12 +88,11 @@ class SegmentReader:
             consumed = -(-n_stored // stride)  # == len(range(0, n, stride))
             frame_bytes = self.codec.raw_frame_bytes(self.fmt.fidelity)
             params = [self._disk_params(stream, i) for i in indices]
-            bandwidth = np.asarray([p[0] for p in params])
-            overhead = np.asarray([p[1] for p in params])
-            scan = n_stored * frame_bytes / bandwidth + overhead
-            sparse = (consumed * frame_bytes / bandwidth
-                      + consumed * overhead)
-            seconds = np.minimum(scan, sparse)
+            seconds = raw_read_seconds(
+                n_stored, consumed, frame_bytes,
+                np.asarray([p[0] for p in params]),
+                np.asarray([p[1] for p in params]),
+            )
         else:
             kf = self.fmt.coding.keyframe_interval
             # decoded_frame_count is exact integer accounting; segments

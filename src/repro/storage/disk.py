@@ -1,53 +1,64 @@
-"""Disk bandwidth/seek model (Section 2.2).
+"""Disk bandwidth/seek model and the store's one I/O cost formula
+(Section 2.2).
 
 The paper's platform has an HDD array sustaining ~1 GB/s sequential reads;
 decoding throughput (tens of MB/s) is far below that, so the disk only
 becomes the bottleneck when loading raw frames.  This model preserves that
 distinction: sequential segment reads are bandwidth-bound, sparse raw-frame
 sampling pays a per-request overhead.
+
+Every simulated I/O second in the store is :func:`transfer_seconds` (bytes
+over bandwidth plus one overhead per request), and every raw-frame read is
+:func:`raw_read_seconds` on top of it.  :class:`DiskModel` is one spindle's
+envelope plus the planner's two speed estimates; I/O is charged through the
+:class:`~repro.storage.sharding.ShardedDiskArray` owning the spindle, which
+folds shard health in once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from repro.clock import SimClock
-from repro.units import GB
+import numpy as np
+
+from repro.units import GB, SEGMENT_SECONDS
 from repro.video.fidelity import Fidelity
+
+
+def transfer_seconds(nbytes, bandwidth, overhead, requests=1):
+    """Seconds to move ``nbytes`` at ``bandwidth`` bytes/s in ``requests``
+    requests of ``overhead`` seconds each; scalars or float64 arrays."""
+    return nbytes / bandwidth + requests * overhead
+
+
+def raw_read_seconds(stored, consumed, frame_bytes, bandwidth, overhead,
+                     scan_requests=1):
+    """Seconds to read ``consumed`` of ``stored`` raw frames.
+
+    Raw frames can be read individually (Table 3, note 2): a reader either
+    scans every stored frame sequentially in ``scan_requests`` requests,
+    dropping the ones it does not need, or reads only the consumed frames,
+    one request each — whichever is faster.  Scalars or float64 arrays.
+    """
+    scan = transfer_seconds(stored * frame_bytes, bandwidth, overhead,
+                            scan_requests)
+    sparse = transfer_seconds(consumed * frame_bytes, bandwidth, overhead,
+                              consumed)
+    if isinstance(scan, np.ndarray):
+        return np.minimum(scan, sparse)
+    # min, not np.minimum: scalar callers keep their Python floats.
+    return min(scan, sparse)
 
 
 @dataclass
 class DiskModel:
-    """A disk array with sequential bandwidth and per-request overhead."""
+    """A disk's sequential bandwidth and per-request overhead."""
 
     read_bandwidth: float = 1.0 * GB  # bytes per second, sequential
     write_bandwidth: float = 0.8 * GB
     request_overhead: float = 0.1e-3  # seconds per random request
-    clock: SimClock = field(default_factory=SimClock)
-
-    # -- charged operations ------------------------------------------------------
-    #
-    # Only writes are charged here.  Reads are the executor's retrieve
-    # tasks, costed from ``read_bandwidth`` and ``request_overhead`` by
-    # ``SegmentReader``.
-
-    @staticmethod
-    def _validate(n_bytes: float, requests: int) -> None:
-        # A negative size or request count would charge negative seconds,
-        # silently rewinding the simulated clock.
-        if n_bytes < 0:
-            raise ValueError(f"cannot transfer negative bytes: {n_bytes}")
-        if requests < 0:
-            raise ValueError(f"negative request count: {requests}")
-
-    def write(self, n_bytes: float, requests: int = 1) -> float:
-        """Charge a write of ``n_bytes``."""
-        self._validate(n_bytes, requests)
-        seconds = n_bytes / self.write_bandwidth + requests * self.request_overhead
-        self.clock.charge(seconds, "disk")
-        return seconds
 
     # -- speed estimates (no charging) ---------------------------------------------
 
@@ -65,10 +76,10 @@ class DiskModel:
     ) -> float:
         """Realtime multiple for reading raw frames of a stored format.
 
-        Raw frames can be read individually (Table 3, note 2): a consumer
-        sampling sparsely touches only its frames, paying one request
-        overhead per frame; a consumer taking every stored frame streams the
-        format sequentially with one request per frame batch.
+        One video second of the format: a consumer sampling sparsely reads
+        only its frames, one request each; a consumer taking every stored
+        frame streams the format sequentially, one request per segment
+        (:func:`raw_read_seconds`).
         """
         if consumer_sampling is None:
             consumer_sampling = stored.sampling
@@ -76,14 +87,9 @@ class DiskModel:
                            30.0 * float(consumer_sampling))
         if consumed_fps <= 0:
             return float("inf")
-        # Strategy 1: scan the whole format sequentially, dropping frames.
-        scan_seconds = (stored.fps * frame_bytes / self.read_bandwidth
-                        + self.request_overhead / 8.0)
-        # Strategy 2: read only the sampled frames, one request each.
-        sparse_seconds = (consumed_fps * frame_bytes / self.read_bandwidth
-                          + consumed_fps * self.request_overhead)
-        # A competent reader picks whichever is faster.
-        seconds = min(scan_seconds, sparse_seconds)
+        seconds = raw_read_seconds(stored.fps, consumed_fps, frame_bytes,
+                                   self.read_bandwidth, self.request_overhead,
+                                   scan_requests=1 / SEGMENT_SECONDS)
         return 1.0 / seconds if seconds > 0 else float("inf")
 
 

@@ -272,7 +272,8 @@ def rebuild_jobs(store: "SegmentStore",
     """Build the background re-replication jobs for one failure's losses.
 
     One job per lost replica: a charged read on the surviving source
-    shard, then a charged write on the chosen destination shard whose
+    shard, costed as a served read (a degraded source reads slower), then
+    a charged write on the chosen destination shard whose
     ``on_done`` commits the new copy
     (:meth:`~repro.storage.segment_store.SegmentStore.commit_replica`)
     at the simulated instant it finished.  Jobs run in executor
@@ -286,28 +287,19 @@ def rebuild_jobs(store: "SegmentStore",
     jobs: List[BackgroundJob] = []
     for plan in plan_rebuilds(array, work):
         stream, fmt_text, index = plan.key
-        src_disk = array.shard(plan.source)
-        dst_disk = array.shard(plan.destination)
-        read_seconds = (
-            plan.nbytes / src_disk.read_bandwidth
-            * array.degrade_factor(plan.source)
-            + src_disk.request_overhead
-        )
-        write_seconds = (plan.nbytes / dst_disk.write_bandwidth
-                         + dst_disk.request_overhead)
         commit = (lambda s=stream, f=fmt_text, i=index,
                   d=plan.destination: store.commit_replica(s, f, i, d))
         tasks = (
             ResourceTask(
                 kind="read", resource="disk", units=1,
-                duration=read_seconds, category="disk",
-                operator="rebuild", shard=plan.source,
+                duration=array.read_seconds(plan.source, plan.nbytes),
+                category="disk", operator="rebuild", shard=plan.source,
             ),
             ResourceTask(
                 kind="replicate", resource="disk", units=1,
-                duration=write_seconds, category="disk",
-                operator="rebuild", shard=plan.destination,
-                on_done=commit,
+                duration=array.write_seconds(plan.destination, plan.nbytes),
+                category="disk", operator="rebuild",
+                shard=plan.destination, on_done=commit,
             ),
         )
         jobs.append(BackgroundJob(

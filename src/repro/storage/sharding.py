@@ -28,9 +28,12 @@ charges writes to the assigned shard through this class.  Reads are the
 executor's retrieve tasks: they are costed from the serving shard's
 :meth:`ShardedDiskArray.read_params_at` and run on its ``disk:i`` pool.
 
-A one-shard array charges exactly its one :class:`DiskModel`'s
-arithmetic — same float operations, same clock categories — which the
-parity tests enforce against a bare ``DiskModel``.
+Every second of shard I/O — writes, migrations, rebuild and re-encode
+tasks, tier moves — is :func:`~repro.storage.disk.transfer_seconds` on a
+shard's envelope, via :meth:`~ShardedDiskArray.read_seconds` (health folded
+in once, by ``read_params_at``) and :meth:`~ShardedDiskArray.write_seconds`;
+writes charge the array's one clock.  A one-shard array costs exactly its
+one :class:`DiskModel` envelope through that formula, bit for bit.
 
 Keys can be stored **k-way replicated** (``replication=k``): the policy's
 :meth:`PlacementPolicy.choose_replicas` picks k *distinct* shards (primary
@@ -54,7 +57,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.clock import SimClock
 from repro.errors import ReplicaUnavailableError, ShardFailedError, StorageError
-from repro.storage.disk import DiskModel
+from repro.storage.disk import DiskModel, transfer_seconds
 from repro.units import GB
 
 #: One placed key: (stream, format key text, segment index).
@@ -195,8 +198,8 @@ class ShardedDiskArray:
 
     Every :class:`~repro.storage.segment_store.SegmentStore` runs on one;
     callers go through the keyed entry points (``place``/``locate``/
-    ``write_at``/``read_params_at``/``migrate``) or reach a shard's
-    :class:`DiskModel` with :meth:`shard`.
+    ``write_at``/``read_seconds``/``write_seconds``/``migrate``) or reach a
+    shard's :class:`DiskModel` envelope with :meth:`shard`.
     """
 
     def __init__(
@@ -214,23 +217,19 @@ class ShardedDiskArray:
         if disks is not None:
             if not disks:
                 raise StorageError("need at least one disk shard")
-            self.clock = clock or disks[0].clock
             self.disks = list(disks)
-            for disk in self.disks:
-                disk.clock = self.clock
         else:
             if shards < 1:
                 raise StorageError(f"need at least one disk shard: {shards}")
-            self.clock = clock or SimClock()
             self.disks = [
                 DiskModel(
                     read_bandwidth=read_bandwidth,
                     write_bandwidth=write_bandwidth,
                     request_overhead=request_overhead,
-                    clock=self.clock,
                 )
                 for _ in range(shards)
             ]
+        self.clock = clock or SimClock()
         self.placement = placement_named(placement)
         if not 1 <= replication <= len(self.disks):
             raise StorageError(
@@ -296,13 +295,34 @@ class ShardedDiskArray:
         """Stored keys per shard (a copy)."""
         return list(self._shard_keys)
 
-    # -- charged per-shard operations --------------------------------------
+    # -- per-shard I/O costs and charges -----------------------------------
+
+    def read_seconds(self, shard: int, n_bytes: float,
+                     requests: int = 1) -> float:
+        """Seconds to read ``n_bytes`` off one shard, as a served read:
+        :meth:`read_params_at` folds in its degrade factor."""
+        return transfer_seconds(n_bytes, *self.read_params_at(shard), requests)
+
+    def write_seconds(self, shard: int, n_bytes: float,
+                      requests: int = 1) -> float:
+        """Seconds to write ``n_bytes`` to one shard (degrading a shard
+        slows only its reads)."""
+        disk = self.disks[shard]
+        return transfer_seconds(n_bytes, disk.write_bandwidth,
+                                disk.request_overhead, requests)
 
     def write_at(self, shard: int, n_bytes: float, requests: int = 1) -> float:
         """Charge a write against one shard (clock category ``"disk"``)."""
         if shard in self._failed:
             raise ShardFailedError(f"cannot write to failed shard {shard}")
-        seconds = self.disks[shard].write(n_bytes, requests)
+        # A negative size or request count would charge negative seconds,
+        # silently rewinding the simulated clock.
+        if n_bytes < 0:
+            raise ValueError(f"cannot transfer negative bytes: {n_bytes}")
+        if requests < 0:
+            raise ValueError(f"negative request count: {requests}")
+        seconds = self.write_seconds(shard, n_bytes, requests)
+        self.clock.charge(seconds, "disk")
         self.busy_write_seconds[shard] += seconds
         return seconds
 
@@ -313,8 +333,8 @@ class ShardedDiskArray:
         The I/O is charged to *both* sides — the source's read and the
         destination's write each occupy their spindle — and the clock
         advances by the sum (the move is not pipelined).  The source is
-        read at :meth:`read_params_at`, so a degraded source reads
-        slower.
+        read as a served read (:meth:`read_seconds`), so a degraded
+        source reads slower.
         """
         if n_bytes < 0:
             raise StorageError(f"cannot migrate negative bytes: {n_bytes}")
@@ -323,17 +343,14 @@ class ShardedDiskArray:
             raise ShardFailedError(
                 f"cannot migrate via failed shard {failed}"
             )
-        bandwidth, overhead = self.read_params_at(src)
-        dest = self.disks[dst]
-        read_seconds = n_bytes / bandwidth + requests * overhead
-        write_seconds = (n_bytes / dest.write_bandwidth
-                         + requests * dest.request_overhead)
-        self.clock.charge(read_seconds + write_seconds, category)
-        self.busy_migrate_seconds[src] += read_seconds
-        self.busy_migrate_seconds[dst] += write_seconds
+        read = self.read_seconds(src, n_bytes, requests)
+        write = self.write_seconds(dst, n_bytes, requests)
+        self.clock.charge(read + write, category)
+        self.busy_migrate_seconds[src] += read
+        self.busy_migrate_seconds[dst] += write
         self.migrations += 1
         self.migrated_bytes += n_bytes
-        return read_seconds + write_seconds
+        return read + write
 
     def note_slow_io(self, stream: str, index: int, seconds: float) -> None:
         """Attribute externally charged slow-tier I/O (tier promotion or
@@ -680,15 +697,10 @@ class ShardedDiskArray:
         return sum(self._lost.values())
 
     def _fastest_shard(self, candidates: Tuple[int, ...]) -> int:
-        """The candidate with the cheapest effective read: bandwidth over
-        degrade factor, ties broken by index."""
-        return min(
-            candidates,
-            key=lambda s: (
-                self._degraded.get(s, 1.0) / self.disks[s].read_bandwidth,
-                s,
-            ),
-        )
+        """The candidate with the highest effective read bandwidth
+        (:meth:`read_params_at`), ties broken by index."""
+        return min(candidates,
+                   key=lambda s: (-self.read_params_at(s)[0], s))
 
     def effective_read_shard(self, stream: str, fmt_text: str,
                              index: int) -> Optional[int]:
@@ -735,10 +747,6 @@ class ShardedDiskArray:
     def segment_shard(self, stream: str, index: int) -> Optional[int]:
         """The shard a segment's formats were first placed on."""
         return self._segment_shard.get((stream, index))
-
-    def segment_disk(self, stream: str, index: int) -> DiskModel:
-        """The disk model serving a segment's slow-tier I/O."""
-        return self.disks[self.segment_shard(stream, index) or 0]
 
     def assignments(self) -> Dict[ShardKey, Tuple[int, float]]:
         """Snapshot of every placed key: key -> (shard, bytes)."""

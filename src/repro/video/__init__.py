@@ -22,7 +22,7 @@ from repro.video.coding import (
     SPEED_STEPS,
     coding_space,
 )
-from repro.video.content import ContentModel, FrameTruth, Track
+from repro.video.content import ContentModel, Track
 from repro.video.datasets import DATASETS, Dataset, get_dataset
 from repro.video.fidelity import (
     CROP_FACTORS,
@@ -45,7 +45,6 @@ __all__ = [
     "DATASETS",
     "Fidelity",
     "fidelity_space",
-    "FrameTruth",
     "get_dataset",
     "KEYFRAME_INTERVALS",
     "knobwise_max",

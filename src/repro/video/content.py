@@ -76,34 +76,9 @@ class Track:
     period: float = 8.0
     phase: float = 0.0
 
-    def moving_at(self, t: float) -> bool:
-        """Whether the object is in the moving part of its duty cycle."""
-        cycle = ((t - self.t0) / self.period + self.phase) % 1.0
-        return cycle < self.duty
-
     @property
     def duration(self) -> float:
         return self.t1 - self.t0
-
-    def position(self, t: float) -> Tuple[float, float]:
-        """Normalized center position at absolute time ``t``."""
-        dt = t - self.t0
-        return (self.x0 + self.vx * dt, self.y0 + self.vy * dt)
-
-    def in_frame(self, t: float) -> bool:
-        """True when the object is alive and its center is inside the frame."""
-        if not (self.t0 <= t <= self.t1):
-            return False
-        x, y = self.position(t)
-        return 0.0 <= x <= 1.0 and 0.0 <= y <= 1.0
-
-    def in_crop(self, t: float, crop: float) -> bool:
-        """True when the center falls inside the central ``crop`` window."""
-        if not self.in_frame(t):
-            return False
-        x, y = self.position(t)
-        margin = (1.0 - crop) / 2.0
-        return margin <= x <= 1.0 - margin and margin <= y <= 1.0 - margin
 
 
 @dataclass(frozen=True)
@@ -120,16 +95,6 @@ class ContentParams:
     person_fraction: float  # fraction of tracks that are people, not cars
     camera_motion: float  # 0 (static camera) .. 1 (driving dash camera)
     activity_floor: float  # background activity (foliage, shadows, noise)
-
-
-@dataclass
-class FrameTruth:
-    """Ground truth for a single frame: which tracks are visible, plus the
-    instantaneous scene activity used by Diff/Motion-style operators."""
-
-    t: float
-    visible: List[Track]
-    activity: float  # 0..1-ish frame-to-frame change measure
 
 
 class ContentModel:
@@ -230,15 +195,6 @@ class ContentModel:
         raw = np.sin(t / 2.9) + 0.3 * np.sin(t / 1.1 + 1.0)
         wave = np.clip(raw, 0.0, 1.2) / 1.2
         return p.activity_floor + p.camera_motion * (0.03 + 0.97 * wave)
-
-    def frame_truth(self, t: float) -> FrameTruth:
-        """Ground truth for the frame at absolute time ``t``."""
-        visible = [tr for tr in self.tracks_between(t - 0.001, t + 0.001)
-                   if tr.in_frame(t)]
-        activity = float(self.camera_activity(t))
-        for tr in visible:
-            activity += tr.size * tr.size * tr.speed * 25.0
-        return FrameTruth(t=t, visible=visible, activity=min(2.0, activity))
 
     def clip(self, t0: float, duration: float, fps: int = INGEST_FPS) -> "ClipTruth":
         """Materialize ground truth for a clip (used by profiler and queries)."""

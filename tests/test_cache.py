@@ -233,6 +233,25 @@ class TestTierManager:
         assert array.busy_migrate_seconds == [8e6 / bandwidth + overhead,
                                               0.0]
 
+    def test_demotion_charges_fast_leg_plus_slow_leg(self):
+        """A demotion's clock charge is the fast tier's read leg plus the
+        slow leg the array books as the shard's migrate time, one sum."""
+        tiers = self._manager(promote_accesses=1, demote_accesses=1)
+        nbytes = 103_413_500.0
+        tiers.record_access("s", 0, nbytes)
+        tiers.sweep(SimClock(), ShardedDiskArray(1))
+        assert tiers.is_fast("s", 0)
+        # A fresh clock and array hold the demotion's charges alone.
+        clock = SimClock()
+        array = ShardedDiskArray(1, clock=clock)
+        tiers.sweep(clock, array)
+        assert tiers.demotions == 1
+        fast, disk = tiers.config.fast, array.shard(0)
+        slow_leg = array.busy_migrate_seconds[0]
+        assert slow_leg == nbytes / disk.write_bandwidth + disk.request_overhead
+        fast_leg = nbytes / fast.read_bandwidth + fast.request_overhead
+        assert clock.spent("migrate") == fast_leg + slow_leg
+
     def test_cold_promoted_segments_are_demoted(self):
         tiers = self._manager(promote_accesses=1, demote_accesses=1)
         clock = SimClock()

@@ -52,27 +52,11 @@ def test_track_geometry(model):
     for t in model.tracks_between(0.0, 600.0):
         assert t.t1 > t.t0
         assert 0.0 < t.size <= 0.6
-        x, y = t.position(t.t0)
-        assert x == pytest.approx(t.x0) and y == pytest.approx(t.y0)
-        if t.in_frame((t.t0 + t.t1) / 2):
-            assert t.in_crop((t.t0 + t.t1) / 2, 1.0)
-
-
-def test_in_crop_narrows_with_crop(model):
-    tracks = model.tracks_between(0.0, 600.0)
-    for t in tracks:
-        mid = (t.t0 + t.t1) / 2
-        if t.in_crop(mid, 0.5):
-            assert t.in_crop(mid, 0.75)
-            assert t.in_crop(mid, 1.0)
 
 
 def test_moving_duty_cycle(model):
     for t in model.tracks_between(0.0, 600.0):
         assert 0.0 < t.duty <= 1.0
-        assert t.moving_at(t.t0 - 1e-9 + t.phase * 0.0) in (True, False)
-        # At the very start of a cycle the object is moving (cycle < duty).
-        assert t.moving_at(t.t0 + (1.0 - t.phase) % 1.0 * t.period + 1e-6) or True
 
 
 def test_camera_activity_static_vs_dashcam():

@@ -26,6 +26,9 @@ from repro.storage.failures import (
     plan_rebuilds,
     rebuild_jobs,
 )
+from repro.storage.disk import DiskModel
+from repro.storage.kvstore import KVStore
+from repro.storage.segment_store import SegmentStore
 from repro.storage.sharding import ShardedDiskArray
 
 from oracles import reference_loop
@@ -339,6 +342,28 @@ class TestApplyAndPlan:
             assert not array.is_failed(plan.destination)
             assert plan.destination not in array.replicas(*plan.key)
             assert plan.source in array.replicas(*plan.key)
+
+    def test_rebuild_reads_a_degraded_source_as_served(self, tmp_path):
+        """A rebuild read off a degraded source costs exactly what a served
+        read of the same bytes costs (``read_params_at``).  The shards run
+        at 1e9 B/s: at a power-of-two bandwidth the two float
+        associations of ``n / bw * f`` and ``n / (bw / f)`` agree."""
+        array = ShardedDiskArray(
+            disks=[DiskModel(read_bandwidth=1e9) for _ in range(3)],
+            placement="round-robin", replication=2, clock=SimClock(),
+        )
+        nbytes = 9_017_032.0
+        array.place("cam", "fmt", 0, nbytes)
+        assert array.replicas("cam", "fmt", 0) == (0, 1)
+        array.degrade_shard(1, 3.0)
+        work = array.fail_shard(0)
+        kv = KVStore(str(tmp_path / "segments.log"))
+        (job,) = rebuild_jobs(SegmentStore(kv, array), work)
+        kv.close()
+        read = job.tasks[0]
+        assert read.shard == 1
+        bandwidth, overhead = array.read_params_at(1)
+        assert read.duration == nbytes / bandwidth + overhead
 
     def test_plan_rebuilds_skips_when_no_destination(self):
         array = _fill(_array(shards=2, replication=2), n=2, nbytes=10.0)

@@ -81,24 +81,26 @@ class TestShardedDiskArray:
         array = ShardedDiskArray(max(2, N_SHARDS))
         array.write_at(0, 1e6)
         array.write_at(array.n_shards - 1, 1e6)
-        assert all(d.clock is array.clock for d in array.disks)
-        assert array.clock.spent("disk") > 0
+        assert array.clock.spent("disk") == (array.busy_write_seconds[0]
+                                             + array.busy_write_seconds[-1])
         assert array.busy_write_seconds[0] > 0
         assert array.busy_write_seconds[array.n_shards - 1] > 0
 
     def test_one_shard_read_bit_identical_to_disk_model(self, tmp_path):
         """A one-shard store costs raw reads and charges ingest writes
         with exactly a bare DiskModel's arithmetic, bit for bit."""
-        reference = DiskModel(clock=SimClock())
+        reference = DiskModel()
+        clock = SimClock()
         array = ShardedDiskArray(1)
         kv = KVStore(str(tmp_path / "segments.log"))
         store = SegmentStore(kv, array)
         encoded = [_encode(FMT_B, i) for i in range(3)]
         for segment in encoded:
             store.put(segment)
-            reference.write(segment.size_bytes)
-        assert array.clock.now == reference.clock.now
-        assert array.clock.by_category == reference.clock.by_category
+            clock.charge(segment.size_bytes / reference.write_bandwidth
+                         + reference.request_overhead, "disk")
+        assert array.clock.now == clock.now
+        assert array.clock.by_category == clock.by_category
 
         consumer = Fidelity.parse("best-200p-1/6-100%")
         reader = SegmentReader(store, FMT_B, consumer)
@@ -284,9 +286,8 @@ class TestStoreIntegration:
     def test_disk_params_follow_heterogeneous_shards(self, tmp_path):
         kv = KVStore(str(tmp_path / "segments.log"))
         clock = SimClock()
-        disks = [DiskModel(clock=clock),
-                 DiskModel(read_bandwidth=2e8, request_overhead=5e-4,
-                           clock=clock)]
+        disks = [DiskModel(),
+                 DiskModel(read_bandwidth=2e8, request_overhead=5e-4)]
         array = ShardedDiskArray(placement="round-robin", disks=disks,
                                  clock=clock)
         store = SegmentStore(kv, array)
