@@ -21,7 +21,7 @@ the result and pins it:
   pairs) under a hard 10 s wall budget — FIFO fleets like these grant
   from plain per-pool queues, not heaps;
 * independent fleets fan out across worker processes
-  (``execute_many(parallel=N)``); with >= 4 host cores the aggregate
+  (``run_fleets(store, fleets, N)``); with >= 4 host cores the aggregate
   scheduling throughput must reach **>= 2.5x** the serial run's;
 * a 64-query smoke cell carries a hard wall-clock budget so CI catches a
   scheduler regression the simulated clock cannot see — and the CI job
@@ -44,7 +44,7 @@ from repro.codec.decoder import DecoderPool
 from repro.core.store import VStore
 from repro.operators.library import default_library
 from repro.query.cascade import QUERY_A
-from repro.query.parallel import merge_reports
+from repro.query.parallel import merge_reports, run_fleets
 from repro.query.scheduler import (
     FairSharePolicy,
     FIFOPolicy,
@@ -352,11 +352,10 @@ def test_parallel_fleet_throughput(record, bench_metrics, fleet):
                   operator_pool=OperatorContextPool(4))
 
     t0 = perf_counter()
-    serial = store.execute_many(fleets, parallel=1, **kwargs)
+    serial = run_fleets(store, fleets, 1, **kwargs)
     serial_wall = perf_counter() - t0
     t0 = perf_counter()
-    parallel = store.execute_many(fleets, parallel=PARALLEL_WORKERS,
-                                  **kwargs)
+    parallel = run_fleets(store, fleets, PARALLEL_WORKERS, **kwargs)
     parallel_wall = perf_counter() - t0
 
     for s, p in zip(serial, parallel):  # worker isolation is bit-exact

@@ -89,7 +89,7 @@ def sharding_report(
     for i in range(array.n_shards):
         pool_busy = pool_util = None
         if stats is not None:
-            pool = "disk" if array.n_shards == 1 else f"disk:{i}"
+            pool = array.io_resource(i)
             if pool in stats.busy_seconds:
                 pool_busy = stats.busy_seconds[pool]
                 pool_util = stats.utilization(pool)

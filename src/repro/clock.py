@@ -62,23 +62,3 @@ class SimClock:
     def spent(self, category: str) -> float:
         """Total simulated seconds charged to ``category`` so far."""
         return self.by_category.get(category, 0.0)
-
-    def reset(self) -> None:
-        """Zero the clock and all per-category totals."""
-        self.now = 0.0
-        self.by_category.clear()
-
-
-@dataclass
-class Stopwatch:
-    """Measures an interval of simulated time on a :class:`SimClock`."""
-
-    clock: SimClock
-    start: float = 0.0
-
-    def __post_init__(self) -> None:
-        self.start = self.clock.now
-
-    def elapsed(self) -> float:
-        """Simulated seconds since this stopwatch was created."""
-        return self.clock.now - self.start

@@ -20,7 +20,7 @@ from repro.ingest.budget import IngestBudget
 from repro.operators.library import Consumer, OperatorLibrary
 from repro.profiler.coding_profiler import CodingProfiler
 from repro.profiler.profiler import OperatorProfiler
-from repro.video.format import ConsumptionFormat, StorageFormat
+from repro.video.format import StorageFormat
 
 #: Default mapping from operator to the dataset it is profiled on
 #: (Section 6.1: Query A operators on jackson, Query B on dashcam).
@@ -75,9 +75,6 @@ class Configuration:
             if d.consumer == consumer:
                 return d
         raise ConfigurationError(f"no decision for consumer {consumer}")
-
-    def consumption_format(self, consumer: Consumer) -> ConsumptionFormat:
-        return self.decision_for(consumer).cf
 
     def storage_plan_for(self, consumer: Consumer) -> SFPlan:
         return self.plan.subscription(consumer)

@@ -347,18 +347,17 @@ class VStore:
     def execute(self, query: str, dataset: str, accuracy: float,
                 t0: float, t1: float,
                 trace: Optional[bool] = None) -> ExecutionResult:
-        """Actually run a query over stored segments.
+        """Actually run one query over stored segments.
 
-        ``trace`` forces per-event trace recording on or off (``None`` =
-        automatic by fleet size).
+        The one-spec case of :meth:`execute_many`: the query runs alone on
+        uncontended pools through :meth:`_run`, so it feeds the drift
+        detector and the metrics and becomes :attr:`last_run`, whose one
+        outcome's ``result`` this returns.  ``trace`` forces per-event
+        trace recording on or off (``None`` = automatic by fleet size).
         """
-        self._check_open()
-        if self.segments is None:
-            raise QueryError("execution requires a workdir-backed store")
-        return self.engine(dataset).execute(
-            cascade_for(query), accuracy, self.segments, t0, t1,
-            trace=trace,
-        )
+        spec = dict(query=query, dataset=dataset, accuracy=accuracy,
+                    t0=t0, t1=t1)
+        return self._run((spec,), trace=trace).outcomes[0].result
 
     # -- concurrent queries ---------------------------------------------------------
 
@@ -473,31 +472,17 @@ class VStore:
                 jobs.extend(rebuild_jobs(self.segments, work))
         return jobs
 
-    def execute_many(self, specs, parallel: Optional[int] = None, **kwargs):
+    def execute_many(self, specs, **kwargs):
         """Admit and run many queries at once against shared resources.
 
         Each spec is a mapping with ``query`` ("A"/"B" or a cascade),
         ``dataset``, ``accuracy``, ``t0``, ``t1``, plus the optional
-        ``stream``, ``contexts`` and ``deadline`` admission knobs.
-        Remaining keyword arguments configure the executor (see
+        ``stream``, ``scheme``, ``contexts`` and ``deadline`` admission
+        knobs.  Remaining keyword arguments configure the executor (see
         :meth:`executor`); outcomes come back in admission order.
-
-        With ``parallel=N``, ``specs`` is instead a sequence of
-        *independent fleets* (each a sequence of specs as above); the
-        fleets are partitioned across ``N`` forked worker processes,
-        each fleet on a fresh ``SimClock`` and without a cache plane,
-        and the per-fleet
-        :class:`~repro.analysis.concurrency.ConcurrencyReport`\\ s come
-        back in fleet order (see :mod:`repro.query.parallel` for the
-        isolation rules and :func:`~repro.query.parallel.merge_reports`
-        for the aggregate view).  ``parallel=1`` runs the same fleets
-        in-process with identical semantics — bit-equal reports.
+        Independent fleets fan out across worker processes through
+        :func:`repro.query.parallel.run_fleets` instead.
         """
-        if parallel is not None:
-            from repro.query.parallel import run_fleets
-
-            self._check_open()
-            return run_fleets(self, specs, parallel, **kwargs)
         return self._run(specs, **kwargs).outcomes
 
     def _run(self, specs=(), *, jobs=(), campaign=None,

@@ -41,10 +41,6 @@ class ConfigurationError(VStoreError):
     """Backward derivation failed to produce a valid configuration."""
 
 
-class ProfilingError(VStoreError):
-    """An operator or coding profile could not be measured."""
-
-
 class QueryError(VStoreError):
     """A query referenced unknown operators, accuracies, or time ranges."""
 

@@ -1,9 +1,10 @@
-"""Query engine: estimating and executing cascades against the store.
+"""Query engine: estimating and planning cascades against the store.
 
 ``estimate`` composes per-stage speeds analytically (how Figure 11a is
-produced); ``execute`` actually streams segments from a segment store
-through the decoder/disk to stochastic operator runs, charging all costs
-to a simulated clock — the full data path of Figure 1.
+produced); ``plan`` lays out the task chain that streams segments from a
+segment store through the decoder/disk to stochastic operator runs — the
+full data path of Figure 1 — for the concurrent executor
+(:mod:`repro.query.scheduler`) to run on a simulated clock.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.cache.plane import CachePlane
 
-from repro.clock import SimClock
-from repro.codec.model import CodecModel, DEFAULT_CODEC
 from repro.core.config import Configuration
 from repro.errors import QueryError
 from repro.operators.library import Consumer, OperatorLibrary
@@ -28,7 +27,6 @@ from repro.query.cascade import QueryCascade, stages_with_coverage
 from repro.retrieval.reader import SegmentReader
 from repro.retrieval.speed import retrieval_speed
 from repro.rng import rng_for
-from repro.storage.disk import DiskModel, DEFAULT_DISK
 from repro.storage.segment_store import SegmentStore
 from repro.video.content import ClipTruth
 from repro.video.datasets import get_dataset
@@ -96,7 +94,7 @@ class ExecutionResult:
 
 
 class QueryEngine:
-    """Runs cascades against one dataset under one configuration."""
+    """Plans and estimates cascades on one dataset under one configuration."""
 
     #: Sample length (video seconds) used for selectivity estimation.
     SELECTIVITY_SAMPLE = 32.0
@@ -106,16 +104,12 @@ class QueryEngine:
         config: Configuration,
         library: OperatorLibrary,
         dataset: str,
-        codec: CodecModel = DEFAULT_CODEC,
-        disk: DiskModel = DEFAULT_DISK,
         cache: Optional["CachePlane"] = None,
         stage_outcomes: Optional[Dict[tuple, Tuple[int, float]]] = None,
     ):
         self.config = config
         self.library = library
         self.dataset = dataset
-        self.codec = codec
-        self.disk = disk
         self.cache = cache
         self._content = get_dataset(dataset).content()
         #: (positive frames, output bytes) per (operator, segment index,
@@ -180,9 +174,7 @@ class QueryEngine:
                     fidelity=fidelity,
                     storage_format=fmt,
                     consumption_speed=op.consumption_speed(fidelity),
-                    retrieval_speed=retrieval_speed(
-                        fmt, fidelity.sampling, self.codec, self.disk
-                    ),
+                    retrieval_speed=retrieval_speed(fmt, fidelity.sampling),
                     coverage=1.0,  # placeholder, fixed below
                     selectivity=selectivities[-1],
                 )
@@ -266,8 +258,7 @@ class QueryEngine:
             consumer = Consumer(name, accuracy)
             fidelity = scheme.consumption_fidelity(consumer)
             fmt = scheme.storage_format(consumer)
-            reader = SegmentReader(store, fmt, fidelity, self.codec,
-                                   cache=self.cache)
+            reader = SegmentReader(store, fmt, fidelity, cache=self.cache)
             tasks: List[ResourceTask] = []
             survivors = []
             n_pos = 0
@@ -402,55 +393,3 @@ class QueryEngine:
         (operator, dataset, segment, fidelity)."""
         rng = rng_for("query", name, self.dataset, index, fidelity.label)
         return np.asarray(op.run(clip, fidelity, rng))
-
-    def execute(
-        self,
-        query: QueryCascade,
-        accuracy: float,
-        store: SegmentStore,
-        t0: float,
-        t1: float,
-        scheme: Optional[AlternativeScheme] = None,
-        clock: Optional[SimClock] = None,
-        contexts: int = 1,
-        stream: Optional[str] = None,
-        trace: Optional[bool] = None,
-    ) -> ExecutionResult:
-        """Stream segments through retrieval into stochastic operator runs.
-
-        This is the degenerate (N=1, uncontended) case of the concurrent
-        executor: the query's task chain runs serially with no other query
-        competing for the disk, decoder or operator pools, charging the
-        same costs in the same order as the sequential data path of
-        Figure 1.  ``contexts`` > 1 scales consumption the way the paper's
-        Section-5 scheduler does: segments are dispatched across that many
-        operator contexts and the stage pays the makespan.
-        """
-        from repro.query.scheduler import ConcurrentExecutor
-
-        clock = clock or SimClock()
-        executor = ConcurrentExecutor(
-            self.config,
-            self.library,
-            store,
-            codec=self.codec,
-            clock=clock,
-            engines={self.dataset: self},
-            cache=self.cache,
-            trace=trace,
-        )
-        executor.admit(query, self.dataset, accuracy, t0, t1,
-                       stream=stream, scheme=scheme, contexts=contexts)
-        outcome = executor.run()[0]
-
-        video_seconds = t1 - t0
-        compute = clock.now
-        return ExecutionResult(
-            query=query.label,
-            dataset=self.dataset,
-            video_seconds=video_seconds,
-            compute_seconds=compute,
-            speed=float("inf") if compute <= 0 else video_seconds / compute,
-            positives_per_stage=outcome.result.positives_per_stage,
-            segments_per_stage=outcome.result.segments_per_stage,
-        )

@@ -134,13 +134,16 @@ class Chain:
 
 
 def plan_chain(plan: "QueryPlan", layout: Tuple[str, ...],
-               disk_shards: int, pool_index: Dict[str, int]) -> Chain:
+               io_resource: Callable[[int], str],
+               pool_index: Dict[str, int]) -> Chain:
     """Lower one plan's chain, cached on the plan.
 
     ``layout`` (the executor's pool names, in order) keys the cache with
-    the stage tuple's identity: routing ``"disk"`` tasks onto per-shard
-    channel pools and numbering the pools are the only executor-dependent
-    parts of the lowering.
+    the stage tuple's identity: routing ``"disk"`` tasks onto their
+    shard's channel pool (``io_resource``, the array's
+    :meth:`~repro.storage.sharding.ShardedDiskArray.io_resource`) and
+    numbering the pools are the only executor-dependent parts of the
+    lowering.
     """
     cached = plan.__dict__.get(_CACHE_ATTR)
     if (cached is not None and cached[0] is plan.stages
@@ -149,8 +152,8 @@ def plan_chain(plan: "QueryPlan", layout: Tuple[str, ...],
     tasks = []
     for uid, task in enumerate(plan.tasks):
         name = task.resource
-        if name == "disk" and disk_shards > 1 and task.kind != "consume":
-            name = f"disk:{task.shard % disk_shards}"
+        if name == "disk":
+            name = io_resource(task.shard)
         tasks.append(_RunTask(task=task, resource=name, units=task.units,
                               duration=task.duration, category=task.category,
                               uid=uid))

@@ -14,7 +14,8 @@ Isolation rules (what makes the parallelism sound):
 * every fleet gets a **fresh SimClock** and a fresh executor — no
   simulated state crosses fleets, so results are bit-identical to
   running the fleets one after another in a single process (which is
-  exactly what ``parallel=1`` does, and what the determinism test pins);
+  exactly what ``run_fleets(store, fleets, 1)`` does, and what the
+  determinism test pins);
 * fleets run **without a cache plane**: a shared cache is cross-fleet
   state, and forked copies would silently diverge from any serial run —
   pass ``cache=...`` and the dispatch refuses rather than lies;
@@ -80,8 +81,10 @@ def run_fleets(store: "VStore", fleets: Sequence[Sequence[dict]],
     <repro.core.store.VStore.execute_many>` takes).  Reports come back
     in fleet order.  ``parallel=1`` (or a single fleet) runs in-process
     — same fresh-clock-per-fleet semantics, so the results are
-    bit-identical to any parallel schedule.
+    bit-identical to any parallel schedule.  A closed store raises
+    :class:`~repro.errors.StorageError` before any worker forks.
     """
+    store._check_open()
     if parallel < 1:
         raise QueryError(f"need at least one worker: parallel={parallel}")
     if "cache" in executor_kwargs:

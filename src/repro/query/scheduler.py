@@ -19,8 +19,9 @@ The executor is a discrete-event simulation.  Each admitted query plans a
 then run the stage's operators); concurrency and slowdown come from queries
 contending for the bounded pools.  With a single query and uncontended
 pools the event loop degenerates to charging each task's duration in
-order, which is exactly what the sequential ``QueryEngine.execute`` used to
-do — N=1 results are bit-identical by construction.
+order, which is exactly what the original sequential loop did (a parity
+oracle in ``tests/oracles``) — so ``VStore.execute``, the N=1 case, is
+bit-identical to it by construction.
 
 Every fleet drains on one event loop over flat arrays
 (:meth:`ConcurrentExecutor._drain`): chains lowered once per plan
@@ -54,7 +55,6 @@ from typing import (
 from repro.cache.plane import CachePlane, RetrievalAccess
 from repro.clock import SimClock
 from repro.codec.decoder import DecoderPool
-from repro.codec.model import CodecModel, DEFAULT_CODEC
 from repro.errors import QueryError
 from repro.obs.trace import task_event
 from repro.query.eventloop import Chain, _RunTask, plan_chain
@@ -814,9 +814,7 @@ class ConcurrentExecutor:
         disk_pool: Optional[DiskBandwidthPool] = None,
         decoder_pool: Optional[DecoderPool] = None,
         operator_pool: Optional[OperatorContextPool] = None,
-        codec: CodecModel = DEFAULT_CODEC,
         clock: Optional[SimClock] = None,
-        engines: Optional[Dict[str, "QueryEngine"]] = None,
         stage_outcomes: Optional[Dict[str, dict]] = None,
         cache: Optional[CachePlane] = None,
         trace: Optional[bool] = None,
@@ -826,7 +824,6 @@ class ConcurrentExecutor:
         self.config = config
         self.library = library
         self.store = store
-        self.codec = codec
         self.policy = policy or FIFOPolicy()
         self.clock = clock or SimClock()
         self.cache = cache
@@ -836,7 +833,6 @@ class ConcurrentExecutor:
         # store keeps the original one-pool layout and resource names.
         # The array itself names its channel pools (``io_resources``) so
         # the event loop keeps one ready queue per spindle.
-        self._disk_shards = store.array.n_shards
         channels = disk_pool.channels if disk_pool else None
         disk_pools = {name: _Pool(name, channels)
                       for name in store.array.io_resources()}
@@ -871,7 +867,7 @@ class ConcurrentExecutor:
         #: aggregates into, or ``None`` to skip — ``VStore.executor()``
         #: attaches the store's registry unless ``REPRO_OBS_METRICS=0``.
         self.metrics = metrics
-        self._engines: Dict[str, "QueryEngine"] = dict(engines or {})
+        self._engines: Dict[str, "QueryEngine"] = {}
         #: Per-dataset stage-outcome memos the engines this executor
         #: builds read and fill (``VStore.executor()`` passes the store's,
         #: so a store's later runs re-run no operator).
@@ -908,8 +904,7 @@ class ConcurrentExecutor:
             from repro.query.engine import QueryEngine
 
             self._engines[dataset] = QueryEngine(
-                self.config, self.library, dataset, codec=self.codec,
-                cache=self.cache,
+                self.config, self.library, dataset, cache=self.cache,
                 stage_outcomes=self._stage_outcomes.setdefault(dataset, {}),
             )
         return self._engines[dataset]
@@ -1138,10 +1133,7 @@ class ConcurrentExecutor:
         its paired start/finish trace records (see
         :meth:`schedule_failures`)."""
         t = self.clock.now
-        resource = (
-            f"disk:{event.shard % self._disk_shards}"
-            if self._disk_shards > 1 else "disk"
-        )
+        resource = self.store.array.io_resource(event.shard)
         operator = f"shard{event.shard}"
         for lifecycle in ("start", "finish"):
             self._events += 1
@@ -1218,8 +1210,8 @@ class ConcurrentExecutor:
 
     def _resource_name(self, task: ResourceTask) -> str:
         """The pool a task runs on: disk retrievals route to their shard."""
-        if task.resource == "disk" and self._disk_shards > 1:
-            return f"disk:{task.shard % self._disk_shards}"
+        if task.resource == "disk":
+            return self.store.array.io_resource(task.shard)
         return task.resource
 
     def _runtime_retrieve(self, task: ResourceTask, uid: int,
@@ -1370,7 +1362,8 @@ class ConcurrentExecutor:
                 chain = lowered.get(id(session.plan))
                 if chain is None:
                     chain = lowered[id(session.plan)] = plan_chain(
-                        session.plan, layout, self._disk_shards, pool_index)
+                        session.plan, layout, self.store.array.io_resource,
+                        pool_index)
                 chains.append(chain)
             return _Fleet(chains, pending, dependents)
         runtime = self._runtime_chains()

@@ -219,13 +219,6 @@ class KVStore:
             if kb.startswith(pb):
                 yield kb.decode("utf-8")
 
-    def value_len(self, key: str) -> int:
-        """Size in bytes of the stored value (no data read)."""
-        entry = self._index.get(key.encode("utf-8"))
-        if entry is None:
-            raise StorageError(f"key not found: {key!r}")
-        return entry[1]
-
     # -- batched writes ----------------------------------------------------------------
 
     def write_batch(self, puts: Dict[str, bytes],

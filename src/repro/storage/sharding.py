@@ -270,6 +270,16 @@ class ShardedDiskArray:
     def shard(self, i: int) -> DiskModel:
         return self.disks[i]
 
+    def io_resource(self, shard: int) -> str:
+        """Executor resource name of ``shard``'s I/O channel pool.
+
+        A one-shard array names its one pool ``"disk"``, the name its
+        traces and stats carry; more shards name theirs ``"disk:i"``.
+        """
+        if self.n_shards > 1:
+            return f"disk:{shard % self.n_shards}"
+        return "disk"
+
     def io_resources(self) -> List[str]:
         """Executor resource names of this array's I/O channel pools.
 
@@ -278,12 +288,8 @@ class ShardedDiskArray:
         (:meth:`~repro.query.scheduler.ConcurrentExecutor._drain`), so
         retrievals queued on different spindles wait in different queues
         and overlap.
-        A one-shard array names its one pool ``"disk"``, the name its
-        traces and stats carry.
         """
-        if self.n_shards > 1:
-            return [f"disk:{i}" for i in range(self.n_shards)]
-        return ["disk"]
+        return [self.io_resource(i) for i in range(self.n_shards)]
 
     @property
     def shard_bytes(self) -> List[float]:

@@ -35,17 +35,6 @@ def bytes_per_day(bytes_per_second: float) -> float:
     return bytes_per_second * DAY
 
 
-def speed_x_realtime(video_seconds: float, compute_seconds: float) -> float:
-    """Speed of processing ``video_seconds`` of footage in ``compute_seconds``.
-
-    Returns ``float('inf')`` when the compute time is zero, which models a
-    consumer that is never the bottleneck.
-    """
-    if compute_seconds <= 0.0:
-        return float("inf")
-    return video_seconds / compute_seconds
-
-
 def fmt_bytes(n: float) -> str:
     """Render a byte count using the largest sensible binary unit."""
     for unit, name in ((TB, "TB"), (GB, "GB"), (MB, "MB"), (KB, "KB")):

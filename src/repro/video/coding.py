@@ -134,17 +134,3 @@ def coding_space(include_raw: bool = True) -> Iterator[Coding]:
 def coding_space_size(include_raw: bool = True) -> int:
     """|C| — the number of coding options."""
     return len(SPEED_STEPS) * len(KEYFRAME_INTERVALS) + (1 if include_raw else 0)
-
-
-def cheaper_decode_order() -> Tuple[Coding, ...]:
-    """Coding options ordered from cheapest to costliest decoding.
-
-    Used when coalescing storage formats: if the current coding cannot keep
-    up with consumers, the coalescer walks this order toward cheaper decode
-    (ending at RAW, whose "decoding" is a disk read).
-    """
-    encoded = sorted(
-        (c for c in coding_space(include_raw=False)),
-        key=lambda c: (-c.speed_idx, c.keyframe_interval),
-    )
-    return tuple(encoded) + (RAW,)

@@ -81,11 +81,6 @@ def _index(seq: Sequence, value, knob: str) -> int:
         raise KnobError(f"illegal value {value!r} for knob {knob!r}") from None
 
 
-def sampling_from_str(text: str) -> Fraction:
-    """Parse a sampling rate written as in the paper, e.g. ``"1/30"`` or ``"1"``."""
-    return Fraction(text)
-
-
 #: Knob index of each sampling rate, keyed by the rate object's identity:
 #: every lattice point holds these very objects, so a lookup costs no
 #: ``Fraction.__hash__``.  (The tuple keeps them alive, so no other live

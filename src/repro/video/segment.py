@@ -8,7 +8,7 @@ deletes segments independently (Section 4.1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List
+from typing import List
 
 from repro.units import SEGMENT_SECONDS
 
@@ -54,11 +54,3 @@ def segments_for_range(
     first = segment_index_for(t0, seconds)
     last = segment_index_for(max(t0, t1 - 1e-9), seconds)
     return [Segment(stream, i, seconds) for i in range(first, last + 1)]
-
-
-def iter_segments(stream: str, seconds: float = SEGMENT_SECONDS) -> Iterator[Segment]:
-    """Endless iterator over a stream's segments, from index 0."""
-    i = 0
-    while True:
-        yield Segment(stream, i, seconds)
-        i += 1

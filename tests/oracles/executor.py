@@ -14,9 +14,10 @@ through an oracle and require bit-identical results:
   ``_trace`` and the ``TimelineCursor`` over arrivals and failure events
   — moved here verbatim from the retired event-heap core;
 * :func:`_execute_sequential` is the original single-query loop that
-  ``QueryEngine.execute`` (the N=1 case of the concurrent executor) must
-  reproduce; call it with the engine as its first argument.  It streams
-  every segment through the clock-charging :func:`.reader.read`.
+  ``VStore.execute`` (the N=1 case of the concurrent executor) must
+  reproduce; call it with the store's engine for the dataset
+  (``VStore.engine``) as its first argument.  It streams every segment
+  through the clock-charging :func:`.reader.read`.
 
 The retired closed-loop fast path lives in :mod:`.fastpath`.
 """
@@ -32,6 +33,7 @@ from unittest import mock
 import numpy as np
 
 from repro.clock import SimClock
+from repro.codec.model import DEFAULT_CODEC
 from repro.errors import QueryError
 from repro.obs.trace import task_event
 from repro.operators.library import Consumer
@@ -333,9 +335,8 @@ def _execute_sequential(
 ) -> ExecutionResult:
     """Reference implementation: the original single-query loop.
 
-    Kept verbatim so tests can assert that ``QueryEngine.execute`` — now
-    the N=1 case of the concurrent executor — reproduces it
-    bit-identically.
+    Kept verbatim so tests can assert that ``VStore.execute`` — the N=1
+    case of the concurrent executor — reproduces it bit-identically.
     """
     from repro.query.scheduler import dispatch
 
@@ -353,7 +354,7 @@ def _execute_sequential(
         consumer = Consumer(name, accuracy)
         fidelity = scheme.consumption_fidelity(consumer)
         fmt = scheme.storage_format(consumer)
-        reader = SegmentReader(store, fmt, fidelity, self.codec)
+        reader = SegmentReader(store, fmt, fidelity, DEFAULT_CODEC)
         survivors = []
         n_pos = 0
         consume_costs = []

@@ -179,7 +179,7 @@ def lower_fleet(executor: "ConcurrentExecutor") -> Optional[_Fleet]:
     if not sessions:
         return None
     edf = policy_type is DeadlinePolicy
-    disk_shards = executor._disk_shards
+    disk_shards = executor.store.array.n_shards
     pools = executor._pools
     chains: List[_Chain] = []
     k0: List[float] = []

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.clock import SimClock, Stopwatch
+from repro.clock import SimClock
 
 
 def test_charge_advances_clock():
@@ -64,19 +64,3 @@ def test_advance_to_the_past_raises():
     with pytest.raises(ValueError):
         clock.advance_to(2.0 - 1e-6, "wait")
     assert clock.now == pytest.approx(2.0)  # the failed jump changed nothing
-
-
-def test_reset():
-    clock = SimClock()
-    clock.charge(3.0, "x")
-    clock.reset()
-    assert clock.now == 0.0
-    assert clock.spent("x") == 0.0
-
-
-def test_stopwatch_measures_interval():
-    clock = SimClock()
-    clock.charge(1.0)
-    watch = Stopwatch(clock)
-    clock.charge(2.5, "work")
-    assert watch.elapsed() == pytest.approx(2.5)

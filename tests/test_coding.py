@@ -11,7 +11,6 @@ from repro.video.coding import (
     KEYFRAME_INTERVALS,
     RAW,
     SPEED_STEPS,
-    cheaper_decode_order,
     coding_space,
     coding_space_size,
 )
@@ -60,14 +59,6 @@ def test_parse_rejects_malformed():
 def test_speed_idx_order():
     assert Coding("slowest", 250).speed_idx == 0
     assert Coding("fastest", 250).speed_idx == 4
-
-
-def test_cheaper_decode_order_ends_with_raw():
-    order = cheaper_decode_order()
-    assert order[-1] == RAW
-    assert len(order) == 26
-    # Faster speed steps come first (cheaper decoding).
-    assert order[0].speed_step == "fastest"
 
 
 # -- the interned options ---------------------------------------------------

@@ -34,15 +34,20 @@ def store(tmp_path_factory):
         yield s
 
 
+def _run_one(store, **spec):
+    """One query run alone through the store's one run path."""
+    return store.execute_many([spec])[0].result
+
+
 class TestDegenerateParity:
-    """execute is now the N=1 case of the concurrent path — and must be
+    """execute is the N=1 case of the concurrent path — and must be
     bit-identical to the original sequential loop."""
 
     @pytest.mark.parametrize("contexts", [1, 4])
     def test_execute_matches_sequential_reference(self, store, contexts):
         engine = store.engine("dashcam")
-        new = engine.execute(QUERY_B, 0.9, store.segments, 0.0, 64.0,
-                             contexts=contexts)
+        new = _run_one(store, query=QUERY_B, dataset="dashcam",
+                       accuracy=0.9, t0=0.0, t1=64.0, contexts=contexts)
         ref = _execute_sequential(engine, QUERY_B, 0.9, store.segments,
                                   0.0, 64.0, contexts=contexts)
         assert new.compute_seconds == ref.compute_seconds  # bit-identical
@@ -53,16 +58,15 @@ class TestDegenerateParity:
     def test_parity_under_alternative_scheme(self, store):
         engine = store.engine("jackson")
         scheme = one_to_one_scheme(store.configuration)
-        new = engine.execute(QUERY_A, 0.8, store.segments, 0.0, 32.0,
-                             scheme=scheme)
+        new = _run_one(store, query=QUERY_A, dataset="jackson",
+                       accuracy=0.8, t0=0.0, t1=32.0, scheme=scheme)
         ref = _execute_sequential(engine, QUERY_A, 0.8, store.segments,
                                   0.0, 32.0, scheme=scheme)
         assert new.compute_seconds == ref.compute_seconds
         assert new.positives_per_stage == ref.positives_per_stage
 
     def test_executor_n1_matches_execute(self, store):
-        engine = store.engine("dashcam")
-        direct = engine.execute(QUERY_B, 0.9, store.segments, 0.0, 64.0)
+        direct = store.execute("B", "dashcam", 0.9, 0.0, 64.0)
         ex = store.executor()
         ex.admit(QUERY_B, "dashcam", 0.9, 0.0, 64.0)
         outcome = ex.run()[0]
@@ -73,8 +77,9 @@ class TestDegenerateParity:
     def test_clock_categories_cover_all_time(self, store):
         """Every simulated second is attributed to a charge category."""
         clock = SimClock()
-        engine = store.engine("dashcam")
-        engine.execute(QUERY_B, 0.9, store.segments, 0.0, 64.0, clock=clock)
+        store.execute_many([dict(query=QUERY_B, dataset="dashcam",
+                                 accuracy=0.9, t0=0.0, t1=64.0)],
+                           clock=clock)
         assert sum(clock.by_category.values()) == pytest.approx(clock.now)
 
 
@@ -173,10 +178,9 @@ class TestStreamAlias:
         assert report.bytes_per_day == pytest.approx(plain.bytes_per_day)
 
     def test_alias_executes_identically_to_dataset_stream(self, store):
-        engine = store.engine("jackson")
-        direct = engine.execute(QUERY_A, 0.8, store.segments, 0.0, 32.0)
-        aliased = engine.execute(QUERY_A, 0.8, store.segments, 0.0, 32.0,
-                                 stream="cam01")
+        direct = store.execute("A", "jackson", 0.8, 0.0, 32.0)
+        aliased = _run_one(store, query=QUERY_A, dataset="jackson",
+                           accuracy=0.8, t0=0.0, t1=32.0, stream="cam01")
         assert aliased.compute_seconds == direct.compute_seconds
         assert aliased.positives_per_stage == direct.positives_per_stage
 

@@ -46,7 +46,6 @@ def test_mb_size_values(store):
     blob = os.urandom(2 * 1024 * 1024)
     store.put("segment", blob)
     assert store.get("segment") == blob
-    assert store.value_len("segment") == len(blob)
 
 
 def test_keys_prefix_scan(store):

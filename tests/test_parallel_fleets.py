@@ -1,10 +1,11 @@
 """Multi-core fleet execution: determinism, isolation rules, merging.
 
 The parallel path's contract is that forking changes *nothing* about the
-simulated results — ``parallel=N`` must produce reports bit-equal to the
-in-process ``parallel=1`` run, fleet by fleet.  These tests pin that,
-plus the refusal of cross-fleet state (shared cache, shared clock), the
-worker-failure propagation, and the report-merging arithmetic.
+simulated results — ``run_fleets`` with ``parallel=N`` must produce
+reports bit-equal to the in-process ``parallel=1`` run, fleet by fleet.
+These tests pin that, plus the refusal of cross-fleet state (shared
+cache, shared clock) and of a closed store, the worker-failure
+propagation, and the report-merging arithmetic.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import pytest
 
 from repro.analysis.concurrency import ConcurrencyReport
 from repro.core.store import VStore
-from repro.errors import QueryError
+from repro.errors import QueryError, StorageError
 from repro.operators.library import default_library
 from repro.query.parallel import merge_reports, run_fleets
 from repro.query.scheduler import FairSharePolicy
@@ -51,27 +52,26 @@ def _no_wall(report):
 
 class TestDeterminism:
     def test_parallel_reports_bit_equal_to_serial(self, store):
-        serial = store.execute_many(FLEETS, parallel=1)
-        forked = store.execute_many(FLEETS, parallel=2)
+        serial = run_fleets(store, FLEETS, 1)
+        forked = run_fleets(store, FLEETS, 2)
         assert len(serial) == len(forked) == len(FLEETS)
         for s, f in zip(serial, forked):
             assert _no_wall(s) == _no_wall(f)
 
     def test_more_workers_than_fleets(self, store):
         # Workers are capped at the fleet count; order is preserved.
-        serial = store.execute_many(FLEETS[:2], parallel=1)
-        forked = store.execute_many(FLEETS[:2], parallel=16)
+        serial = run_fleets(store, FLEETS[:2], 1)
+        forked = run_fleets(store, FLEETS[:2], 16)
         for s, f in zip(serial, forked):
             assert _no_wall(s) == _no_wall(f)
 
     def test_executor_kwargs_reach_the_workers(self, store):
-        reports = store.execute_many(FLEETS[:2], parallel=2,
-                                     policy=FairSharePolicy())
+        reports = run_fleets(store, FLEETS[:2], 2, policy=FairSharePolicy())
         assert all(r.policy == "fair" for r in reports)
 
     def test_store_survives_the_forks(self, store):
         # The parent's backing log must stay usable after flush + forks.
-        store.execute_many(FLEETS[:2], parallel=2)
+        run_fleets(store, FLEETS[:2], 2)
         outcome = store.execute_many(
             [dict(query="A", dataset="jackson", accuracy=0.9,
                   t0=0.0, t1=8.0)]
@@ -82,15 +82,15 @@ class TestDeterminism:
 class TestIsolationRules:
     def test_refuses_zero_workers(self, store):
         with pytest.raises(QueryError, match="at least one worker"):
-            store.execute_many(FLEETS, parallel=0)
+            run_fleets(store, FLEETS, 0)
 
     def test_refuses_shared_cache(self, store):
         with pytest.raises(QueryError, match="cache"):
-            store.execute_many(FLEETS, parallel=2, cache=object())
+            run_fleets(store, FLEETS, 2, cache=object())
 
     def test_refuses_shared_clock(self, store):
         with pytest.raises(QueryError, match="clock"):
-            store.execute_many(FLEETS, parallel=2, clock=object())
+            run_fleets(store, FLEETS, 2, clock=object())
 
     def test_worker_failure_propagates(self, store):
         bad = [
@@ -101,6 +101,25 @@ class TestIsolationRules:
         ]
         with pytest.raises(QueryError, match="fleet workers failed"):
             run_fleets(store, bad, parallel=2)
+
+    def test_execute_many_takes_no_fleets(self, store):
+        """Fleets fan out through run_fleets only: execute_many runs one
+        fleet and returns its outcomes, whatever it is passed."""
+        with pytest.raises(TypeError):
+            store.execute_many(FLEETS, parallel=2)
+
+    def test_closed_store_refused_before_forking(self, tmp_path,
+                                                 monkeypatch):
+        import multiprocessing
+
+        def no_fork(*args, **kwargs):
+            raise AssertionError("run_fleets forked for a closed store")
+
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        closed = VStore(workdir=str(tmp_path / "w"))
+        closed.close()
+        with pytest.raises(StorageError, match="closed"):
+            run_fleets(closed, FLEETS, 2)
 
 
 class TestMergeReports:

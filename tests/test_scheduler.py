@@ -101,12 +101,13 @@ def test_engine_execution_scales_with_contexts(tmp_path):
     with VStore(workdir=str(tmp_path / "w"), library=lib) as store:
         store.configure()
         store.ingest("dashcam", n_segments=8)
-        engine = store.engine("dashcam")
-        from repro.query.cascade import QUERY_B
 
-        serial = engine.execute(QUERY_B, 0.9, store.segments, 0.0, 64.0,
-                                contexts=1)
-        parallel = engine.execute(QUERY_B, 0.9, store.segments, 0.0, 64.0,
-                                  contexts=8)
+        def run(contexts):
+            spec = dict(query="B", dataset="dashcam", accuracy=0.9,
+                        t0=0.0, t1=64.0, contexts=contexts)
+            return store.execute_many([spec])[0].result
+
+        serial = run(1)
+        parallel = run(8)
         assert parallel.compute_seconds < serial.compute_seconds
         assert parallel.speed > serial.speed

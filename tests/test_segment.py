@@ -1,10 +1,7 @@
 """Segments: the unit of storage and erosion."""
 
-from itertools import islice
-
 from repro.video.segment import (
     Segment,
-    iter_segments,
     segment_index_for,
     segments_for_range,
 )
@@ -34,8 +31,3 @@ def test_segments_for_range_covers_exactly():
 def test_empty_range():
     assert segments_for_range("s", 10.0, 10.0) == []
     assert segments_for_range("s", 10.0, 5.0) == []
-
-
-def test_iter_segments_sequential():
-    got = list(islice(iter_segments("s"), 4))
-    assert [s.index for s in got] == [0, 1, 2, 3]

@@ -14,7 +14,7 @@ from repro.codec.encoder import Encoder
 from repro.core.store import VStore
 from repro.errors import StorageError
 from repro.operators.library import default_library
-from repro.query.cascade import QUERY_A, QUERY_B
+from repro.query.cascade import QUERY_A
 from repro.query.scheduler import FIFOPolicy
 from repro.retrieval.reader import SegmentReader
 from repro.storage.disk import DiskBandwidthPool, DiskModel
@@ -441,7 +441,7 @@ class TestEndToEnd:
         reference loop in ``tests/oracles``."""
         store = fleet_stores[1]
         engine = store.engine("jackson")
-        new = engine.execute(QUERY_A, 0.9, store.segments, 0.0, 32.0)
+        new = store.execute("A", "jackson", 0.9, 0.0, 32.0)
         ref = _execute_sequential(engine, QUERY_A, 0.9, store.segments,
                                   0.0, 32.0)
         assert new.compute_seconds == ref.compute_seconds  # bit-identical
@@ -453,9 +453,7 @@ class TestEndToEnd:
         and with uniform shards, not even the charged time."""
         runs = {}
         for shards, store in fleet_stores.items():
-            runs[shards] = store.engine("dashcam").execute(
-                QUERY_B, 0.9, store.segments, 0.0, 32.0
-            )
+            runs[shards] = store.execute("B", "dashcam", 0.9, 0.0, 32.0)
         one, many = runs[1], runs[max(runs)]
         assert one.positives_per_stage == many.positives_per_stage
         assert one.segments_per_stage == many.segments_per_stage

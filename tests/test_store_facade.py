@@ -51,17 +51,34 @@ def test_ingest_and_execute(store):
     assert touched[0] == 6
 
 
+def test_execute_is_an_observed_run(tmp_path):
+    """execute runs through the store's one run path: the run becomes
+    last_run and feeds the drift detector and the metrics registry."""
+    lib = default_library(names=("Diff", "S-NN", "NN"))
+    with VStore(workdir=str(tmp_path / "w"), library=lib) as s:
+        s.configure()
+        s.ingest("jackson", n_segments=2)
+        result = s.execute("A", dataset="jackson", accuracy=0.8,
+                           t0=0.0, t1=16.0)
+        [outcome] = s.last_run.outcomes
+        assert outcome.result is result
+        assert s.drift.samples == 1
+        counters = s.metrics.snapshot()["counters"]
+        assert counters["executor.runs"] == 1
+        assert counters["executor.queries"] == 1
+
+
 def test_execution_beats_golden_only_scheme(store):
     """End to end through real storage: the derived SF set outruns
     consuming from the golden format (Figure 11a's mechanism)."""
     from repro.query.alternatives import one_to_n_scheme
-    from repro.query.cascade import QUERY_A
 
     store.ingest("jackson", n_segments=4)
-    engine = store.engine("jackson")
-    vstore = engine.execute(QUERY_A, 0.8, store.segments, 0.0, 32.0)
-    capped = engine.execute(QUERY_A, 0.8, store.segments, 0.0, 32.0,
-                            scheme=one_to_n_scheme(store.configuration))
+    vstore = store.execute("A", "jackson", 0.8, 0.0, 32.0)
+    capped = store.execute_many([dict(
+        query="A", dataset="jackson", accuracy=0.8, t0=0.0, t1=32.0,
+        scheme=one_to_n_scheme(store.configuration),
+    )])[0].result
     assert vstore.speed >= capped.speed
 
 

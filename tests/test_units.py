@@ -1,7 +1,5 @@
 """Unit helpers."""
 
-import pytest
-
 from repro.units import (
     DAY,
     GB,
@@ -12,7 +10,6 @@ from repro.units import (
     bytes_per_day,
     fmt_bytes,
     fmt_speed,
-    speed_x_realtime,
 )
 
 
@@ -32,15 +29,6 @@ def test_segment_length_matches_paper():
 
 def test_bytes_per_day():
     assert bytes_per_day(1.0) == 86400.0
-
-
-def test_speed_x_realtime_basic():
-    # 1 second of video processed in 1 ms is 1000x realtime (Section 2.2).
-    assert speed_x_realtime(1.0, 0.001) == pytest.approx(1000.0)
-
-
-def test_speed_x_realtime_zero_compute_is_infinite():
-    assert speed_x_realtime(1.0, 0.0) == float("inf")
 
 
 def test_fmt_bytes_picks_unit():
