@@ -25,14 +25,7 @@ from repro.analysis.sharding import (
     format_sharding_table,
     sharding_report,
 )
-from repro.analysis.sweeps import (
-    budget_sweep_series,
-    erosion_series,
-    keyframe_series,
-    operator_scaling_series,
-    query_speed_series,
-    speed_step_series,
-)
+from repro.analysis.sweeps import budget_sweep_series, operator_scaling_series
 from repro.analysis.tables import (
     format_configuration_table,
     format_erosion_table,
@@ -59,11 +52,7 @@ __all__ = [
     "sharding_report",
     "jain_index",
     "budget_sweep_series",
-    "erosion_series",
-    "keyframe_series",
     "operator_scaling_series",
-    "query_speed_series",
-    "speed_step_series",
     "format_configuration_table",
     "format_erosion_table",
     "format_profiling_summary_table",

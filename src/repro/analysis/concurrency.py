@@ -78,10 +78,6 @@ class ConcurrencyReport:
         return sum(r.latency for r in self.rows) / len(self.rows)
 
     @property
-    def max_latency(self) -> float:
-        return max(r.latency for r in self.rows)
-
-    @property
     def mean_slowdown(self) -> float:
         """Mean over the finite slowdown rows (zero-service outcomes with
         positive latency report ``inf`` and are excluded; an all-infinite

@@ -17,7 +17,7 @@ The trace stream says what happened; these tables say what it *means*:
 
 Everything consumes the locked schema of :mod:`repro.obs.trace`; pass
 ``executor.trace_events``, a golden file's ``events`` list, or rows
-reloaded from the columnar tier interchangeably.
+reloaded from the JSONL tier interchangeably.
 """
 
 from __future__ import annotations

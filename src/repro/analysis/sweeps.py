@@ -1,17 +1,15 @@
 """Programmatic figure data: the series behind the paper's plots.
 
 The benchmarks print human-readable tables; downstream users who want to
-*plot* Figure 3/11/13 need the raw series.  Each function here returns
-plain dictionaries of lists, ready for any plotting library.
+*plot* Table 4 or Figure 12 need the raw series.  Each function here
+returns plain dictionaries of lists, ready for any plotting library.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.clock import SimClock
-from repro.codec.model import CodecModel, DEFAULT_CODEC
 from repro.core.config import (
     Configuration,
     build_operator_profilers,
@@ -19,7 +17,6 @@ from repro.core.config import (
     mean_profile_activity,
     resolve_profile_datasets,
 )
-from repro.core.erosion import ErosionPlan
 from repro.ingest.budget import IngestBudget
 from repro.operators.library import (
     OperatorLibrary,
@@ -28,91 +25,6 @@ from repro.operators.library import (
 )
 from repro.profiler.coding_profiler import CodingProfiler
 from repro.profiler.profiler import OperatorProfiler
-from repro.query.alternatives import (
-    AlternativeScheme,
-    one_to_n_scheme,
-    one_to_one_scheme,
-    vstore_scheme,
-)
-from repro.query.cascade import QueryCascade
-from repro.query.engine import QueryEngine
-from repro.video.coding import Coding, KEYFRAME_INTERVALS, SPEED_STEPS
-from repro.video.fidelity import Fidelity, richest_fidelity
-
-
-def speed_step_series(
-    fidelity: Optional[Fidelity] = None,
-    activity: float = 0.4,
-    codec: CodecModel = DEFAULT_CODEC,
-) -> Dict[str, List[float]]:
-    """Figure 3a series: encode/decode speed and size per speed step."""
-    fidelity = fidelity or richest_fidelity()
-    out: Dict[str, List[float]] = {
-        "step": [], "encode_speed": [], "decode_speed": [],
-        "bytes_per_second": [],
-    }
-    for step in SPEED_STEPS:
-        coding = Coding(step, 250)
-        out["step"].append(step)
-        out["encode_speed"].append(codec.encode_speed(fidelity, coding))
-        out["decode_speed"].append(codec.decode_speed(fidelity, coding))
-        out["bytes_per_second"].append(
-            codec.encoded_bytes_per_second(fidelity, coding, activity)
-        )
-    return out
-
-
-def keyframe_series(
-    consumer_sampling: Fraction = Fraction(1, 30),
-    fidelity: Optional[Fidelity] = None,
-    activity: float = 0.4,
-    codec: CodecModel = DEFAULT_CODEC,
-) -> Dict[str, List[float]]:
-    """Figure 3b series: decode speed (sparse and dense) and size per GOP."""
-    fidelity = fidelity or richest_fidelity()
-    out: Dict[str, List[float]] = {
-        "keyframe_interval": [], "decode_sparse": [], "decode_dense": [],
-        "bytes_per_second": [],
-    }
-    for kf in KEYFRAME_INTERVALS:
-        coding = Coding("slowest", kf)
-        out["keyframe_interval"].append(kf)
-        out["decode_sparse"].append(
-            codec.decode_speed(fidelity, coding, consumer_sampling)
-        )
-        out["decode_dense"].append(
-            codec.decode_speed(fidelity, coding, Fraction(1))
-        )
-        out["bytes_per_second"].append(
-            codec.encoded_bytes_per_second(fidelity, coding, activity)
-        )
-    return out
-
-
-def query_speed_series(
-    config: Configuration,
-    library: OperatorLibrary,
-    query: QueryCascade,
-    dataset: str,
-    accuracies: Sequence[float] = (0.95, 0.9, 0.8, 0.7),
-    duration: float = 3600.0,
-    schemes: Optional[Dict[str, AlternativeScheme]] = None,
-) -> Dict[str, List[float]]:
-    """Figure 11a series: per-scheme query speed across target accuracies."""
-    engine = QueryEngine(config, library, dataset)
-    if schemes is None:
-        schemes = {
-            "VStore": vstore_scheme(config),
-            "1->1": one_to_one_scheme(config),
-            "1->N": one_to_n_scheme(config),
-        }
-    out: Dict[str, List[float]] = {"accuracy": list(accuracies)}
-    for name, scheme in schemes.items():
-        out[name] = [
-            engine.estimate(query, acc, duration, scheme).speed
-            for acc in accuracies
-        ]
-    return out
 
 
 def _memo_delta(
@@ -243,20 +155,3 @@ def operator_scaling_series(
         out["memo_hit_rate"].append(rate)
     return out
 
-
-def erosion_series(plan: ErosionPlan) -> Dict[str, List[float]]:
-    """Figure 13 series: overall speed and residual bytes by age."""
-    ages = list(range(1, plan.lifespan_days + 1))
-    out: Dict[str, List[float]] = {
-        "age": ages,
-        "overall_speed": [plan.overall_speed[a] for a in ages],
-        "total_residual_bytes": [
-            sum(plan.residual_bytes[(a, label)] for label in plan.labels)
-            for a in ages
-        ],
-    }
-    for label in plan.labels:
-        out[f"residual:{label}"] = [
-            plan.residual_bytes[(a, label)] for a in ages
-        ]
-    return out

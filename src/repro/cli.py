@@ -16,7 +16,7 @@ Commands cover the common operator workflows:
   regressions;
 * ``trace`` — run a traced concurrent fleet and print its critical-path
   summary (``trace``) or export the full observability bundle — Chrome
-  trace JSON plus columnar analytics tables (``trace export``);
+  trace JSON plus JSONL analytics tables (``trace export``);
 * ``metrics`` — run a fleet and print the always-on metrics registry.
 """
 
@@ -454,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
                            default="summary",
                            help="summary (default) prints critical-path, "
                                 "queue-depth and metrics tables; export "
-                                "writes chrome_trace.json plus the columnar "
+                                "writes chrome_trace.json plus the JSONL "
                                 "analytics tables into --outdir")
         p.add_argument("--query", choices=("A", "B"), default="A")
         p.add_argument("--workdir", required=True,

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from repro.clock import SimClock
-from repro.codec.model import CodecModel, DEFAULT_CODEC
+from repro.codec.model import DEFAULT_CODEC
 from repro.rng import rng_for
 from repro.video.format import StorageFormat
 from repro.video.segment import Segment
@@ -41,9 +41,7 @@ class EncodedSegment:
 class Encoder:
     """A software encoder instance (one FFmpeg process in the paper)."""
 
-    def __init__(self, model: CodecModel = DEFAULT_CODEC,
-                 clock: Optional[SimClock] = None):
-        self.model = model
+    def __init__(self, clock: Optional[SimClock] = None):
         self.clock = clock or SimClock()
         self.segments_encoded = 0
         self.bytes_produced = 0
@@ -64,11 +62,14 @@ class Encoder:
         """
         fidelity, coding = fmt.fidelity, fmt.coding
         seconds = segment.seconds
-        cost = self.model.encode_seconds_per_video_second(fidelity, coding) * seconds
+        cost = DEFAULT_CODEC.encode_seconds_per_video_second(
+            fidelity, coding
+        ) * seconds
         self.clock.charge(cost, "ingest")
 
         size = int(round(
-            self.model.encoded_bytes_per_second(fidelity, coding, activity) * seconds
+            DEFAULT_CODEC.encoded_bytes_per_second(fidelity, coding, activity)
+            * seconds
         ))
         n_frames = int(round(fidelity.fps * seconds))
         payload = None
@@ -88,4 +89,4 @@ class Encoder:
 
     def encode_speed(self, fmt: StorageFormat) -> float:
         """Realtime multiple at which this encoder produces ``fmt``."""
-        return self.model.encode_speed(fmt.fidelity, fmt.coding)
+        return DEFAULT_CODEC.encode_speed(fmt.fidelity, fmt.coding)

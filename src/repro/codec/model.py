@@ -94,10 +94,6 @@ class SurfaceCallCounter:
         self.scalar = 0
         self.grid = 0
 
-    def reset(self) -> None:
-        self.scalar = 0
-        self.grid = 0
-
     @property
     def total(self) -> int:
         return self.scalar + self.grid

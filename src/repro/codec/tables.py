@@ -13,11 +13,13 @@ planner query into an O(1) table lookup:
   ``cheapest_adequate_coding`` call; ``storage_formats`` is the same
   order as interned storage formats, which the planner's walk reads.
 
-Tables are cached per ``(CodecModel, DiskModel parameters, activity)`` so
-every profiler, sweep point and benchmark in a process shares one build.
-All table cells are bit-identical to the scalar code paths in
-:mod:`repro.codec.model` and :mod:`repro.retrieval.speed` — the planner's
-plans must not change by a single ULP when the table is switched on.
+The surfaces are those of the one calibrated machine, ``DEFAULT_CODEC``
+reading from ``DEFAULT_DISK``, so tables are cached per content activity
+alone and every profiler, sweep point and benchmark in a process shares
+one build per activity.  All table cells are bit-identical to the scalar
+code paths in :mod:`repro.codec.model` and :mod:`repro.retrieval.speed` —
+the planner's plans must not change by a single ULP when the table is
+switched on.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.codec.chunks import decoded_frame_fraction
-from repro.codec.model import CodecModel
-from repro.storage.disk import DiskModel, raw_read_seconds
+from repro.codec.model import DEFAULT_CODEC
+from repro.storage.disk import DEFAULT_DISK, raw_read_seconds
 from repro.units import SEGMENT_SECONDS
 from repro.video.coding import Coding, coding_space
 from repro.video.fidelity import (
@@ -44,9 +46,7 @@ from repro.video.format import StorageFormat
 class ProfileTable:
     """Codec/disk response surfaces over the full knob grid, as arrays."""
 
-    def __init__(self, codec: CodecModel, disk: DiskModel, activity: float):
-        self.codec = codec
-        self.disk = disk
+    def __init__(self, activity: float):
         self.activity = activity
 
         # Rows and columns follow the lattice order of repro.video, so a
@@ -61,14 +61,18 @@ class ProfileTable:
         kfidx = np.array([kf_values.index(c.keyframe_interval) for c in cods])
 
         # -- size and encode cost -------------------------------------------
-        self._size = codec.encoded_bytes_per_second_grid(fids, cods, activity)
+        self._size = DEFAULT_CODEC.encoded_bytes_per_second_grid(
+            fids, cods, activity
+        )
         if activity == 0.35:
             size_default = self._size
         else:
-            size_default = codec.encoded_bytes_per_second_grid(fids, cods)
-        self._raw_size = codec.raw_bytes_per_second_vector(fids)
-        self._encode = codec.encode_seconds_grid(fids, cods)
-        self._raw_encode = codec.raw_encode_seconds_vector(fids)
+            size_default = DEFAULT_CODEC.encoded_bytes_per_second_grid(
+                fids, cods
+            )
+        self._raw_size = DEFAULT_CODEC.raw_bytes_per_second_vector(fids)
+        self._encode = DEFAULT_CODEC.encode_seconds_grid(fids, cods)
+        self._raw_encode = DEFAULT_CODEC.raw_encode_seconds_vector(fids)
 
         # -- retrieval speed, encoded formats -------------------------------
         # decoded_frame_fraction per (stored sampling, consumer sampling,
@@ -84,8 +88,8 @@ class ProfileTable:
                 for i_kf, kf in enumerate(kf_values):
                     frac[i_st, i_co, i_kf] = decoded_frame_fraction(stride, kf)
 
-        dec_frame = codec.decode_frame_seconds_grid(fids, cods)
-        disk_speed = disk.read_bandwidth / size_default
+        dec_frame = DEFAULT_CODEC.decode_frame_seconds_grid(fids, cods)
+        disk_speed = DEFAULT_DISK.read_bandwidth / size_default
         self._retr_enc = np.empty(
             (len(fids), len(cods), len(SAMPLING_RATES))
         )
@@ -97,13 +101,15 @@ class ProfileTable:
         # -- retrieval speed, raw formats -----------------------------------
         # One video second per (fidelity, consumer sampling) cell, as
         # DiskModel.raw_read_speed costs it: one scan request per segment.
-        frame_bytes = np.array([codec.raw_frame_bytes(f) for f in fids])
+        frame_bytes = np.array(
+            [DEFAULT_CODEC.raw_frame_bytes(f) for f in fids]
+        )
         consumed = np.minimum(
             fps[:, None], 30.0 * np.array([float(s) for s in SAMPLING_RATES])
         )
         self._retr_raw = 1.0 / raw_read_seconds(
             fps[:, None], consumed, frame_bytes[:, None],
-            disk.read_bandwidth, disk.request_overhead,
+            DEFAULT_DISK.read_bandwidth, DEFAULT_DISK.request_overhead,
             scan_requests=1 / SEGMENT_SECONDS,
         )
 
@@ -175,24 +181,16 @@ class ProfileTable:
         return cached
 
 
-#: Table cache keyed by codec model, disk parameters and content activity.
-_TABLE_CACHE: Dict[tuple, ProfileTable] = {}
+#: Table cache keyed by content activity.
+_TABLE_CACHE: Dict[float, ProfileTable] = {}
 
 
-def get_profile_table(
-    codec: CodecModel, disk: DiskModel, activity: float
-) -> ProfileTable:
-    """The shared :class:`ProfileTable` for this codec/disk/activity."""
-    key = (
-        codec,
-        disk.read_bandwidth,
-        disk.write_bandwidth,
-        disk.request_overhead,
-        float(activity),
-    )
+def get_profile_table(activity: float) -> ProfileTable:
+    """The shared :class:`ProfileTable` for this content activity."""
+    key = float(activity)
     table = _TABLE_CACHE.get(key)
     if table is None:
-        table = ProfileTable(codec, disk, activity)
+        table = ProfileTable(activity)
         _TABLE_CACHE[key] = table
     return table
 

@@ -31,7 +31,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.clock import SimClock
 from repro.codec.encoder import Encoder
-from repro.codec.model import CodecModel, DEFAULT_CODEC
+from repro.codec.model import DEFAULT_CODEC
 from repro.core.coalesce import (
     CoalescePlan,
     Demand,
@@ -400,7 +400,6 @@ def reencode_jobs(
     source: StorageFormat,
     *,
     epoch: int,
-    codec: CodecModel = DEFAULT_CODEC,
 ) -> List["BackgroundJob"]:  # noqa: F821 - imported in the function body
     """One re-encode job per new format: read golden, decode, encode, write.
 
@@ -435,7 +434,7 @@ def reencode_jobs(
             if not source.coding.raw:
                 tasks.append(ResourceTask(
                     kind="decode", resource="decoder", units=1,
-                    duration=meta.n_frames * codec.decode_frame_seconds(
+                    duration=meta.n_frames * DEFAULT_CODEC.decode_frame_seconds(
                         source.fidelity, source.coding
                     ),
                     category="decode", operator="reencode",
@@ -443,7 +442,7 @@ def reencode_jobs(
             # A scratch-clock encoder reproduces the ingest pipeline's
             # exact cost and size floats for the re-encoded segment.
             scratch = SimClock()
-            encoded = Encoder(codec, scratch).encode(
+            encoded = Encoder(scratch).encode(
                 meta.segment, target, meta.activity
             )
             tasks.append(ResourceTask(

@@ -46,7 +46,7 @@ from repro.core.evolve import (
 )
 from repro.errors import ConfigurationError, QueryError, StorageError
 from repro.ingest.budget import IngestBudget
-from repro.obs import MetricsRegistry, Observability, metrics_enabled
+from repro.obs import MetricsRegistry, Observability
 from repro.ingest.pipeline import IngestionPipeline, IngestionReport
 from repro.operators.library import OperatorLibrary, default_library
 from repro.query.cascade import cascade_for
@@ -132,8 +132,8 @@ class VStore:
 
         #: The always-on metrics registry every in-process concurrent run
         #: feeds (executor aggregates, cache plane, sharded disks, drift).
-        #: ``REPRO_OBS_METRICS=0`` detaches it from executors without
-        #: removing it — :meth:`observability` keeps working either way.
+        #: A run passed ``metrics=None`` feeds it nothing —
+        #: :meth:`observability` keeps working either way.
         self.metrics = MetricsRegistry()
         #: The most recent in-process run (:meth:`_run`, whichever entry
         #: point made it); None before the first and after :meth:`close`.
@@ -378,9 +378,7 @@ class VStore:
             raise QueryError("concurrent execution requires a workdir-backed store")
         kwargs.setdefault("cache", self.cache)
         kwargs.setdefault("stage_outcomes", self._stage_outcomes)
-        kwargs.setdefault(
-            "metrics", self.metrics if metrics_enabled() else None
-        )
+        kwargs.setdefault("metrics", self.metrics)
         return ConcurrentExecutor(
             self.configuration, self.library, self.segments, **kwargs
         )
@@ -536,7 +534,7 @@ class VStore:
         """The store's observability facade: last trace + metrics.
 
         One object answers "what happened and where did time go": typed
-        spans, critical paths, queue depths, Chrome-trace and columnar
+        spans, critical paths, queue depths, Chrome-trace and JSONL
         exports over the most recent concurrent run, plus the always-on
         metrics registry (see :mod:`repro.obs`).
         """

@@ -10,16 +10,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from repro.codec.model import CodecModel, DEFAULT_CODEC
+from repro.codec.model import DEFAULT_CODEC
 from repro.video.format import StorageFormat
 
 
-def cores_required(
-    formats: Iterable[StorageFormat], codec: CodecModel = DEFAULT_CODEC
-) -> float:
+def cores_required(formats: Iterable[StorageFormat]) -> float:
     """CPU cores needed to transcode one live stream into ``formats``."""
     return sum(
-        codec.encode_seconds_per_video_second(f.fidelity, f.coding)
+        DEFAULT_CODEC.encode_seconds_per_video_second(f.fidelity, f.coding)
         for f in formats
     )
 
@@ -36,13 +34,11 @@ class IngestBudget:
 
     cores: Optional[float] = None
 
-    def allows(self, formats: Iterable[StorageFormat],
-               codec: CodecModel = DEFAULT_CODEC) -> bool:
+    def allows(self, formats: Iterable[StorageFormat]) -> bool:
         """Whether the format set can be sustained within the budget."""
-        return self.headroom(formats, codec) >= 0.0
+        return self.headroom(formats) >= 0.0
 
-    def headroom(self, formats: Iterable[StorageFormat],
-                 codec: CodecModel = DEFAULT_CODEC) -> float:
+    def headroom(self, formats: Iterable[StorageFormat]) -> float:
         """Remaining cores (negative when over budget; inf when unlimited).
 
         Overruns within :data:`CORE_TOLERANCE` clamp to 0.0 so an allowed
@@ -50,7 +46,7 @@ class IngestBudget:
         """
         if self.cores is None:
             return float("inf")
-        room = self.cores - cores_required(formats, codec)
+        room = self.cores - cores_required(formats)
         if -CORE_TOLERANCE <= room < 0.0:
             return 0.0
         return room

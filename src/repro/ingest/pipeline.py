@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.clock import SimClock
-from repro.codec.model import CodecModel, DEFAULT_CODEC
+from repro.codec.model import DEFAULT_CODEC
 from repro.ingest.budget import IngestBudget
 from repro.ingest.transcoder import Transcoder
 from repro.storage.segment_store import SegmentStore
@@ -49,7 +49,6 @@ class IngestionPipeline:
         dataset: str,
         formats: Sequence[StorageFormat],
         store: Optional[SegmentStore] = None,
-        codec: CodecModel = DEFAULT_CODEC,
         clock: Optional[SimClock] = None,
         budget: IngestBudget = IngestBudget(),
         stream: Optional[str] = None,
@@ -66,9 +65,8 @@ class IngestionPipeline:
         self.content: ContentModel = get_dataset(dataset).content()
         self.formats = list(formats)
         self.store = store
-        self.codec = codec
         self.clock = clock or SimClock()
-        self.transcoder = Transcoder(self.formats, codec, self.clock, budget)
+        self.transcoder = Transcoder(self.formats, self.clock, budget)
 
     # -- activity ------------------------------------------------------------
     # Both read the dataset's shared content model, which memoizes them.
@@ -104,7 +102,7 @@ class IngestionPipeline:
         """Extrapolated storage and CPU cost of ingesting this stream."""
         activity = self.mean_activity()
         per_format = {
-            fmt.label: self.codec.encoded_bytes_per_second(
+            fmt.label: DEFAULT_CODEC.encoded_bytes_per_second(
                 fmt.fidelity, fmt.coding, activity
             )
             for fmt in self.formats

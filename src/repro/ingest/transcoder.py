@@ -11,7 +11,6 @@ from typing import List, Optional, Sequence
 
 from repro.clock import SimClock
 from repro.codec.encoder import EncodedSegment, Encoder
-from repro.codec.model import CodecModel, DEFAULT_CODEC
 from repro.errors import BudgetError
 from repro.ingest.budget import IngestBudget, cores_required
 from repro.video.format import StorageFormat
@@ -24,17 +23,15 @@ class Transcoder:
     def __init__(
         self,
         formats: Sequence[StorageFormat],
-        codec: CodecModel = DEFAULT_CODEC,
         clock: Optional[SimClock] = None,
         budget: IngestBudget = IngestBudget(),
     ):
         self.formats = list(formats)
-        self.codec = codec
         self.clock = clock or SimClock()
-        self.encoder = Encoder(codec, self.clock)
-        if not budget.allows(self.formats, codec):
+        self.encoder = Encoder(self.clock)
+        if not budget.allows(self.formats):
             raise BudgetError(
-                f"storage formats need {cores_required(self.formats, codec):.2f} "
+                f"storage formats need {cores_required(self.formats):.2f} "
                 f"cores, over the {budget.cores}-core ingestion budget"
             )
         self.budget = budget
@@ -42,7 +39,7 @@ class Transcoder:
     @property
     def cores_required(self) -> float:
         """Cores needed to keep up with the live stream."""
-        return cores_required(self.formats, self.codec)
+        return cores_required(self.formats)
 
     @property
     def cpu_utilization_percent(self) -> float:

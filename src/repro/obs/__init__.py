@@ -9,8 +9,8 @@ Three modules, one contract:
   histograms registry the executor, cache plane, sharded disks and
   drift detector feed;
 * :mod:`repro.obs.export` — deterministic Chrome trace-event JSON (for
-  Perfetto / ``chrome://tracing``) and the columnar analytics tier
-  (Parquet when pyarrow exists, JSONL fallback; pandas/DuckDB-ready).
+  Perfetto / ``chrome://tracing``) and the analytics tier, one
+  deterministic JSONL file per table (DuckDB reads them as-is).
 
 :class:`Observability` is the store-level facade ``VStore.observability()``
 returns: the last run's trace plus the store's registry, with one-call
@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional
 
-from repro.obs.metrics import MetricsRegistry, metrics_enabled
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import (
     TRACE_SCHEMA,
     TRACE_SCHEMA_VERSION,
@@ -40,7 +40,6 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import
 __all__ = [
     "Observability",
     "MetricsRegistry",
-    "metrics_enabled",
     "TRACE_SCHEMA",
     "TRACE_SCHEMA_VERSION",
     "QuerySpan",
@@ -59,7 +58,7 @@ class Observability:
     Bundles the always-on metrics registry with the most recent run's
     trace so one object answers "what happened and where did time go":
 
-    * :meth:`export` writes the whole bundle (Chrome trace + columnar
+    * :meth:`export` writes the whole bundle (Chrome trace + JSONL
       tables) into a directory;
     * :meth:`critical_paths` / :meth:`queue_depths` analyze the last
       trace; :meth:`spans` returns the typed per-query spans;

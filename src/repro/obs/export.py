@@ -1,4 +1,4 @@
-"""Exporters: Chrome trace-event JSON and the columnar analytics tier.
+"""Exporters: Chrome trace-event JSON and the JSONL analytics tier.
 
 Two evidence formats, two audiences:
 
@@ -9,14 +9,13 @@ Two evidence formats, two audiences:
   slices, plus per-resource occupancy counter tracks.  The output is
   deterministic byte-for-byte (sorted keys, canonical float rounding),
   so it is golden-testable like the raw traces;
-* the columnar tier (:func:`write_rows` / :func:`read_rows` /
+* the analytics tier (:func:`write_rows` / :func:`read_rows` /
   :func:`export_run`) persists trace events, per-task intervals,
   utilization timelines, per-query spans, metrics snapshots, and bench
-  history as analytics tables — Parquet via ``pyarrow`` when the host
-  has it, otherwise a deterministic JSONL fallback with identical rows.
-  Both load straight into pandas (:func:`to_dataframe`) or DuckDB
-  (``SELECT ... FROM 'trace_events.jsonl'`` works as-is), which turns
-  cross-PR regression diffing into a query instead of an eyeball pass.
+  history as deterministic JSONL tables, one sorted-keys object per row.
+  DuckDB reads them as-is (``SELECT ... FROM 'trace_events.jsonl'``),
+  which turns cross-PR regression diffing into a query instead of an
+  eyeball pass.
 
 Nothing here imports the executor: exporters consume the locked trace
 schema (:mod:`repro.obs.trace`) and plain row dicts, so they work on a
@@ -38,30 +37,12 @@ from repro.obs.trace import (
 
 __all__ = [
     "chrome_trace",
-    "columnar_suffix",
     "export_run",
     "bench_history_rows",
     "read_rows",
-    "to_dataframe",
     "write_chrome_trace",
     "write_rows",
 ]
-
-
-def _pyarrow():
-    """The pyarrow module, or None when the host image lacks it."""
-    try:
-        import pyarrow  # noqa: F401
-        import pyarrow.parquet  # noqa: F401
-
-        return pyarrow
-    except ImportError:
-        return None
-
-
-def columnar_suffix() -> str:
-    """Extension the columnar tier writes on this host."""
-    return ".parquet" if _pyarrow() is not None else ".jsonl"
 
 
 # ---------------------------------------------------------------------------
@@ -174,79 +155,35 @@ def write_chrome_trace(
 
 
 # ---------------------------------------------------------------------------
-# The columnar analytics tier
+# The JSONL analytics tier
 # ---------------------------------------------------------------------------
 
 
 def _normalize_rows(rows: Sequence[Mapping[str, object]]) -> List[Dict]:
-    """Uniform key-set across rows (None-filled), keys sorted.
-
-    Parquet needs one schema per table; the JSONL fallback adopts the
-    same normalization so both formats reload identical rows.
-    """
+    """Uniform key-set across rows (None-filled), keys sorted, so every
+    row of a table has one schema."""
     keys = sorted({k for row in rows for k in row})
     return [{k: row.get(k) for k in keys} for row in rows]
 
 
 def write_rows(path: str, rows: Sequence[Mapping[str, object]]) -> str:
-    """Write one analytics table; format chosen by the path's suffix.
-
-    ``.parquet`` requires pyarrow (raising if absent — pick the suffix
-    via :func:`columnar_suffix`); ``.jsonl`` writes one sorted-keys JSON
-    object per line, bit-deterministic for a given row sequence.
-    """
-    normalized = _normalize_rows(rows)
-    if path.endswith(".parquet"):
-        pa = _pyarrow()
-        if pa is None:
-            raise RuntimeError(
-                f"cannot write {path}: pyarrow is not installed "
-                f"(use the .jsonl fallback via columnar_suffix())"
-            )
-        columns = sorted({k for row in normalized for k in row})
-        table = pa.table({
-            k: [row.get(k) for row in normalized] for k in columns
-        })
-        pa.parquet.write_table(table, path)
-        return path
-    if path.endswith(".jsonl"):
-        with open(path, "w") as fh:
-            for row in normalized:
-                fh.write(json.dumps(row, sort_keys=True, ensure_ascii=True))
-                fh.write("\n")
-        return path
-    raise ValueError(f"unknown columnar suffix on {path!r} "
-                     f"(want .parquet or .jsonl)")
+    """Write one analytics table to a ``.jsonl`` path: one sorted-keys
+    JSON object per line, bit-deterministic for a given row sequence."""
+    if not path.endswith(".jsonl"):
+        raise ValueError(f"analytics tables are .jsonl, not {path!r}")
+    with open(path, "w") as fh:
+        for row in _normalize_rows(rows):
+            fh.write(json.dumps(row, sort_keys=True, ensure_ascii=True))
+            fh.write("\n")
+    return path
 
 
 def read_rows(path: str) -> List[Dict]:
-    """Reload a columnar table written by :func:`write_rows`."""
-    if path.endswith(".parquet"):
-        pa = _pyarrow()
-        if pa is None:
-            raise RuntimeError(f"cannot read {path}: pyarrow not installed")
-        return pa.parquet.read_table(path).to_pylist()
-    if path.endswith(".jsonl"):
-        with open(path) as fh:
-            return [json.loads(line) for line in fh if line.strip()]
-    raise ValueError(f"unknown columnar suffix on {path!r}")
-
-
-def to_dataframe(path_or_rows):
-    """Load a table (path or row list) as a pandas DataFrame.
-
-    Requires pandas; the rest of the tier works without it.
-    """
-    try:
-        import pandas as pd
-    except ImportError as exc:  # pragma: no cover - host-dependent
-        raise RuntimeError(
-            "to_dataframe requires pandas; install it or query the "
-            ".jsonl/.parquet files with DuckDB directly"
-        ) from exc
-    if isinstance(path_or_rows, str):
-        return pd.DataFrame(read_rows(path_or_rows))
-    return pd.DataFrame(list(path_or_rows))
+    """Reload an analytics table written by :func:`write_rows`."""
+    if not path.endswith(".jsonl"):
+        raise ValueError(f"analytics tables are .jsonl, not {path!r}")
+    with open(path) as fh:
+        return [json.loads(line) for line in fh if line.strip()]
 
 
 def bench_history_rows(path: str) -> List[Dict]:
@@ -281,18 +218,16 @@ def export_run(
     * ``metrics.*`` — the registry snapshot, flattened;
     * ``bench_history.*`` — flattened BENCH.json cells.
 
-    Returns ``{table name: written path}``.  ``*`` is ``.parquet`` when
-    pyarrow is available, ``.jsonl`` otherwise — both reload bit-equal
-    through :func:`read_rows`.
+    Returns ``{table name: written path}``.  ``*`` is ``.jsonl``; every
+    table reloads bit-equal through :func:`read_rows`.
     """
     os.makedirs(outdir, exist_ok=True)
-    suffix = columnar_suffix()
     written: Dict[str, str] = {}
 
     def _table(name: str, rows: Sequence[Mapping[str, object]]) -> None:
         if rows:
             written[name] = write_rows(
-                os.path.join(outdir, name + suffix), rows
+                os.path.join(outdir, name + ".jsonl"), rows
             )
 
     if events:

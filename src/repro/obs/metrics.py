@@ -13,21 +13,20 @@ is cheap enough to stay on for every run:
   decade), which is exactly the precision a regression gate needs and
   nothing a per-sample reservoir would have to pay for;
 * :class:`MetricsRegistry` holds them by name and snapshots to one
-  deterministic dict, ready for the columnar exporter and bench-diff.
+  deterministic dict, ready for the JSONL exporter and bench-diff.
 
 The registry is fed by the executor at the end of every ``run()`` —
 **inside** the wall-clock window ``ExecutorStats.wall_seconds`` reports,
 so the CI perf-smoke overhead gate (metrics-on vs metrics-off smoke run
 diffed at 5%) measures the true cost — and by the store facade from the
-cache plane, the sharded disks, and the drift detector after each
-``execute_many``.  Set ``REPRO_OBS_METRICS=0`` to detach the registry
-(the A/B side of the overhead gate); everything else keeps working.
+cache plane, the sharded disks, and the drift detector after each store
+run.  A run passed ``metrics=None`` feeds no registry (the detached side
+of the overhead gate); everything else keeps working.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -36,25 +35,12 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "metrics_enabled",
 ]
 
 #: Log-bucket resolution: buckets per decade.  8 gives bucket edges
 #: ~1.33x apart — ±~15% worst-case quantile error, 2 dict slots per
 #: decade of dynamic range.
 BUCKETS_PER_DECADE = 8
-
-#: Environment switch for the always-on registry (read per store, so
-#: tests can flip it): any of "0", "off", "no", "false" detaches it.
-ENV_SWITCH = "REPRO_OBS_METRICS"
-
-
-def metrics_enabled() -> bool:
-    """Whether stores should attach the always-on registry (env gate)."""
-    return os.environ.get(ENV_SWITCH, "1").lower() not in (
-        "0", "off", "no", "false"
-    )
-
 
 @dataclass
 class Counter:
@@ -131,7 +117,7 @@ class Histogram:
         therefore nudged until it satisfies the canonical bound function
         ``_bucket_upper`` — the unique ``i`` with
         ``upper(i - 1) < value <= upper(i)`` — which keeps the bucket
-        assignment (and the bit-equal columnar export built on it)
+        assignment (and the bit-equal JSONL export built on it)
         consistent with the reported bounds on every platform.
         """
         idx = math.ceil(math.log(value) / self._LOG_BASE)

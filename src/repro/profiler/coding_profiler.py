@@ -8,11 +8,12 @@ already been profiled.
 
 Since the vectorized profiling plane, the numeric answers come from a
 shared :class:`~repro.codec.tables.ProfileTable` (one NumPy evaluation of
-each codec surface over the whole knob grid, cached per codec/disk/
-activity) instead of per-call scalar arithmetic.  The simulated profiling
-*work* is unchanged: the first query for a format still charges the clock
-for encoding and decoding the sample clip, and the stats still count runs
-vs memoized lookups.
+each surface of ``DEFAULT_CODEC`` reading from ``DEFAULT_DISK`` over the
+whole knob grid, cached per content activity) instead of per-call scalar
+arithmetic.  The simulated profiling *work* is unchanged: the first query
+for a format still charges the clock for encoding and decoding the
+``PROFILE_CLIP_SECONDS`` sample clip, and the stats still count runs vs
+memoized lookups.
 """
 
 from __future__ import annotations
@@ -22,10 +23,8 @@ from fractions import Fraction
 from typing import Dict, Optional
 
 from repro.clock import SimClock
-from repro.codec.model import CodecModel, DEFAULT_CODEC
 from repro.codec.tables import ProfileTable, get_profile_table
 from repro.retrieval.speed import retrieval_speed
-from repro.storage.disk import DiskModel, DEFAULT_DISK
 from repro.units import PROFILE_CLIP_SECONDS
 from repro.video.fidelity import sampling_index
 from repro.video.format import StorageFormat
@@ -77,16 +76,10 @@ class CodingProfiler:
     def __init__(
         self,
         activity: float = 0.35,
-        clip_seconds: float = PROFILE_CLIP_SECONDS,
-        codec: CodecModel = DEFAULT_CODEC,
-        disk: DiskModel = DEFAULT_DISK,
         clock: Optional[SimClock] = None,
     ):
         #: Mean content activity of the profiled stream (size calibration).
         self.activity = activity
-        self.clip_seconds = clip_seconds
-        self.codec = codec
-        self.disk = disk
         self.clock = clock or SimClock()
         self.stats = CodingProfilerStats()
         self._memo: Dict[StorageFormat, CodingProfile] = {}
@@ -94,7 +87,7 @@ class CodingProfiler:
         #: lookup hashes cached ints; (format, None, rate) for ``None``
         #: and off-grid rates.
         self._speed_memo: Dict[tuple, float] = {}
-        self._table: ProfileTable = get_profile_table(codec, disk, activity)
+        self._table: ProfileTable = get_profile_table(activity)
 
     @property
     def table(self) -> ProfileTable:
@@ -114,9 +107,10 @@ class CodingProfiler:
         # Simulated profiling work: encode the sample clip, then decode it
         # (or read it back for raw formats).
         decode_cost = (
-            0.0 if base_speed == float("inf") else self.clip_seconds / base_speed
+            0.0 if base_speed == float("inf")
+            else PROFILE_CLIP_SECONDS / base_speed
         )
-        run_seconds = ingest_cost * self.clip_seconds + decode_cost
+        run_seconds = ingest_cost * PROFILE_CLIP_SECONDS + decode_cost
         self.clock.charge(run_seconds, "profiling")
         self.stats.runs += 1
         self.stats.seconds += run_seconds
@@ -141,9 +135,7 @@ class CodingProfiler:
         self.profile(fmt)
         speed = self._table.retrieval_speed(fmt, consumer_sampling)
         if speed is None:  # a query outside the table grid
-            speed = retrieval_speed(
-                fmt, consumer_sampling, self.codec, self.disk
-            )
+            speed = retrieval_speed(fmt, consumer_sampling)
         self._speed_memo[key] = speed
         return speed
 

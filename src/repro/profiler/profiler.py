@@ -30,54 +30,55 @@ class OperatorProfile:
     accuracy: float
     consumption_speed: float  # x realtime
 
-    @property
-    def consumption_cost(self) -> float:
-        """Reciprocal speed: seconds of compute per video second."""
-        speed = self.consumption_speed
-        return 0.0 if speed == float("inf") else 1.0 / speed
+
+#: Tracks a representative profile clip holds at least.
+PROFILE_MIN_TRACKS = 4
+#: Object-presence fraction a representative profile clip comes closest to.
+PROFILE_TARGET_PRESENCE = 0.6
+#: Seconds between the candidate clip offsets the scan tries.
+PROFILE_SCAN_STEP = 16.0
+#: Stream second before which every candidate clip offset lies.
+PROFILE_SCAN_LIMIT = 2048.0
+#: Fixed simulated seconds per operator profiling run for preparing
+#: sample frames (decoding and resizing the sample clip).
+PROFILE_PREP_SECONDS = 0.35
 
 
-def select_profile_clip(
-    dataset: str,
-    clip_seconds: float = PROFILE_CLIP_SECONDS,
-    min_tracks: int = 4,
-    target_presence: float = 0.6,
-    scan_step: float = 16.0,
-    scan_limit: float = 2048.0,
-) -> ClipTruth:
-    """Pick a representative sample clip from a stream.
+def select_profile_clip(dataset: str) -> ClipTruth:
+    """Pick a representative ``PROFILE_CLIP_SECONDS`` sample clip.
 
     Profiling is only informative on footage that actually contains events
     (the paper profiles hand-picked benchmark videos).  This helper scans
-    candidate offsets and returns the clip that has at least ``min_tracks``
-    tracks, at least one readable plate, and an object-presence fraction
-    closest to ``target_presence`` (so both positives and negatives occur).
-    Falls back to the densest clip seen when no candidate qualifies.
+    candidate offsets and returns the clip that has at least
+    :data:`PROFILE_MIN_TRACKS` tracks, at least one readable plate, and an
+    object-presence fraction closest to :data:`PROFILE_TARGET_PRESENCE`
+    (so both positives and negatives occur).  Falls back to the densest
+    clip seen when no candidate qualifies.
     """
     model = get_dataset(dataset).content()
     best: Optional[Tuple[float, ClipTruth]] = None
     densest: Optional[Tuple[int, ClipTruth]] = None
     t0 = 0.0
-    while t0 < scan_limit:
-        clip = model.clip(t0, clip_seconds)
+    while t0 < PROFILE_SCAN_LIMIT:
+        clip = model.clip(t0, PROFILE_CLIP_SECONDS)
         n = len(clip.tracks)
         if densest is None or n > densest[0]:
             densest = (n, clip)
-        if n >= min_tracks and any(tr.plate for tr in clip.tracks):
+        if n >= PROFILE_MIN_TRACKS and any(tr.plate for tr in clip.tracks):
             presence = (
                 float(clip.visible.any(axis=0).mean()) if clip.tracks else 0.0
             )
-            score = abs(presence - target_presence)
+            score = abs(presence - PROFILE_TARGET_PRESENCE)
             if best is None or score < best[0]:
                 best = (score, clip)
             if score < 0.1:
                 break
-        t0 += scan_step
+        t0 += PROFILE_SCAN_STEP
     if best is not None:
         return best[1]
     if densest is not None:
         return densest[1]
-    return model.clip(0.0, clip_seconds)
+    return model.clip(0.0, PROFILE_CLIP_SECONDS)
 
 
 @dataclass
@@ -98,25 +99,13 @@ class OperatorProfiler:
         self,
         library: OperatorLibrary,
         dataset: str,
-        clip_t0: Optional[float] = None,
-        clip_seconds: float = PROFILE_CLIP_SECONDS,
         clock: Optional[SimClock] = None,
-        prep_overhead: float = 0.35,
     ):
         self.library = library
         self.dataset = dataset
-        self.clip_seconds = clip_seconds
         self.clock = clock or SimClock()
-        #: Fixed simulated seconds per run for preparing sample frames
-        #: (decoding and resizing the 10-second sample clip).
-        self.prep_overhead = prep_overhead
         self.stats = ProfilerStats()
-        if clip_t0 is None:
-            self._clip = select_profile_clip(dataset, clip_seconds)
-        else:
-            self._clip = get_dataset(dataset).content().clip(
-                clip_t0, clip_seconds
-            )
+        self._clip = select_profile_clip(dataset)
         self._memo: Dict[Tuple[str, Fidelity], OperatorProfile] = {}
 
     @property
@@ -143,7 +132,8 @@ class OperatorProfiler:
         # Charge the simulated cost of actually running the operator over
         # the sample clip, plus sample preparation.
         run_seconds = (
-            op.consumption_seconds(fidelity, self.clip_seconds) + self.prep_overhead
+            op.consumption_seconds(fidelity, PROFILE_CLIP_SECONDS)
+            + PROFILE_PREP_SECONDS
         )
         self.clock.charge(run_seconds, "profiling")
         self.stats.runs += 1

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.cache.plane import CachePlane, RetrievalAccess
 from repro.codec.chunks import decoded_frame_count
-from repro.codec.model import CodecModel, DEFAULT_CODEC
+from repro.codec.model import DEFAULT_CODEC
 from repro.errors import StorageError
 from repro.storage.disk import raw_read_seconds
 from repro.storage.segment_store import SegmentStore, StoredSegment  # noqa: F401
@@ -43,7 +43,6 @@ class SegmentReader:
         store: SegmentStore,
         fmt: StorageFormat,
         consumer_fidelity: Fidelity,
-        codec: CodecModel = DEFAULT_CODEC,
         cache: Optional[CachePlane] = None,
     ):
         if not fmt.fidelity.richer_equal(consumer_fidelity):
@@ -54,7 +53,6 @@ class SegmentReader:
         self.store = store
         self.fmt = fmt
         self.consumer_fidelity = consumer_fidelity
-        self.codec = codec
         self.cache = cache
 
     @property
@@ -78,7 +76,7 @@ class SegmentReader:
         """
         if not indices:
             return []
-        stride = self.codec.consumer_stride(
+        stride = DEFAULT_CODEC.consumer_stride(
             self.fmt.fidelity, self.consumer_fidelity.sampling
         )
         metas = [self.store.meta(stream, self.fmt, i) for i in indices]
@@ -86,7 +84,7 @@ class SegmentReader:
         if self.fmt.is_raw:
             n_stored = np.maximum(1, n_frames)
             consumed = -(-n_stored // stride)  # == len(range(0, n, stride))
-            frame_bytes = self.codec.raw_frame_bytes(self.fmt.fidelity)
+            frame_bytes = DEFAULT_CODEC.raw_frame_bytes(self.fmt.fidelity)
             params = [self._disk_params(stream, i) for i in indices]
             seconds = raw_read_seconds(
                 n_stored, consumed, frame_bytes,
@@ -106,7 +104,7 @@ class SegmentReader:
                 [per_count[n] for n in n_frames.tolist()], dtype=np.int64
             )
             consumed = -(-n_frames // stride)
-            seconds = n_decoded * self.codec.decode_frame_seconds(
+            seconds = n_decoded * DEFAULT_CODEC.decode_frame_seconds(
                 self.fmt.fidelity, self.fmt.coding
             )
         return [
@@ -162,7 +160,7 @@ class SegmentReader:
         key = self.cache.frame_key(stream, index, self.fmt.label,
                                    self.consumer_fidelity.label)
         nbytes = (retrieved.n_frames
-                  * self.codec.raw_frame_bytes(self.consumer_fidelity))
+                  * DEFAULT_CODEC.raw_frame_bytes(self.consumer_fidelity))
         # peek, not get: planning is side-effect-free — hit/miss counters
         # move when the retrieval is actually served on the clock.
         access = RetrievalAccess(

@@ -13,16 +13,14 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from repro.codec.model import CodecModel, DEFAULT_CODEC
-from repro.storage.disk import DiskModel, DEFAULT_DISK
+from repro.codec.model import DEFAULT_CODEC
+from repro.storage.disk import DEFAULT_DISK
 from repro.video.format import StorageFormat
 
 
 def retrieval_speed(
     fmt: StorageFormat,
     consumer_sampling: Optional[Fraction] = None,
-    codec: CodecModel = DEFAULT_CODEC,
-    disk: DiskModel = DEFAULT_DISK,
 ) -> float:
     """Realtime multiple at which ``fmt`` supplies a consumer.
 
@@ -30,15 +28,17 @@ def retrieval_speed(
     ingest frame rate (defaults to consuming every stored frame).
     """
     if fmt.is_raw:
-        return disk.raw_read_speed(
+        return DEFAULT_DISK.raw_read_speed(
             fmt.fidelity,
-            codec.raw_frame_bytes(fmt.fidelity),
+            DEFAULT_CODEC.raw_frame_bytes(fmt.fidelity),
             consumer_sampling,
         )
-    decode = codec.decode_speed(fmt.fidelity, fmt.coding, consumer_sampling)
+    decode = DEFAULT_CODEC.decode_speed(fmt.fidelity, fmt.coding,
+                                        consumer_sampling)
     # Encoded reads are pipelined with decoding; the disk is effectively
     # never the bottleneck for compressed data (Section 2.2), but we still
     # take the minimum for correctness with extreme parameterizations.
-    stream_bytes = codec.encoded_bytes_per_second(fmt.fidelity, fmt.coding)
-    disk_speed = disk.sequential_read_speed(stream_bytes)
+    stream_bytes = DEFAULT_CODEC.encoded_bytes_per_second(fmt.fidelity,
+                                                          fmt.coding)
+    disk_speed = DEFAULT_DISK.sequential_read_speed(stream_bytes)
     return min(decode, disk_speed)

@@ -58,7 +58,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 from repro.clock import SimClock
 from repro.errors import ReplicaUnavailableError, ShardFailedError, StorageError
 from repro.storage.disk import DiskModel, transfer_seconds
-from repro.units import GB
 
 #: One placed key: (stream, format key text, segment index).
 ShardKey = Tuple[str, str, int]
@@ -199,7 +198,9 @@ class ShardedDiskArray:
     Every :class:`~repro.storage.segment_store.SegmentStore` runs on one;
     callers go through the keyed entry points (``place``/``locate``/
     ``write_at``/``read_seconds``/``write_seconds``/``migrate``) or reach a
-    shard's :class:`DiskModel` envelope with :meth:`shard`.
+    shard's :class:`DiskModel` envelope with :meth:`shard`.  Every shard
+    is the calibrated ``DiskModel()`` unless ``disks`` gives each shard's
+    envelope.
     """
 
     def __init__(
@@ -209,9 +210,6 @@ class ShardedDiskArray:
         placement: Union[str, PlacementPolicy] = "hash",
         replication: int = 1,
         clock: Optional[SimClock] = None,
-        read_bandwidth: float = 1.0 * GB,
-        write_bandwidth: float = 0.8 * GB,
-        request_overhead: float = 0.1e-3,
         disks: Optional[List[DiskModel]] = None,
     ):
         if disks is not None:
@@ -221,14 +219,7 @@ class ShardedDiskArray:
         else:
             if shards < 1:
                 raise StorageError(f"need at least one disk shard: {shards}")
-            self.disks = [
-                DiskModel(
-                    read_bandwidth=read_bandwidth,
-                    write_bandwidth=write_bandwidth,
-                    request_overhead=request_overhead,
-                )
-                for _ in range(shards)
-            ]
+            self.disks = [DiskModel() for _ in range(shards)]
         self.clock = clock or SimClock()
         self.placement = placement_named(placement)
         if not 1 <= replication <= len(self.disks):

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from repro.errors import FidelityError, KnobError
 
@@ -182,17 +182,6 @@ class Fidelity:
         """True iff the two options are ordered by richer-than (either way)."""
         return self.richer_equal(other) or other.richer_equal(self)
 
-    def degrade_to(self, other: "Fidelity") -> "Fidelity":
-        """Check that ``other`` is reachable by degradation and return it.
-
-        Degradation (resize, crop, drop frames, re-quantize) can only move
-        *down* the richer-than order; anything else raises
-        :class:`~repro.errors.FidelityError` (requirement R1).
-        """
-        if not self.richer_equal(other):
-            raise FidelityError(f"cannot degrade {self} to non-poorer {other}")
-        return other
-
     # -- presentation --------------------------------------------------------
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
@@ -308,7 +297,3 @@ def fidelity_space_size() -> int:
         total *= n
     return total
 
-
-def downgrades_of(fid: Fidelity) -> List[Fidelity]:
-    """All options poorer than or equal to ``fid`` (its down-set in F)."""
-    return [f for f in fidelity_space() if fid.richer_equal(f)]

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from repro.video.coding import Coding, RAW, coding_space_size
+from repro.video.coding import Coding, coding_space_size
 from repro.video.fidelity import Fidelity
 
 
@@ -78,22 +78,9 @@ class StorageFormat:
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"SF<{self.label}>"
 
-    def can_supply(self, cf: ConsumptionFormat) -> bool:
-        """Requirement R1: this SF can feed ``cf`` iff its fidelity is
-        richer than or equal to the consumption fidelity."""
-        return self.fidelity.richer_equal(cf.fidelity)
-
-    def with_coding(self, coding: Coding) -> "StorageFormat":
-        """The format of this fidelity under a different coding option."""
-        return StorageFormat(fidelity=self.fidelity, coding=coding)
-
 
 _N_CODINGS = coding_space_size()
 
 #: Canonical formats by index, filled in on first use.
 _FORMATS: Dict[int, StorageFormat] = {}
 
-
-def raw_format(fidelity: Fidelity) -> StorageFormat:
-    """A storage format keeping ``fidelity`` as raw frames on disk."""
-    return StorageFormat(fidelity=fidelity, coding=RAW)

@@ -33,7 +33,6 @@ from unittest import mock
 import numpy as np
 
 from repro.clock import SimClock
-from repro.codec.model import DEFAULT_CODEC
 from repro.errors import QueryError
 from repro.obs.trace import task_event
 from repro.operators.library import Consumer
@@ -354,7 +353,7 @@ def _execute_sequential(
         consumer = Consumer(name, accuracy)
         fidelity = scheme.consumption_fidelity(consumer)
         fmt = scheme.storage_format(consumer)
-        reader = SegmentReader(store, fmt, fidelity, DEFAULT_CODEC)
+        reader = SegmentReader(store, fmt, fidelity)
         survivors = []
         n_pos = 0
         consume_costs = []

@@ -15,11 +15,10 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 from unittest import mock
 
-from repro.codec.model import CodecModel
+from repro.codec.model import DEFAULT_CODEC
 from repro.profiler import coding_profiler
 from repro.profiler.coding_profiler import CodingProfiler
 from repro.retrieval.speed import retrieval_speed
-from repro.storage.disk import DiskModel
 from repro.video.coding import Coding, coding_space
 from repro.video.fidelity import Fidelity
 from repro.video.format import StorageFormat
@@ -32,30 +31,28 @@ class ScalarSurfaces:
     coalescing planner's storage ranking, shaped like the
     :class:`~repro.codec.tables.ProfileTable` lookups that replaced them."""
 
-    def __init__(self, codec: CodecModel, disk: DiskModel, activity: float):
-        self.codec = codec
-        self.disk = disk
+    def __init__(self, activity: float):
         self.activity = activity
 
     def profile_values(self, fmt: StorageFormat) -> Tuple[float, float, float]:
         fidelity, coding = fmt.fidelity, fmt.coding
-        bytes_per_second = self.codec.encoded_bytes_per_second(
+        bytes_per_second = DEFAULT_CODEC.encoded_bytes_per_second(
             fidelity, coding, self.activity
         )
-        ingest_cost = self.codec.encode_seconds_per_video_second(
+        ingest_cost = DEFAULT_CODEC.encode_seconds_per_video_second(
             fidelity, coding
         )
-        base_speed = retrieval_speed(fmt, None, self.codec, self.disk)
+        base_speed = retrieval_speed(fmt, None)
         return bytes_per_second, ingest_cost, base_speed
 
     def retrieval_speed(self, fmt: StorageFormat,
                         consumer_sampling: Optional[Fraction]) -> float:
-        return retrieval_speed(fmt, consumer_sampling, self.codec, self.disk)
+        return retrieval_speed(fmt, consumer_sampling)
 
     def storage_rank(self, fidelity: Fidelity) -> List[Coding]:
         options = list(coding_space(include_raw=False))
         options.sort(
-            key=lambda c: self.codec.encoded_bytes_per_second(
+            key=lambda c: DEFAULT_CODEC.encoded_bytes_per_second(
                 fidelity, c, self.activity
             )
         )

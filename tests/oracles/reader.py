@@ -21,6 +21,7 @@ from typing import Optional, Tuple
 from repro.cache.plane import CachePlane, RetrievalAccess
 from repro.clock import SimClock
 from repro.codec.chunks import decoded_frame_count
+from repro.codec.model import DEFAULT_CODEC
 from repro.retrieval.reader import RetrievedClip, SegmentReader
 
 __all__ = ["assess", "assess_cached", "read", "serve_retrieval"]
@@ -33,7 +34,7 @@ def assess(self: SegmentReader, stream: str, index: int) -> RetrievedClip:
     the clock itself when the simulated disk/decoder actually serves
     them; :meth:`read` is ``assess`` plus an immediate charge.
     """
-    stride = self.codec.consumer_stride(
+    stride = DEFAULT_CODEC.consumer_stride(
         self.fmt.fidelity, self.consumer_fidelity.sampling
     )
     meta = self.store.meta(stream, self.fmt, index)
@@ -42,7 +43,7 @@ def assess(self: SegmentReader, stream: str, index: int) -> RetrievedClip:
         # (Table 3 note 2); a full scan streams the segment sequentially.
         n_stored = max(1, meta.n_frames)
         consumed = len(range(0, n_stored, stride))
-        frame_bytes = self.codec.raw_frame_bytes(self.fmt.fidelity)
+        frame_bytes = DEFAULT_CODEC.raw_frame_bytes(self.fmt.fidelity)
         bandwidth, overhead = self._disk_params(stream, index)
         # Either scan the whole segment sequentially or read sampled
         # frames individually, whichever is cheaper (cf. DiskModel).
@@ -61,7 +62,7 @@ def assess(self: SegmentReader, stream: str, index: int) -> RetrievedClip:
         meta.n_frames, stride, self.fmt.coding.keyframe_interval
     )
     consumed = len(range(0, meta.n_frames, stride))
-    seconds = n_decoded * self.codec.decode_frame_seconds(
+    seconds = n_decoded * DEFAULT_CODEC.decode_frame_seconds(
         self.fmt.fidelity, self.fmt.coding
     )
     return RetrievedClip(

@@ -248,6 +248,21 @@ class TestTiering:
         assert one.cache_stats().tiering.migration_seconds > 0
         assert result == outcome.result
 
+    def test_makespan_ends_before_the_tier_sweep(self, tmp_path):
+        """The post-run tier sweep moves the clock after the last query
+        finished; the run's makespan, its SLO report's and the metrics
+        gauge all end at that finish, and only the tiering stats count
+        the migration."""
+        store = _build(tmp_path / "w", TIERED, n_segments=8)
+        [outcome] = store.execute_many([dict(query="A", dataset="jackson",
+                                             accuracy=0.8, t0=0.0, t1=64.0)])
+        run = store.last_run
+        gauge = store.metrics.snapshot()["gauges"]["executor.makespan_seconds"]
+        assert store.cache_stats().tiering.migration_seconds > 0
+        assert (run.stats.makespan == run.slo.makespan
+                == outcome.session.finished_at == gauge
+                == 2.1818715888914464)
+
 
 class TestDecoderCache:
     def test_decoder_skips_charge_on_hit(self, tmp_path):

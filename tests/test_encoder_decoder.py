@@ -4,6 +4,7 @@ import pytest
 
 from repro.clock import SimClock
 from repro.codec.encoder import Encoder
+from repro.codec.model import DEFAULT_CODEC
 from repro.errors import StorageError
 from repro.retrieval.reader import SegmentReader
 from repro.storage.kvstore import KVStore
@@ -28,7 +29,7 @@ def test_encode_charges_ingest_time(clock):
     enc = Encoder(clock=clock)
     fmt = _fmt("best-720p-1-100%", Coding("slowest", 250))
     enc.encode(Segment("s", 0), fmt, activity=0.35)
-    expected = enc.model.encode_seconds_per_video_second(
+    expected = DEFAULT_CODEC.encode_seconds_per_video_second(
         fmt.fidelity, fmt.coding) * 8.0
     assert clock.spent("ingest") == pytest.approx(expected)
 
@@ -96,8 +97,9 @@ def test_decode_charges_decode_time(clock, reader_for):
     # The retrieve task runs on the decoder and books "decode" time.
     assert reader.category == "decode"
     assert out.n_frames == encoded.n_frames  # same sampling: all frames
-    assert out.retrieval_seconds == encoded.n_frames * enc.model.decode_frame_seconds(
-        fmt.fidelity, fmt.coding
+    assert out.retrieval_seconds == (
+        encoded.n_frames
+        * DEFAULT_CODEC.decode_frame_seconds(fmt.fidelity, fmt.coding)
     )
 
 
@@ -108,8 +110,8 @@ def test_decode_with_chunk_skip(clock, reader_for):
     reader = reader_for(encoded, "good-540p-1/30-100%")
     (out,) = reader.assess_many("s", [0])
     n_decoded = round(out.retrieval_seconds
-                      / enc.model.decode_frame_seconds(fmt.fidelity,
-                                                       fmt.coding))
+                      / DEFAULT_CODEC.decode_frame_seconds(fmt.fidelity,
+                                                           fmt.coding))
     assert out.n_frames == 8  # one frame per second over 8 s
     assert n_decoded < encoded.n_frames  # chunks were skipped
     assert n_decoded >= out.n_frames
@@ -124,7 +126,7 @@ def test_decode_rejects_raw(clock, reader_for):
     (out,) = reader.assess_many("s", [0])
     assert reader.category == "disk"
     disk = reader.store.array.shard(0)
-    frame_bytes = enc.model.raw_frame_bytes(encoded.fmt.fidelity)
+    frame_bytes = DEFAULT_CODEC.raw_frame_bytes(encoded.fmt.fidelity)
     assert out.retrieval_seconds == (encoded.n_frames * frame_bytes
                                      / disk.read_bandwidth
                                      + disk.request_overhead)

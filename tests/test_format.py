@@ -8,7 +8,7 @@ import pytest
 
 from repro.video.coding import Coding, RAW, coding_space
 from repro.video.fidelity import Fidelity, fidelity_space
-from repro.video.format import ConsumptionFormat, StorageFormat, raw_format
+from repro.video.format import ConsumptionFormat, StorageFormat
 
 
 def _fid(label):
@@ -23,23 +23,8 @@ def test_labels_look_like_the_paper():
 
 
 def test_raw_flag():
-    assert raw_format(_fid("best-200p-1-100%")).is_raw
+    assert StorageFormat(_fid("best-200p-1-100%"), RAW).is_raw
     assert not StorageFormat(_fid("best-200p-1-100%"), Coding("fast", 10)).is_raw
-
-
-def test_can_supply_requires_richer_fidelity():
-    sf = StorageFormat(_fid("good-540p-1/2-100%"), Coding("slowest", 250))
-    assert sf.can_supply(ConsumptionFormat(_fid("good-540p-1/6-75%")))
-    assert sf.can_supply(ConsumptionFormat(_fid("bad-200p-1/30-50%")))
-    assert not sf.can_supply(ConsumptionFormat(_fid("best-540p-1/6-100%")))
-    assert not sf.can_supply(ConsumptionFormat(_fid("good-720p-1/6-100%")))
-
-
-def test_with_coding_swaps_only_coding():
-    sf = StorageFormat(_fid("good-540p-1/2-100%"), Coding("slowest", 250))
-    sf2 = sf.with_coding(RAW)
-    assert sf2.fidelity == sf.fidelity
-    assert sf2.is_raw
 
 
 # -- the interned formats ----------------------------------------------------

@@ -1,11 +1,9 @@
-"""Exporters: golden Chrome trace and the columnar analytics tier.
+"""Exporters: golden Chrome trace and the JSONL analytics tier.
 
 The Chrome trace-event JSON is deterministic byte-for-byte, so it is
 pinned golden like the raw executor traces (regenerate intentionally
 with ``pytest tests/test_obs_export.py --update-golden`` and review the
-diff).  The columnar tier must round-trip rows bit-equal through
-whichever format the host supports — Parquet branches are exercised only
-when pyarrow exists; the JSONL fallback always runs.
+diff).  The analytics tier must round-trip rows bit-equal through JSONL.
 """
 
 from __future__ import annotations
@@ -20,10 +18,8 @@ from repro.core.store import VStore
 from repro.obs.export import (
     bench_history_rows,
     chrome_trace,
-    columnar_suffix,
     export_run,
     read_rows,
-    to_dataframe,
     write_chrome_trace,
     write_rows,
 )
@@ -123,7 +119,7 @@ def test_chrome_trace_deterministic(traced_run, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# The columnar tier
+# The JSONL analytics tier
 # ---------------------------------------------------------------------------
 
 
@@ -143,62 +139,11 @@ def test_jsonl_roundtrip_bit_equal(tmp_path):
     assert Path(path).read_bytes() == Path(path2).read_bytes()
 
 
-def test_parquet_roundtrip_when_available(tmp_path):
-    pytest.importorskip("pyarrow")
-    path = str(tmp_path / "rows.parquet")
-    write_rows(path, ROWS)
-    back = read_rows(path)
-    assert len(back) == len(ROWS)
-    for orig, got in zip(ROWS, back):
-        for k, v in orig.items():
-            assert got[k] == v
-
-
-def test_columnar_suffix_matches_host(tmp_path):
-    suffix = columnar_suffix()
-    assert suffix in (".parquet", ".jsonl")
-    try:
-        import pyarrow  # noqa: F401
-
-        assert suffix == ".parquet"
-    except ImportError:
-        assert suffix == ".jsonl"
-
-
 def test_unknown_suffix_rejected(tmp_path):
     with pytest.raises(ValueError):
         write_rows(str(tmp_path / "rows.csv"), ROWS)
     with pytest.raises(ValueError):
         read_rows(str(tmp_path / "rows.csv"))
-
-
-def test_to_dataframe_roundtrip(tmp_path):
-    pytest.importorskip("pandas")
-    path = str(tmp_path / "rows" + columnar_suffix())
-    write_rows(path, ROWS)
-    df = to_dataframe(path)
-    assert len(df) == len(ROWS)
-    assert df.iloc[0]["resource"] == "disk"
-    # Bit-equal through pandas: frame -> rows -> file reproduces the bytes.
-    back = df.where(df.notna(), None).to_dict("records")
-    path2 = str(tmp_path / "rows2" + columnar_suffix())
-    write_rows(path2, back)
-    assert read_rows(path2) == read_rows(path)
-
-
-def test_to_dataframe_raises_cleanly_without_pandas(tmp_path, monkeypatch):
-    import builtins
-
-    real_import = builtins.__import__
-
-    def no_pandas(name, *args, **kwargs):
-        if name == "pandas":
-            raise ImportError("pandas disabled for this test")
-        return real_import(name, *args, **kwargs)
-
-    monkeypatch.setattr(builtins, "__import__", no_pandas)
-    with pytest.raises(RuntimeError, match="requires pandas"):
-        to_dataframe([{"a": 1}])
 
 
 def test_bench_history_rows(tmp_path):

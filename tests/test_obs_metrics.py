@@ -3,7 +3,8 @@
 Instruments first (log-bucket quantiles must be honest about their
 ±one-bucket resolution), then the cross-layer feeders: an ordinary
 ``execute_many`` must leave the store's registry describing the run —
-and ``REPRO_OBS_METRICS=0`` must detach it without breaking anything.
+and a run passed ``metrics=None`` must feed it nothing without breaking
+anything.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from repro.obs.metrics import (
     Counter,
     Histogram,
     MetricsRegistry,
-    metrics_enabled,
 )
 from repro.operators.library import default_library
 
@@ -168,16 +168,6 @@ def test_registry_snapshot_is_deterministic_and_sorted():
     assert len({tuple(sorted(row)) for row in rows}) == 1
 
 
-def test_env_switch(monkeypatch):
-    monkeypatch.delenv("REPRO_OBS_METRICS", raising=False)
-    assert metrics_enabled()
-    for off in ("0", "off", "no", "false", "OFF"):
-        monkeypatch.setenv("REPRO_OBS_METRICS", off)
-        assert not metrics_enabled()
-    monkeypatch.setenv("REPRO_OBS_METRICS", "1")
-    assert metrics_enabled()
-
-
 # ---------------------------------------------------------------------------
 # Cross-layer feeders, through the store facade
 # ---------------------------------------------------------------------------
@@ -225,12 +215,11 @@ def test_stats_expose_honest_total_wall(small_store):
     )
 
 
-def test_env_gate_detaches_executors(small_store, monkeypatch):
-    monkeypatch.setenv("REPRO_OBS_METRICS", "0")
-    small_store.execute_many([dict(s) for s in SPECS])
+def test_detached_run_feeds_no_registry(small_store):
+    small_store.execute_many([dict(s) for s in SPECS], metrics=None)
     snap = small_store.metrics.snapshot()
     assert snap["counters"] == {}  # nothing was fed
-    # The trace record is independent of the metrics gate.
+    # The trace record is independent of the registry.
     assert small_store.last_run is not None
     assert small_store.last_run.events
 

@@ -22,7 +22,6 @@ import pytest
 from repro.clock import SimClock
 from repro.codec.decoder import DecoderPool
 from repro.codec.encoder import Encoder
-from repro.codec.model import DEFAULT_CODEC
 from repro.core.config import derive_configuration
 from repro.core.evolve import (
     decide_consumers,
@@ -275,7 +274,7 @@ def test_uncommitted_epoch_rolls_back_at_reopen(drifted_store):
     )
 
     epoch = segments.begin_epoch()
-    encoded = Encoder(DEFAULT_CODEC, SimClock()).encode(
+    encoded = Encoder(SimClock()).encode(
         meta.segment, target, meta.activity
     )
     segments.put(encoded, epoch=epoch, charge=False)

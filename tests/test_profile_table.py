@@ -8,12 +8,17 @@ switched on.
 
 import pytest
 
+from repro.codec.encoder import Encoder
 from repro.codec.model import DEFAULT_CODEC
 from repro.codec.tables import clear_profile_table_cache, get_profile_table
 from repro.errors import CodecError
+from repro.ingest.pipeline import IngestionPipeline
 from repro.profiler.coding_profiler import CodingProfiler
+from repro.profiler.profiler import OperatorProfiler
+from repro.retrieval.reader import SegmentReader
 from repro.retrieval.speed import retrieval_speed
 from repro.storage.disk import DEFAULT_DISK
+from repro.storage.sharding import ShardedDiskArray
 from repro.video.coding import Coding, RAW, coding_space
 from repro.video.fidelity import Fidelity, SAMPLING_RATES, fidelity_space
 from repro.video.format import StorageFormat
@@ -22,10 +27,32 @@ from oracles import scalar_profiler
 
 ACTIVITY = 0.6
 
+FMT = StorageFormat(Fidelity.parse("best-720p-1-100%"), RAW)
+
+#: One call per layer asking for a machine other than the calibrated one.
+#: The codec model, the planner's disk, the shard envelope and the
+#: profiling clip are constants, so each call raises TypeError.
+REMOVED_OPTIONS = {
+    "Encoder-model": lambda: Encoder(model=DEFAULT_CODEC),
+    "IngestionPipeline-codec": lambda: IngestionPipeline(
+        "jackson", [], codec=DEFAULT_CODEC),
+    "SegmentReader-codec": lambda: SegmentReader(
+        None, FMT, FMT.fidelity, codec=DEFAULT_CODEC),
+    "retrieval_speed-codec": lambda: retrieval_speed(
+        FMT, codec=DEFAULT_CODEC),
+    "CodingProfiler-disk": lambda: CodingProfiler(disk=DEFAULT_DISK),
+    "OperatorProfiler-clip_t0": lambda: OperatorProfiler(
+        None, "jackson", clip_t0=0.0),
+    "ShardedDiskArray-read_bandwidth": lambda: ShardedDiskArray(
+        read_bandwidth=1e9),
+    "get_profile_table-codec-disk": lambda: get_profile_table(
+        DEFAULT_CODEC, DEFAULT_DISK, ACTIVITY),
+}
+
 
 @pytest.fixture(scope="module")
 def table():
-    return get_profile_table(DEFAULT_CODEC, DEFAULT_DISK, ACTIVITY)
+    return get_profile_table(ACTIVITY)
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +73,7 @@ class TestGridParity:
                     DEFAULT_CODEC.encode_seconds_per_video_second(
                         fid, coding
                     ),
-                    retrieval_speed(fmt, None, DEFAULT_CODEC, DEFAULT_DISK),
+                    retrieval_speed(fmt, None),
                 )
 
     def test_raw_profiles_match_scalar(self, table, fidelity_sample):
@@ -55,7 +82,7 @@ class TestGridParity:
             assert table.profile_values(fmt) == (
                 DEFAULT_CODEC.raw_bytes_per_second(fid),
                 DEFAULT_CODEC.encode_seconds_per_video_second(fid, RAW),
-                retrieval_speed(fmt, None, DEFAULT_CODEC, DEFAULT_DISK),
+                retrieval_speed(fmt, None),
             )
 
     def test_retrieval_matches_scalar_per_sampling(
@@ -66,9 +93,7 @@ class TestGridParity:
                 fmt = StorageFormat(fid, coding)
                 for sampling in SAMPLING_RATES:
                     try:
-                        expected = retrieval_speed(
-                            fmt, sampling, DEFAULT_CODEC, DEFAULT_DISK
-                        )
+                        expected = retrieval_speed(fmt, sampling)
                     except CodecError:
                         # Consumer faster than the store: the table returns
                         # None and the profiler falls back (and raises).
@@ -89,10 +114,10 @@ class TestGridParity:
 
 class TestTableCache:
     def test_tables_shared_per_key(self):
-        a = get_profile_table(DEFAULT_CODEC, DEFAULT_DISK, 0.41)
-        b = get_profile_table(DEFAULT_CODEC, DEFAULT_DISK, 0.41)
+        a = get_profile_table(0.41)
+        b = get_profile_table(0.41)
         assert a is b
-        assert get_profile_table(DEFAULT_CODEC, DEFAULT_DISK, 0.42) is not a
+        assert get_profile_table(0.42) is not a
 
     def test_profilers_share_one_table(self):
         p1 = CodingProfiler(activity=0.43)
@@ -100,15 +125,21 @@ class TestTableCache:
         assert p1.table is p2.table
 
     def test_clear_cache_rebuilds(self):
-        a = get_profile_table(DEFAULT_CODEC, DEFAULT_DISK, 0.44)
+        a = get_profile_table(0.44)
         clear_profile_table_cache()
-        assert get_profile_table(DEFAULT_CODEC, DEFAULT_DISK, 0.44) is not a
+        assert get_profile_table(0.44) is not a
 
 
 class TestProfilerModes:
     def test_scalar_path_is_not_an_option(self):
         with pytest.raises(TypeError):
             CodingProfiler(activity=ACTIVITY, use_table=False)
+
+    @pytest.mark.parametrize("call", list(REMOVED_OPTIONS.values()),
+                             ids=list(REMOVED_OPTIONS))
+    def test_the_calibrated_machine_is_not_an_option(self, call):
+        with pytest.raises(TypeError):
+            call()
 
     def test_profile_identical_with_and_without_table(self):
         scalar = scalar_profiler(activity=ACTIVITY)

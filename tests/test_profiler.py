@@ -15,7 +15,6 @@ def test_profile_measures_accuracy_and_speed(jackson_profiler):
     p = jackson_profiler.profile("NN", richest_fidelity())
     assert p.accuracy == pytest.approx(1.0, abs=1e-6)
     assert p.consumption_speed > 0
-    assert p.consumption_cost == pytest.approx(1.0 / p.consumption_speed)
 
 
 def test_memoization_avoids_repeated_runs():

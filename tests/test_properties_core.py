@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.codec.model import DEFAULT_CODEC
 from repro.core.coalesce import Demand, StorageFormatPlanner, \
     cheapest_adequate_coding
 from repro.core.consumption import ConsumptionPlanner
@@ -119,10 +120,10 @@ def test_cheapest_adequate_coding_is_cheapest(fid, speed):
                 profiler, StorageFormat(fid, coding), [demand]
             )
         return
-    chosen_size = profiler.codec.encoded_bytes_per_second(
+    chosen_size = DEFAULT_CODEC.encoded_bytes_per_second(
         fid, chosen, profiler.activity)
     for coding in coding_space(include_raw=False):
-        size = profiler.codec.encoded_bytes_per_second(
+        size = DEFAULT_CODEC.encoded_bytes_per_second(
             fid, coding, profiler.activity)
         if size < chosen_size - 1e-9:
             assert not coding_is_adequate(

@@ -11,6 +11,7 @@ import pytest
 
 from repro.clock import SimClock
 from repro.codec.encoder import Encoder
+from repro.codec.model import DEFAULT_CODEC
 from repro.core.store import VStore
 from repro.errors import StorageError
 from repro.operators.library import default_library
@@ -104,9 +105,9 @@ class TestShardedDiskArray:
 
         consumer = Fidelity.parse("best-200p-1/6-100%")
         reader = SegmentReader(store, FMT_B, consumer)
-        stride = reader.codec.consumer_stride(FMT_B.fidelity,
-                                              consumer.sampling)
-        frame_bytes = reader.codec.raw_frame_bytes(FMT_B.fidelity)
+        stride = DEFAULT_CODEC.consumer_stride(FMT_B.fidelity,
+                                               consumer.sampling)
+        frame_bytes = DEFAULT_CODEC.raw_frame_bytes(FMT_B.fidelity)
         bandwidth = reference.read_bandwidth
         overhead = reference.request_overhead
         for segment, clip in zip(encoded,
