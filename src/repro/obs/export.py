@@ -14,7 +14,7 @@ Two evidence formats, two audiences:
   utilization timelines, per-query spans, metrics snapshots, and bench
   history as deterministic JSONL tables, one sorted-keys object per row.
   DuckDB reads them as-is (``SELECT ... FROM 'trace_events.jsonl'``),
-  which turns cross-PR regression diffing into a query instead of an
+  which turns cross-commit regression diffing into a query instead of an
   eyeball pass.
 
 Nothing here imports the executor: exporters consume the locked trace

@@ -76,9 +76,9 @@ def select_profile_clip(dataset: str) -> ClipTruth:
         t0 += PROFILE_SCAN_STEP
     if best is not None:
         return best[1]
-    if densest is not None:
-        return densest[1]
-    return model.clip(0.0, PROFILE_CLIP_SECONDS)
+    # The scan's first offset, 0.0, is below PROFILE_SCAN_LIMIT, so some
+    # clip was seen.
+    return densest[1]
 
 
 @dataclass

@@ -198,9 +198,10 @@ class ShardedDiskArray:
     Every :class:`~repro.storage.segment_store.SegmentStore` runs on one;
     callers go through the keyed entry points (``place``/``locate``/
     ``write_at``/``read_seconds``/``write_seconds``/``migrate``) or reach a
-    shard's :class:`DiskModel` envelope with :meth:`shard`.  Every shard
-    is the calibrated ``DiskModel()`` unless ``disks`` gives each shard's
-    envelope.
+    shard's :class:`DiskModel` envelope with :meth:`shard`.  Each shard
+    owns a calibrated ``DiskModel()`` unless ``disks`` gives each shard's
+    envelope, so slowing one shard in place leaves the others, and the
+    planner's ``DEFAULT_DISK``, as they were.
     """
 
     def __init__(
