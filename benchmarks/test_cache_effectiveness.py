@@ -29,7 +29,7 @@ from repro.codec.decoder import DecoderPool
 from repro.core.store import VStore
 from repro.operators.library import default_library
 from repro.query.cascade import QUERY_A, QUERY_B
-from repro.query.scheduler import FIFOPolicy, OperatorContextPool
+from repro.query.scheduler import OperatorContextPool
 from repro.storage.disk import DiskBandwidthPool
 from repro.units import MB
 from repro.video.datasets import DATASETS
@@ -68,7 +68,7 @@ def _config(cache_mb: float) -> CacheConfig:
 def _run(store, n_queries):
     """One cell: admit, run, report (the PR 2 sweep's pool constraints)."""
     executor = store.executor(
-        policy=FIFOPolicy(),
+        policy="fifo",
         disk_pool=DiskBandwidthPool(1),
         decoder_pool=DecoderPool(2),
         operator_pool=OperatorContextPool(4),

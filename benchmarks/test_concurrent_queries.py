@@ -19,7 +19,7 @@ from repro.codec.decoder import DecoderPool
 from repro.core.store import VStore
 from repro.operators.library import default_library
 from repro.query.cascade import QUERY_A, QUERY_B
-from repro.query.scheduler import FIFOPolicy, OperatorContextPool
+from repro.query.scheduler import OperatorContextPool
 from repro.storage.disk import DiskBandwidthPool
 from repro.video.datasets import DATASETS
 
@@ -49,7 +49,7 @@ def fleet_store(tmp_path_factory):
 def _run(store, n_queries, n_streams):
     """One cell of the sweep: admit, run, report."""
     executor = store.executor(
-        policy=FIFOPolicy(),
+        policy="fifo",
         disk_pool=DiskBandwidthPool(1),
         decoder_pool=DecoderPool(2),
         operator_pool=OperatorContextPool(4),
@@ -109,7 +109,6 @@ def test_contention_sweep(benchmark, record, fleet_store):
 
 def test_policies_agree_on_total_work(record, fleet_store):
     """Whatever the policy, the same tasks run — only waiting shifts."""
-    from repro.query.scheduler import DeadlinePolicy, FairSharePolicy
 
     def busy_under(policy):
         executor = fleet_store.executor(
@@ -124,8 +123,7 @@ def test_policies_agree_on_total_work(record, fleet_store):
         executor.run()
         return executor.stats()
 
-    stats = {p.name: busy_under(p) for p in
-             (FIFOPolicy(), FairSharePolicy(), DeadlinePolicy())}
+    stats = {p: busy_under(p) for p in ("fifo", "fair", "edf")}
     reference = stats["fifo"].busy_seconds
     for name, stat in stats.items():
         for resource, busy in stat.busy_seconds.items():

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import time
 
-import pytest
-
 from repro.analysis.drift import (
     drift_regret_report,
     format_drift_table,

@@ -45,11 +45,7 @@ from repro.core.store import VStore
 from repro.operators.library import default_library
 from repro.query.cascade import QUERY_A
 from repro.query.parallel import merge_reports, run_fleets
-from repro.query.scheduler import (
-    FairSharePolicy,
-    FIFOPolicy,
-    OperatorContextPool,
-)
+from repro.query.scheduler import OperatorContextPool
 from repro.storage.disk import DiskBandwidthPool
 from repro.units import GB
 
@@ -148,7 +144,7 @@ def fleet(tmp_path_factory):
         store.close()
 
 
-def _run_fleet(store, plans, n_queries, policy=None, **executor_kwargs):
+def _run_fleet(store, plans, n_queries, policy="fair", **executor_kwargs):
     """Admit and run one fleet; returns the executor's stats.
 
     ``executor_kwargs`` pass through to ``store.executor`` — the smoke
@@ -156,7 +152,7 @@ def _run_fleet(store, plans, n_queries, policy=None, **executor_kwargs):
     registry detached or attached regardless of the environment switch.
     """
     ex = store.executor(
-        policy=policy or FairSharePolicy(),
+        policy=policy,
         disk_pool=DiskBandwidthPool(1),  # one I/O channel per shard
         decoder_pool=DecoderPool(2),
         operator_pool=OperatorContextPool(4),
@@ -291,8 +287,7 @@ def test_fastpath_fleet_scale(record, bench_metrics, fleet):
             sides = [(prod, nullcontext), (fast, fastpath_loop)]
             for runs, loop in sides if rep % 2 == 0 else reversed(sides):
                 with loop():
-                    runs.append(_run_fleet(store, plans, n,
-                                           policy=FIFOPolicy()))
+                    runs.append(_run_fleet(store, plans, n, policy="fifo"))
         stats = min(prod, key=lambda s: s.wall_seconds)
         oracle = min(fast, key=lambda s: s.wall_seconds)
         ratio = statistics.median(
@@ -347,7 +342,7 @@ def test_parallel_fleet_throughput(record, bench_metrics, fleet):
                           t0=0.0, t1=SPAN, stream=stream,
                           plan=plans[stream]))
     fleets = [specs] * PARALLEL_FLEETS
-    kwargs = dict(policy=FIFOPolicy(), disk_pool=DiskBandwidthPool(1),
+    kwargs = dict(policy="fifo", disk_pool=DiskBandwidthPool(1),
                   decoder_pool=DecoderPool(2),
                   operator_pool=OperatorContextPool(4))
 

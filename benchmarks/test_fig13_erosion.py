@@ -12,7 +12,6 @@ from repro.core.erosion import ErosionPlanner
 from repro.operators.library import Consumer
 from repro.profiler.coding_profiler import CodingProfiler
 from repro.profiler.profiler import OperatorProfiler
-from repro.units import DAY, fmt_bytes
 
 LIFESPAN = 10
 

@@ -6,7 +6,6 @@
     consumers need raw frames.
 """
 
-from repro.codec.model import DEFAULT_CODEC
 from repro.profiler.profiler import OperatorProfiler
 from repro.retrieval.speed import retrieval_speed
 from repro.video.coding import Coding, RAW

@@ -31,11 +31,7 @@ from repro.codec.decoder import DecoderPool
 from repro.core.store import VStore
 from repro.operators.library import default_library
 from repro.query.cascade import QUERY_A
-from repro.query.scheduler import (
-    AdmissionConfig,
-    FairSharePolicy,
-    OperatorContextPool,
-)
+from repro.query.scheduler import AdmissionConfig, OperatorContextPool
 from repro.query.workload import poisson_arrivals
 from repro.storage.disk import DiskBandwidthPool
 from repro.units import GB
@@ -115,7 +111,7 @@ def _arrival_stream(n_queries, rate_per_tenant, seed=0):
 
 def _serve_fleet(store, plans, n_queries, rate_per_tenant):
     ex = store.executor(
-        policy=FairSharePolicy(),
+        policy="fair",
         disk_pool=DiskBandwidthPool(1),
         decoder_pool=DecoderPool(2),
         operator_pool=OperatorContextPool(4),

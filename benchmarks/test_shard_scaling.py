@@ -17,7 +17,6 @@ import pytest
 from repro.core.store import VStore
 from repro.operators.library import default_library
 from repro.query.cascade import QUERY_A
-from repro.query.scheduler import FIFOPolicy
 from repro.storage.disk import DiskBandwidthPool
 from repro.units import GB
 
@@ -59,7 +58,7 @@ def shard_stores(tmp_path_factory):
 
 def _run(store, n_queries):
     executor = store.executor(
-        policy=FIFOPolicy(),
+        policy="fifo",
         disk_pool=DiskBandwidthPool(1),  # one I/O channel per shard
     )
     for i in range(n_queries):

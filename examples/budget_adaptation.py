@@ -13,7 +13,7 @@ paper's Figure 13.
 from repro import IngestBudget
 from repro.core.config import derive_configuration
 from repro.operators.library import default_library
-from repro.units import DAY, TB, fmt_bytes
+from repro.units import DAY, fmt_bytes
 
 
 def ingest_budget_sweep(library) -> None:

@@ -15,7 +15,6 @@ from repro.ingest.pipeline import IngestionPipeline
 from repro.query.alternatives import n_to_n_scheme
 from repro.operators.library import default_library
 from repro.profiler.coding_profiler import CodingProfiler
-from repro.units import DAY, fmt_bytes
 from repro.video.datasets import DATASETS
 
 

@@ -31,6 +31,9 @@ from repro.storage.disk import transfer_seconds
 from repro.storage.sharding import ShardedDiskArray
 from repro.units import GB, MB
 
+#: Bytes per second a decoded-frame cache hit streams out of RAM at.
+RAM_BANDWIDTH = 20.0 * GB
+
 
 @dataclass(frozen=True)
 class CacheConfig:
@@ -39,7 +42,8 @@ class CacheConfig:
     ``policy`` names the eviction policy shared by both byte-budgeted
     tiers: ``"lru"``, ``"lfu"`` or ``"cost"`` (benefit-per-byte aware).
     ``tiering=None`` disables hot-segment promotion; caching itself is
-    enabled by constructing a store with any :class:`CacheConfig` at all.
+    enabled by constructing a store with any :class:`CacheConfig` at all,
+    and with it the executor's single-flight dedup of concurrent misses.
     Both capacities are simulated RAM: the plane holds residency books,
     never frames or operator outputs, so no knob bounds real memory.
     """
@@ -47,8 +51,6 @@ class CacheConfig:
     frame_capacity_bytes: float = 256.0 * MB
     result_capacity_bytes: float = 64.0 * MB
     policy: str = "lru"
-    ram_bandwidth: float = 20.0 * GB  # bytes/second a cache hit streams at
-    single_flight: bool = True
     tiering: Optional[TierConfig] = None
 
 
@@ -62,7 +64,7 @@ class RetrievalAccess:
     hit_seconds: float  # the RAM cost a hit pays instead
     nbytes: float  # decoded bytes the entry holds
     stored_bytes: float = 0.0  # on-disk size of the stored segment
-    raw: bool = False  # raw storage format (disk-bound retrieval)
+    raw_fmt: Optional[str] = None  # array key text of a raw format
 
     @property
     def saved_seconds(self) -> float:
@@ -162,9 +164,7 @@ class CachePlane:
 
     def hit_seconds(self, nbytes: float) -> float:
         """Simulated seconds to serve ``nbytes`` from the RAM tier."""
-        if self.config.ram_bandwidth <= 0:
-            return 0.0
-        return transfer_seconds(nbytes, self.config.ram_bandwidth, 0.0)
+        return transfer_seconds(nbytes, RAM_BANDWIDTH, 0.0)
 
     # -- keys --------------------------------------------------------------
 
@@ -195,9 +195,9 @@ class CachePlane:
         (and budgets) the segment's *stored* bytes, not the decoded RAM
         footprint.
         """
-        if self.tiers is not None and access.raw:
-            self.tiers.record_access(access.key[0], access.key[1],
-                                     access.stored_bytes)
+        if self.tiers is not None and access.raw_fmt is not None:
+            self.tiers.record_access(access.key[0], access.raw_fmt,
+                                     access.key[1], access.stored_bytes)
 
     def record_frame_hit(self, access: RetrievalAccess) -> None:
         """A committed decoded-frame hit was served in simulated time."""

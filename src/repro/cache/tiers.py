@@ -15,7 +15,8 @@ as in the paper's bottleneck analysis (Section 2.2).
 
 Migrations are costed by :func:`~repro.storage.disk.transfer_seconds`, the
 store's one I/O formula: the fast leg on the :class:`StorageTier` envelope,
-the slow leg through the shard array, which folds in shard health.
+the slow leg through the shard array, which folds in shard health, on the
+copy of the segment's raw key that a served read goes to.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.clock import SimClock
+from repro.errors import StorageError
 from repro.storage.disk import transfer_seconds
 from repro.storage.sharding import ShardedDiskArray
 from repro.units import GB
@@ -64,6 +66,19 @@ class TierConfig:
 class _Placement:
     nbytes: float
     accesses_at_promotion: int
+    fmt_text: str  # array key text of the raw format promoted
+
+
+def _served_shard(slow: ShardedDiskArray, seg: SegmentId,
+                  fmt_text: str) -> Optional[int]:
+    """The shard a served read of a segment's raw key goes to now (shard 0
+    for a key the array never placed), or ``None`` when failures left no
+    copy of it to read."""
+    stream, index = seg
+    try:
+        return slow.effective_read_shard(stream, fmt_text, index) or 0
+    except StorageError:
+        return None
 
 
 class TierManager:
@@ -72,7 +87,8 @@ class TierManager:
     def __init__(self, config: TierConfig):
         self.config = config
         self._accesses: Dict[SegmentId, int] = {}
-        self._bytes: Dict[SegmentId, float] = {}
+        #: Largest raw read per segment: (stored bytes, format key text).
+        self._raw: Dict[SegmentId, Tuple[float, str]] = {}
         self._promoted: Dict[SegmentId, _Placement] = {}
         self.fast_bytes = 0.0
         # counters
@@ -84,11 +100,14 @@ class TierManager:
 
     # -- heat tracking -----------------------------------------------------
 
-    def record_access(self, stream: str, index: int, nbytes: float) -> None:
-        """Count one retrieval of a segment (cache hit or miss alike)."""
+    def record_access(self, stream: str, fmt_text: str, index: int,
+                      nbytes: float) -> None:
+        """Count one raw-format retrieval of a segment (cache hit or miss
+        alike); ``fmt_text`` is the format's key text on the shard array."""
         seg = (stream, index)
         self._accesses[seg] = self._accesses.get(seg, 0) + 1
-        self._bytes[seg] = max(self._bytes.get(seg, 0.0), nbytes)
+        self._raw[seg] = max(self._raw.get(seg, (0.0, fmt_text)),
+                             (nbytes, fmt_text))
 
     def accesses(self, stream: str, index: int) -> int:
         return self._accesses.get((stream, index), 0)
@@ -120,28 +139,31 @@ class TierManager:
         clock under the ``"migrate"`` category: a promotion reads from the
         slow tier and writes to the fast one, a demotion the reverse, and
         each charge is the fast leg plus the slow leg.  The slow leg runs
-        against (and is attributed to) the shard serving the segment on
-        the ``slow`` array, as a served read (a degraded shard reads
-        slower) or a write (degrading slows no writes).  Access
-        counts are halved afterwards so heat reflects a sliding window
-        rather than all time.
+        against (and is booked on) the shard a served read of the
+        segment's raw key goes to on the ``slow`` array, the fastest
+        surviving copy, as a served read (a degraded shard reads slower)
+        or a write (degrading slows no writes).  A segment whose raw key
+        has no readable copy stays where it is.  Access counts are halved
+        afterwards so heat reflects a sliding window rather than all time.
         """
         fast = self.config.fast
         demoted = 0
         for seg in list(self._promoted):
             if self._accesses.get(seg, 0) < self.config.demote_accesses:
-                placement = self._promoted.pop(seg)
+                placement = self._promoted[seg]
+                shard = _served_shard(slow, seg, placement.fmt_text)
+                if shard is None:
+                    continue
+                del self._promoted[seg]
                 self.fast_bytes -= placement.nbytes
-                slow_seconds = slow.write_seconds(
-                    slow.segment_shard(*seg) or 0, placement.nbytes
-                )
+                slow_seconds = slow.write_seconds(shard, placement.nbytes)
                 self._charge(clock,
                              transfer_seconds(placement.nbytes,
                                               fast.read_bandwidth,
                                               fast.request_overhead)
                              + slow_seconds,
                              placement.nbytes)
-                slow.note_slow_io(*seg, slow_seconds)
+                slow.note_slow_io(shard, slow_seconds)
                 self.demotions += 1
                 demoted += 1
 
@@ -155,19 +177,21 @@ class TierManager:
         )
         promoted = 0
         for count, seg in hot:
-            nbytes = self._bytes.get(seg, 0.0)
+            nbytes, fmt_text = self._raw[seg]
             if nbytes <= 0 or self.fast_bytes + nbytes > self.config.capacity_bytes:
                 continue
-            self._promoted[seg] = _Placement(nbytes, count)
+            shard = _served_shard(slow, seg, fmt_text)
+            if shard is None:
+                continue
+            self._promoted[seg] = _Placement(nbytes, count, fmt_text)
             self.fast_bytes += nbytes
-            slow_seconds = slow.read_seconds(slow.segment_shard(*seg) or 0,
-                                             nbytes)
+            slow_seconds = slow.read_seconds(shard, nbytes)
             self._charge(clock,
                          slow_seconds
                          + transfer_seconds(nbytes, fast.write_bandwidth,
                                             fast.request_overhead),
                          nbytes)
-            slow.note_slow_io(*seg, slow_seconds)
+            slow.note_slow_io(shard, slow_seconds)
             self.promotions += 1
             promoted += 1
 
@@ -178,8 +202,8 @@ class TierManager:
         # Prune sizes along with the decayed heat: over a long-lived
         # store the observed-bytes map must not outlive the segments'
         # relevance (its siblings are all explicitly byte-budgeted).
-        self._bytes = {
-            seg: nbytes for seg, nbytes in self._bytes.items()
+        self._raw = {
+            seg: raw for seg, raw in self._raw.items()
             if seg in self._accesses or seg in self._promoted
         }
         return promoted, demoted
@@ -203,7 +227,7 @@ class TierManager:
         ]
         for seg in doomed:
             self._accesses.pop(seg, None)
-            self._bytes.pop(seg, None)
+            self._raw.pop(seg, None)
             placement = self._promoted.pop(seg, None)
             if placement is not None:
                 self.fast_bytes -= placement.nbytes

@@ -255,13 +255,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     from repro.analysis.slo import format_slo_table
-    from repro.query.scheduler import (
-        AdmissionConfig,
-        DeadlinePolicy,
-        FairSharePolicy,
-        FIFOPolicy,
-        WeightedFairSharePolicy,
-    )
+    from repro.query.scheduler import AdmissionConfig
     from repro.query.workload import ArrivalSpec, QueryMixEntry, TenantSpec
 
     if args.tenants < 1:
@@ -280,14 +274,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if args.max_in_flight is not None:
         admission = AdmissionConfig(max_in_flight=args.max_in_flight,
                                     queue_policy=args.queue_policy)
-    policies = {"fifo": FIFOPolicy, "fair": FairSharePolicy,
-                "edf": DeadlinePolicy, "wfair": WeightedFairSharePolicy}
     store = _build_store(args)
     with store:
         store.configure()
         report = store.serve(tenants, horizon=args.horizon, seed=args.seed,
                              admission=admission, failures=args.failures,
-                             policy=policies[args.policy]())
+                             policy=args.policy)
         print(format_slo_table(report.slo))
         if report.availability is not None:
             from repro.analysis.availability import format_availability_table

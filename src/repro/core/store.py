@@ -365,11 +365,11 @@ class VStore:
         """A fresh concurrent executor over this store's segments.
 
         Keyword arguments (``policy``, ``disk_pool``, ``decoder_pool``,
-        ``operator_pool``, ``clock``) pass through to
-        :class:`~repro.query.scheduler.ConcurrentExecutor`; pools left
-        unset are uncontended.  The executor's engines share the store's
-        stage-outcome memo (see :meth:`engine`), so planning re-runs no
-        operator an earlier run of this store already ran.
+        ``operator_pool``, ``clock``, ``admission``, ``tenants``) pass
+        through to :class:`~repro.query.scheduler.ConcurrentExecutor`;
+        pools left unset are uncontended.  The executor's engines share
+        the store's stage-outcome memo (see :meth:`engine`), so planning
+        re-runs no operator an earlier run of this store already ran.
         """
         from repro.query.scheduler import ConcurrentExecutor
 
@@ -393,10 +393,13 @@ class VStore:
         ``tenant`` and SLO ``deadline`` — and runs one executor that
         processes arrivals as simulated-time events.  ``admission``
         (an :class:`~repro.query.scheduler.AdmissionConfig`) bounds the
-        in-flight set; its per-tenant quotas and weights default to the
-        :class:`~repro.query.workload.TenantSpec` fields when left
-        unset.  Remaining keyword arguments configure the executor
-        (``policy``, pools — see :meth:`executor`).
+        in-flight set.  Each :class:`~repro.query.workload.TenantSpec`'s
+        ``weight`` and ``quota`` become its tenant's record in the
+        executor (``ConcurrentExecutor(tenants=...)``): the weight orders
+        the ``"wfair"`` policy and admission queue, and the quota caps the
+        tenant's in-flight queries under ``admission``.  Remaining keyword
+        arguments configure the executor (``policy``, pools — see
+        :meth:`executor`).
 
         ``failures`` injects a failure campaign into the run: a
         :class:`~repro.storage.failures.FailureCampaign`, a sequence of
@@ -419,24 +422,13 @@ class VStore:
         :class:`~repro.analysis.availability.AvailabilityReport`
         (data-loss check, degraded-window slowdown, rebuild time).
         """
-        from dataclasses import replace
-
         from repro.query.workload import build_workload, workload_specs
 
         self._check_open()
-        if admission is not None:
-            quotas = {t.name: t.quota for t in tenants
-                      if t.quota is not None}
-            weights = {t.name: t.weight for t in tenants
-                       if t.weight != 1.0}
-            if admission.tenant_quotas is None and quotas:
-                admission = replace(admission, tenant_quotas=quotas)
-            if admission.tenant_weights is None and weights:
-                admission = replace(admission, tenant_weights=weights)
         arrivals = build_workload(tenants, horizon, seed)
         campaign = None if failures is None else self._as_campaign(failures)
         return self._run(workload_specs(arrivals), campaign=campaign,
-                         admission=admission, **kwargs)
+                         admission=admission, tenants=tenants, **kwargs)
 
     def _as_campaign(self, failures):
         """Coerce ``failures`` into a FailureCampaign valid for this array."""

@@ -19,17 +19,13 @@ from repro.query.cascade import QUERY_A, QUERY_B, QueryCascade
 from repro.query.engine import ExecutionResult, QueryEngine, QueryReport, StageReport
 from repro.query.scheduler import (
     ConcurrentExecutor,
-    DeadlinePolicy,
     DispatchResult,
     ExecutorStats,
-    FIFOPolicy,
-    FairSharePolicy,
     OperatorContextPool,
     QueryOutcome,
     QueryPlan,
     QuerySession,
     ResourceTask,
-    SchedulingPolicy,
     StagePlan,
     dispatch,
 )
@@ -37,20 +33,16 @@ from repro.query.scheduler import (
 __all__ = [
     "AlternativeScheme",
     "ConcurrentExecutor",
-    "DeadlinePolicy",
     "QUERY_A",
     "QUERY_B",
     "QueryCascade",
     "DispatchResult",
     "ExecutorStats",
-    "FIFOPolicy",
-    "FairSharePolicy",
     "OperatorContextPool",
     "QueryOutcome",
     "QueryPlan",
     "QuerySession",
     "ResourceTask",
-    "SchedulingPolicy",
     "StagePlan",
     "dispatch",
     "ExecutionResult",

@@ -18,14 +18,16 @@ loop reads:
   otherwise redo per session — the chain-order service per pool (exactly
   the floats per-completion ``service_by_resource`` updates would leave)
   and each task's fair-share key (the service the chain already attained
-  on that task's pool when the task is submitted);
+  on that task's pool when the task is submitted); a background job's
+  weighted-fair key (:meth:`Chain.attained`) is built the same way when a
+  run asks for it;
 * :func:`plan_chain` — lowers a plan once and caches the chain on the
   plan, keyed on the stage tuple's identity and the executor's pool
   layout, so a fleet admitting one plan thousands of times lowers it
   once.  With a cache plane attached, chains are lowered per session
   from the single-flight runtime tasks instead: every completion then
-  carries cache bookkeeping, and with single-flight on, every repeat of
-  a plan is rewritten into a follower of the first.
+  carries cache bookkeeping, and the single-flight dedup rewrites every
+  repeat of a plan into a follower of the first.
 
 Accumulation *order* is what float parity with the rescan-loop oracle
 (``tests/oracles``) depends on, and every array here is built in chain
@@ -99,12 +101,11 @@ class _RunTask:
 class Chain:
     """One task chain as parallel arrays (see the module docstring)."""
 
-    __slots__ = ("tasks", "res", "names", "dur", "units", "cat", "kind", "op",
+    __slots__ = ("res", "names", "dur", "units", "cat", "kind", "op",
                  "post", "service", "fair", "wide", "n")
 
     def __init__(self, tasks: Sequence[_RunTask], pool_index: Dict[str, int],
                  post: Sequence[Optional[Callable[[], None]]]) -> None:
-        self.tasks = list(tasks)  # the records, for policies that read them
         self.names = [t.resource for t in tasks]  # routed pool names
         res: List[int] = []
         for name in self.names:
@@ -131,6 +132,18 @@ class Chain:
         self.fair = fair
         self.wide = any(u > 1 for u in self.units)  # a gang may park
         self.n = len(self.dur)
+
+    def attained(self) -> List[float]:
+        """Each task's attained service at submission, the sum over pools
+        of what the chain's earlier tasks held: the ``"wfair"`` key of a
+        session without a tenant (a background job).  Built in chain
+        order like :attr:`fair`."""
+        service: Dict[str, float] = {}
+        attained: List[float] = []
+        for name, duration in zip(self.names, self.dur):
+            attained.append(sum(service.values()))
+            service[name] = service.get(name, 0.0) + duration
+        return attained
 
 
 def plan_chain(plan: "QueryPlan", layout: Tuple[str, ...],

@@ -10,9 +10,10 @@ Two layers live here:
   retrievals and operator runs on shared resources — a disk I/O channel
   pool (:class:`~repro.storage.disk.DiskBandwidthPool`), a bounded decoder
   pool (:class:`~repro.codec.decoder.DecoderPool`) and a shared operator
-  context pool (:class:`OperatorContextPool`) — under a pluggable
-  scheduling policy (FIFO, fair share, earliest deadline first), charging
-  everything to one :class:`~repro.clock.SimClock`.
+  context pool (:class:`OperatorContextPool`) — under a named scheduling
+  policy (:data:`POLICIES`: FIFO, fair share, earliest deadline first,
+  weighted fair share across tenants), charging everything to one
+  :class:`~repro.clock.SimClock`.
 
 The executor is a discrete-event simulation.  Each admitted query plans a
 *serial* task chain (its cascade structure: retrieve each active segment,
@@ -66,6 +67,7 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.query.alternatives import AlternativeScheme
     from repro.query.cascade import QueryCascade
     from repro.query.engine import ExecutionResult, QueryEngine
+    from repro.query.workload import TenantSpec
     from repro.storage.segment_store import SegmentStore
 
 
@@ -285,91 +287,13 @@ class QueryPlan:
 # ---------------------------------------------------------------------------
 
 
-class SchedulingPolicy:
-    """Orders waiting tasks when a shared resource frees up.
-
-    ``priority`` returns a sort key; the executor grants the fitting
-    waiting task with the smallest key.  Tasks that do not fit the free
-    capacity are skipped (backfilling), so small retrievals may overtake a
-    gang-sized consume that is still waiting for enough contexts.
-    """
-
-    name = "policy"
-
-    def priority(self, session: "QuerySession", task: "ResourceTask",
-                 seq: int) -> Tuple:
-        raise NotImplementedError
-
-
-class FIFOPolicy(SchedulingPolicy):
-    """Grant in arrival order: first task enqueued is first served."""
-
-    name = "fifo"
-
-    def priority(self, session: "QuerySession", task: "ResourceTask",
-                 seq: int) -> Tuple:
-        return (seq,)
-
-
-class FairSharePolicy(SchedulingPolicy):
-    """Least attained service: grant the query that has received the least
-    time on the contended resource so far (max-min fair sharing per
-    resource, so a light query is not starved behind heavy backlogs)."""
-
-    name = "fair"
-
-    def priority(self, session: "QuerySession", task: "ResourceTask",
-                 seq: int) -> Tuple:
-        return (session.service_by_resource.get(task.resource, 0.0), seq)
-
-
-class DeadlinePolicy(SchedulingPolicy):
-    """Earliest deadline first; deadline-less queries yield to dated ones."""
-
-    name = "edf"
-
-    def priority(self, session: "QuerySession", task: "ResourceTask",
-                 seq: int) -> Tuple:
-        deadline = session.deadline
-        return (deadline if deadline is not None else math.inf, seq)
-
-
-class WeightedFairSharePolicy(SchedulingPolicy):
-    """Weighted least attained service *across tenants*.
-
-    Where :class:`FairSharePolicy` equalizes per-query service on each
-    resource, this policy equalizes the *tenant-level* virtual time
-    ``attained_service / weight``: the next grant goes to the tenant
-    that has consumed the least weighted service so far, regardless of
-    how many queries it has in flight.  Weights express SLO classes — a
-    weight-2 tenant is entitled to twice the service rate of a weight-1
-    tenant under contention.
-
-    The one built-in policy whose key can change while a task waits: the
-    tenant's other sessions keep finishing work.  The executor keys ready
-    entries lazily — a tenant's attained service only grows, so keys
-    never fall, and an entry whose tenant service stamp moved since it
-    was keyed is re-keyed when it surfaces at a heap head, before it can
-    win a grant.
-    """
-
-    name = "wfair"
-
-    def __init__(self, weights: Optional[Dict[str, float]] = None):
-        self.weights: Dict[str, float] = dict(weights or {})
-        for tenant, weight in self.weights.items():
-            if weight <= 0:
-                raise QueryError(
-                    f"tenant {tenant!r}: weight must be positive: {weight}"
-                )
-
-    def priority(self, session: "QuerySession", task: "ResourceTask",
-                 seq: int) -> Tuple:
-        state = session.tenant_state
-        attained = (state.service if state is not None
-                    else session.service_seconds)
-        weight = self.weights.get(session.tenant or "", 1.0)
-        return (attained / weight, seq)
+#: The executor's scheduling policies, by name.  A freed pool grants its
+#: fitting ready task with the smallest key, backfilling past gangs that do
+#: not fit: ``"fifo"`` in arrival order, ``"fair"`` by least service
+#: attained on the resource, ``"edf"`` by earliest deadline (undated
+#: last), ``"wfair"`` by least tenant ``service / weight``
+#: (:class:`TenantState`; a background job by its own service).
+POLICIES: Tuple[str, ...] = ("fifo", "fair", "edf", "wfair")
 
 
 # ---------------------------------------------------------------------------
@@ -379,18 +303,22 @@ class WeightedFairSharePolicy(SchedulingPolicy):
 
 @dataclass
 class TenantState:
-    """Shared per-tenant accounting, attached to every session of a tenant.
+    """One tenant's record, attached to every session of the tenant.
 
-    One instance per tenant name per executor; sessions reference it so
-    tenant-level policies (:class:`WeightedFairSharePolicy`) and the
-    admission controller read and update one place.  Untenanted sessions
-    share the anonymous tenant ``""``.
+    One instance per tenant name per executor.  ``weight`` and ``quota``
+    come from the :class:`~repro.query.workload.TenantSpec` a run serves
+    (``ConcurrentExecutor(tenants=...)``); any other tenant, the
+    anonymous ``""`` of untenanted sessions included, has weight 1 and
+    no quota.  The admission queue and the ``"wfair"`` key read them
+    only here.
     """
 
     name: str
+    weight: float = 1.0  # share of contended service under "wfair"
+    quota: Optional[int] = None  # in-flight cap under an AdmissionConfig
     #: Attained service across all resources (simulated seconds), updated
     #: on every task finish of a run whose scheduling policy or admission
-    #: order reads it (weighted fair share, custom policies).
+    #: order is ``"wfair"``.
     service: float = 0.0
     #: Version stamp bumped with every service change, so ready entries
     #: keyed on an older stamp are re-keyed lazily.
@@ -415,16 +343,15 @@ class AdmissionConfig:
       of the tenant with the least weighted attained service enters
       first (FIFO within each tenant).
 
-    ``tenant_quotas`` caps each tenant's in-flight queries independently
-    of the global bound; quota-blocked tenants never head-of-line-block
-    other tenants (the queue is per-tenant underneath).  Background jobs
-    (scheduling class 1) bypass admission entirely.
+    Each tenant's quota (its :class:`TenantState`) caps its in-flight
+    queries independently of the global bound; quota-blocked tenants
+    never head-of-line-block other tenants (the queue is per-tenant
+    underneath).  Background jobs (scheduling class 1) bypass admission
+    entirely.
     """
 
     max_in_flight: Optional[int] = None
     queue_policy: str = "arrival"
-    tenant_quotas: Optional[Dict[str, int]] = None
-    tenant_weights: Optional[Dict[str, float]] = None
 
     def __post_init__(self) -> None:
         if self.max_in_flight is not None and self.max_in_flight < 1:
@@ -436,16 +363,6 @@ class AdmissionConfig:
                 f"unknown admission queue policy {self.queue_policy!r}; "
                 f"known: arrival, edf, wfair"
             )
-        for tenant, quota in (self.tenant_quotas or {}).items():
-            if quota < 1:
-                raise QueryError(
-                    f"tenant {tenant!r}: quota must be >= 1: {quota}"
-                )
-        for tenant, weight in (self.tenant_weights or {}).items():
-            if weight <= 0:
-                raise QueryError(
-                    f"tenant {tenant!r}: weight must be positive: {weight}"
-                )
 
 
 class _AdmissionController:
@@ -477,33 +394,22 @@ class _AdmissionController:
                     session.arrival_at, session.qid)
         return (session.arrival_at, session.qid)
 
-    def _tenant_fits(self, name: str) -> bool:
-        quotas = self.config.tenant_quotas
-        if not quotas:
-            return True
-        quota = quotas.get(name)
-        if quota is None:
-            return True
-        state = self._tenants.get(name)
-        return state is None or state.in_flight < quota
-
     def _pick(self) -> Optional["QuerySession"]:
         cfg = self.config
         if cfg.max_in_flight is not None and self.in_flight >= cfg.max_in_flight:
             return None
         wfair = cfg.queue_policy == "wfair"
-        weights = cfg.tenant_weights or {}
         best_name = None
         best_key: Optional[tuple] = None
         for name in sorted(self._queues):
             queue = self._queues[name]
-            if not queue or not self._tenant_fits(name):
+            state = self._tenants[name]  # made when the session was admitted
+            if not queue or (state.quota is not None
+                             and state.in_flight >= state.quota):
                 continue
             head_key = queue[0][0]
             if wfair:
-                state = self._tenants.get(name)
-                attained = state.service if state is not None else 0.0
-                key = (attained / weights.get(name, 1.0),) + head_key
+                key = (state.service / state.weight,) + head_key
             else:
                 key = head_key
             if best_key is None or key < best_key:
@@ -611,10 +517,6 @@ class QuerySession:
     @property
     def label(self) -> str:
         return f"q{self.qid}:{self.query.name}@{self.stream}"
-
-    @property
-    def service_seconds(self) -> float:
-        return sum(self.service_by_resource.values())
 
     @property
     def latency(self) -> Optional[float]:
@@ -795,13 +697,17 @@ class ConcurrentExecutor:
 
         ex = ConcurrentExecutor(config, library, store,
                                 decoder_pool=DecoderPool(2),
-                                policy=FairSharePolicy())
+                                policy="fair")
         ex.admit(QUERY_B, "dashcam", 0.9, 0.0, 64.0)
         ex.admit(QUERY_A, "jackson", 0.8, 0.0, 32.0)
         outcomes = ex.run()
 
-    Pools left as ``None`` are uncontended (infinite capacity), which makes
-    a single admitted query reproduce the sequential engine bit-identically.
+    ``policy`` is one of :data:`POLICIES`; any other name raises
+    :class:`QueryError`.  Each of ``tenants`` (the
+    :class:`~repro.query.workload.TenantSpec` a run serves) becomes its
+    tenant's :class:`TenantState`.  Pools left as ``None`` are
+    uncontended (infinite capacity), which makes a single admitted query
+    reproduce the sequential engine bit-identically.
     """
 
     def __init__(
@@ -810,7 +716,7 @@ class ConcurrentExecutor:
         library: "OperatorLibrary",
         store: "SegmentStore",
         *,
-        policy: Optional[SchedulingPolicy] = None,
+        policy: str = "fifo",
         disk_pool: Optional[DiskBandwidthPool] = None,
         decoder_pool: Optional[DecoderPool] = None,
         operator_pool: Optional[OperatorContextPool] = None,
@@ -820,11 +726,17 @@ class ConcurrentExecutor:
         trace: Optional[bool] = None,
         metrics=None,
         admission: Optional[AdmissionConfig] = None,
+        tenants: Sequence["TenantSpec"] = (),
     ):
+        if policy not in POLICIES:
+            raise QueryError(
+                f"unknown scheduling policy {policy!r}; known: "
+                f"{', '.join(POLICIES)}"
+            )
         self.config = config
         self.library = library
         self.store = store
-        self.policy = policy or FIFOPolicy()
+        self.policy = policy
         self.clock = clock or SimClock()
         self.cache = cache
         # A sharded store gets one I/O channel pool per disk shard
@@ -875,9 +787,14 @@ class ConcurrentExecutor:
             {} if stage_outcomes is None else stage_outcomes
         )
         self._sessions: List[QuerySession] = []
-        #: Per-tenant shared state, created lazily at admission; the
-        #: anonymous tenant ``""`` holds every untenanted session.
+        #: One record per tenant: the served ones now, any other at its
+        #: first admission (the anonymous ``""`` holds untenanted ones).
         self._tenants: Dict[str, TenantState] = {}
+        for spec in tenants:
+            if spec.name in self._tenants:
+                raise QueryError(f"duplicate tenant name {spec.name!r}")
+            self._tenants[spec.name] = TenantState(
+                spec.name, weight=spec.weight, quota=spec.quota)
         #: Admission control (open-loop serving); ``None`` = admit-all,
         #: which is the closed-loop flow golden traces pin.
         self._admission: Optional[_AdmissionController] = (
@@ -1168,9 +1085,9 @@ class ConcurrentExecutor:
     def _runtime_chains(self) -> Dict[int, List[_RunTask]]:
         """Materialize each session's chain as runtime tasks.
 
-        Without a cache plane (or with single-flight disabled) every plan
-        task maps through verbatim.  With one, duplicate work across the
-        admitted sessions is deduplicated in admission order:
+        Without a cache plane every plan task maps through verbatim.  With
+        one, duplicate work across the admitted sessions is deduplicated in
+        admission order:
 
         * a retrieval whose frame-cache key an earlier task already misses
           on becomes a *follower*: it runs on the RAM tier for the hit
@@ -1183,8 +1100,6 @@ class ConcurrentExecutor:
         scan, and every session's own chain is serial, so the dependency
         graph is acyclic and the event loop cannot deadlock.
         """
-        single_flight = (self.cache is not None
-                         and self.cache.config.single_flight)
         chains: Dict[int, List[_RunTask]] = {}
         uid = 0
         frame_leaders: Dict[tuple, int] = {}
@@ -1200,11 +1115,9 @@ class ConcurrentExecutor:
                         # ("read"/"transcode"/"write"/"delete"): all route
                         # through shard-aware resource naming; job tasks
                         # carry no cache access, so they map verbatim.
-                        rt = self._runtime_retrieve(task, uid, single_flight,
-                                                    frame_leaders)
+                        rt = self._runtime_retrieve(task, uid, frame_leaders)
                     else:
                         rt = self._runtime_consume(task, stage, session, uid,
-                                                   single_flight,
                                                    result_leaders)
                     chain.append(rt)
                     uid += 1
@@ -1218,16 +1131,15 @@ class ConcurrentExecutor:
         return task.resource
 
     def _runtime_retrieve(self, task: ResourceTask, uid: int,
-                          single_flight: bool,
                           leaders: Dict[tuple, int]) -> _RunTask:
         access = task.access
-        if access is None or task.hit:
+        if access is None or task.hit or self.cache is None:
             # No cache, or a committed hit already planned on the RAM tier.
             return _RunTask(task=task, resource=self._resource_name(task),
                             units=task.units, duration=task.duration,
                             category=task.category, uid=uid,
                             note_access=access)
-        if single_flight and access.key in leaders:
+        if access.key in leaders:
             self._frame_followers[access.key] = (
                 self._frame_followers.get(access.key, 0) + 1
             )
@@ -1243,7 +1155,6 @@ class ConcurrentExecutor:
 
     def _runtime_consume(self, task: ResourceTask, stage: StagePlan,
                          session: QuerySession, uid: int,
-                         single_flight: bool,
                          leaders: Dict[tuple, int]) -> _RunTask:
         if self.cache is None or not stage.result_keys:
             return _RunTask(task=task, resource=task.resource,
@@ -1259,7 +1170,7 @@ class ConcurrentExecutor:
                 zip(costs, stage.result_keys, stage.result_nbytes)):
             if key is None or cost <= 0:
                 continue  # uncached segment, or already a committed hit
-            if single_flight and key in leaders:
+            if key in leaders:
                 deps.append(leaders[key])
                 dedup_count += 1
                 dedup_saved += cost
@@ -1408,12 +1319,14 @@ class ConcurrentExecutor:
         * one ``seq`` counter increments on every submission and grant,
           as in the oracle, so every tie-break agrees;
         * a grant takes the minimal ``(key, seq)`` over the pools' fitting
-          heads, ``key`` ordering like the policy's class-banded priority:
-          static per session for FIFO and EDF, the chain's attained
-          service on the task's pool for fair share, asked of the policy
-          at submission otherwise.  Only :class:`WeightedFairSharePolicy`
-          keys rise while a task waits; a head keyed on an outdated
-          tenant stamp is re-keyed before it can win;
+          heads, ``key`` ordering like the oracle's class-banded priority:
+          static per session for ``"fifo"`` and ``"edf"``, the chain's
+          attained service on the task's pool for ``"fair"``, and for
+          ``"wfair"`` the tenant's weighted service at submission (a
+          background job's own service, precomputed in chain order).
+          Only a tenant's ``"wfair"`` key rises while its task waits; a
+          head keyed on an outdated tenant stamp is re-keyed before it
+          can win;
         * a pool's ready entries sit in a heap unless every push is
           known to arrive in ``(key, seq)`` order — FIFO with no
           class-1 session, no gang and no dependency edge, where each
@@ -1433,8 +1346,8 @@ class ConcurrentExecutor:
           counters until the last one completes.
 
         Per-session service is precomputed per chain (a chain completes in
-        order) unless the policy reads it live; tenant service is tracked
-        only when the policy or the admission order reads it.
+        order); tenant service is tracked only when the policy or the
+        admission order is ``"wfair"``.
         """
         sessions = self._sessions
         n = len(sessions)
@@ -1465,23 +1378,27 @@ class ConcurrentExecutor:
 
         policy = self.policy
         banded = any(klass)  # background jobs sort after every query
-        fifo = type(policy) is FIFOPolicy
+        fifo = policy == "fifo"
         static = None
         if fifo:
             static = klass
-        elif type(policy) is DeadlinePolicy:
+        elif policy == "edf":
             static = [math.inf if s.deadline is None else s.deadline
                       for s in sessions]
             if banded:
                 static = list(zip(klass, static))
-        fair = type(policy) is FairSharePolicy
-        live = static is None and not fair  # the policy reads live state
-        rekey = isinstance(policy, WeightedFairSharePolicy)
+        fair = policy == "fair"
+        rekey = policy == "wfair"
         stamp = [0] * n  # tenant service stamp each entry was keyed at
         tenants = None
-        if live or (admission is not None
-                    and admission.config.queue_policy == "wfair"):
+        if rekey or (admission is not None
+                     and admission.config.queue_policy == "wfair"):
             tenants = [s.tenant_state for s in sessions]
+        if rekey:
+            # A background job has no tenant: it ranks by its own service,
+            # which grows only as its serial chain completes.
+            job_service = {s: chains[s].attained() for s in range(n)
+                           if tenants[s] is None}
         gangs = any(chain.wide for chain in chains)
         slow = gangs or rekey
         if fifo and not (banded or gangs or deps):
@@ -1497,12 +1414,11 @@ class ConcurrentExecutor:
             if fair:
                 attained = chains[s].fair[i]
                 return (klass[s], attained) if banded else attained
-            session = sessions[s]
-            if rekey:
-                ts = session.tenant_state
-                stamp[s] = 0 if ts is None else ts.stamp
-            return (session.klass,) + tuple(
-                policy.priority(session, chains[s].tasks[i], sq))
+            ts = tenants[s]
+            if ts is None:
+                return (klass[s], job_service[s][i], sq)
+            stamp[s] = ts.stamp
+            return (klass[s], ts.service / ts.weight, sq)
 
         def push(s: int, i: int, sq: int) -> int:
             key = static[s] if static is not None else key_of(s, i, sq)
@@ -1518,7 +1434,7 @@ class ConcurrentExecutor:
                 head = q[0]
                 s = head[2]
                 if rekey:
-                    ts = sessions[s].tenant_state
+                    ts = tenants[s]
                     if ts is not None and ts.stamp != stamp[s]:
                         heapreplace(q, (key_of(s, cursor[s] - 1, head[1]),
                                         head[1], s))
@@ -1628,10 +1544,6 @@ class ConcurrentExecutor:
                 units = chain.units[i]
                 free[r] += units
                 busy[r] += units * d
-                if live:
-                    service = sessions[s].service_by_resource
-                    name = chain.names[i]
-                    service[name] = service.get(name, 0.0) + d
                 if tenants is not None:
                     ts = tenants[s]
                     if ts is not None:
@@ -1726,8 +1638,7 @@ class ConcurrentExecutor:
             pool.busy_seconds = busy[r]
         for s, session in enumerate(sessions):
             session.waited_seconds = waited[s]
-            if not live:
-                session.service_by_resource = dict(chains[s].service)
+            session.service_by_resource = dict(chains[s].service)
         self._events += 2 * sum(chain.n for chain in chains)
 
         stuck = [s for heap in ready + parked for _, _, s in heap]
@@ -1766,7 +1677,7 @@ class ConcurrentExecutor:
     def stats(self) -> ExecutorStats:
         """Aggregate resource accounting (meaningful after :meth:`run`)."""
         return ExecutorStats(
-            policy=self.policy.name,
+            policy=self.policy,
             n_queries=len(self._sessions),
             makespan=self._drained_at - self._started_at,
             capacities={name: p.capacity for name, p in self._pools.items()},

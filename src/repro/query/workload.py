@@ -247,10 +247,13 @@ class QueryMixEntry:
 class TenantSpec:
     """One tenant: who arrives, what they ask, what they are owed.
 
-    ``slo_seconds`` turns into a per-query deadline ``arrival + slo``;
-    ``weight`` feeds weighted fair sharing (admission *and*
-    :class:`~repro.query.scheduler.WeightedFairSharePolicy`); ``quota``
-    caps the tenant's in-flight queries under admission control.
+    ``slo_seconds`` turns into a per-query deadline ``arrival + slo``.
+    ``weight`` and ``quota`` are the only tenant settings: a run that
+    serves the tenant copies them onto its executor's
+    :class:`~repro.query.scheduler.TenantState`.  ``weight`` orders
+    weighted fair sharing (the ``"wfair"`` admission queue *and* the
+    ``"wfair"`` executor policy); ``quota`` caps the tenant's in-flight
+    queries under admission control.
     """
 
     name: str

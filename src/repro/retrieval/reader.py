@@ -20,7 +20,11 @@ from repro.codec.chunks import decoded_frame_count
 from repro.codec.model import DEFAULT_CODEC
 from repro.errors import StorageError
 from repro.storage.disk import raw_read_seconds
-from repro.storage.segment_store import SegmentStore, StoredSegment  # noqa: F401
+from repro.storage.segment_store import (  # noqa: F401
+    SegmentStore,
+    StoredSegment,
+    _fmt_key,
+)
 from repro.video.fidelity import Fidelity
 from repro.video.format import StorageFormat
 
@@ -170,7 +174,7 @@ class SegmentReader:
             hit_seconds=self.cache.hit_seconds(nbytes),
             nbytes=nbytes,
             stored_bytes=float(retrieved.stored.size_bytes),
-            raw=self.fmt.is_raw,
+            raw_fmt=_fmt_key(self.fmt) if self.fmt.is_raw else None,
         )
         if access.hit:
             retrieved = RetrievedClip(

@@ -350,10 +350,9 @@ class ShardedDiskArray:
         self.migrated_bytes += n_bytes
         return read + write
 
-    def note_slow_io(self, stream: str, index: int, seconds: float) -> None:
+    def note_slow_io(self, shard: int, seconds: float) -> None:
         """Attribute externally charged slow-tier I/O (tier promotion or
-        demotion) to the shard serving a segment, for utilization reports."""
-        shard = self.segment_shard(stream, index) or 0
+        demotion) to the shard that served it, for utilization reports."""
         self.busy_migrate_seconds[shard] += seconds
 
     # -- placement ---------------------------------------------------------

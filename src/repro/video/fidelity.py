@@ -34,9 +34,8 @@ from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from repro.errors import FidelityError, KnobError
 
-#: Image-quality levels, poorest first, with the equivalent x264 CRF value.
+#: Image-quality levels, poorest first.
 QUALITIES: Tuple[str, ...] = ("worst", "bad", "good", "best")
-QUALITY_CRF: Dict[str, int] = {"worst": 50, "bad": 40, "good": 23, "best": 0}
 
 #: Crop factors: fraction of each linear dimension kept around the center.
 CROP_FACTORS: Tuple[float, ...] = (0.50, 0.75, 1.00)
@@ -159,11 +158,6 @@ class Fidelity:
     def dimensions(self) -> Tuple[int, int]:
         """Pixel dimensions (width, height) after resizing and cropping."""
         return _dimensions(self.resolution, self.crop)
-
-    @property
-    def crf(self) -> int:
-        """The x264 CRF equivalent of this option's image quality."""
-        return QUALITY_CRF[self.quality]
 
     # -- partial order -------------------------------------------------------
 

@@ -12,7 +12,9 @@ through an oracle and require bit-identical results:
   only it still needs — the per-task ``_Waiting``/``_Running`` records,
   the shared completion bookkeeping ``_complete``, the trace helper
   ``_trace`` and the ``TimelineCursor`` over arrivals and failure events
-  — moved here verbatim from the retired event-heap core;
+  — moved here verbatim from the retired event-heap core, and each
+  named scheduling policy's per-task priority (:data:`PRIORITIES`), the
+  bodies of the retired policy classes, which it asks at every grant;
 * :func:`_execute_sequential` is the original single-query loop that
   ``VStore.execute`` (the N=1 case of the concurrent executor) must
   reproduce; call it with the store's engine for the dataset
@@ -24,6 +26,7 @@ The retired closed-loop fast path lives in :mod:`.fastpath`.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Optional
@@ -75,6 +78,41 @@ def reference_loop() -> Iterator[None]:
                               create=True), \
             mock.patch.object(_Pool, "fits", fits, create=True):
         yield
+
+
+def _fifo(session: QuerySession, task: _RunTask, seq: int) -> tuple:
+    """Grant in arrival order: first task enqueued is first served."""
+    return (seq,)
+
+
+def _fair(session: QuerySession, task: _RunTask, seq: int) -> tuple:
+    """Least attained service: grant the query that has received the least
+    time on the contended resource so far (max-min fair sharing per
+    resource, so a light query is not starved behind heavy backlogs)."""
+    return (session.service_by_resource.get(task.resource, 0.0), seq)
+
+
+def _edf(session: QuerySession, task: _RunTask, seq: int) -> tuple:
+    """Earliest deadline first; deadline-less queries yield to dated ones."""
+    deadline = session.deadline
+    return (deadline if deadline is not None else math.inf, seq)
+
+
+def _wfair(session: QuerySession, task: _RunTask, seq: int) -> tuple:
+    """Weighted least attained service across tenants: the tenant-level
+    virtual time ``attained_service / weight``, read off the tenant's
+    record; a session without one (a background job) ranks by its own
+    service at weight 1."""
+    state = session.tenant_state
+    attained = (state.service if state is not None
+                else sum(session.service_by_resource.values()))
+    weight = state.weight if state is not None else 1.0
+    return (attained / weight, seq)
+
+
+#: Each executor policy's priority, by name: the rescan loop grants the
+#: fitting waiting task with the smallest ``(klass, priority, seq)``.
+PRIORITIES = {"fifo": _fifo, "fair": _fair, "edf": _edf, "wfair": _wfair}
 
 
 def fits(self, units: int) -> bool:
@@ -219,6 +257,8 @@ def _run_reference(self, chains: Dict[int, List[_RunTask]]) -> None:
         waiting.append(_Waiting(session, task, seq, self.clock.now))
         seq += 1
 
+    priority = PRIORITIES[self.policy]
+
     def grant() -> None:
         nonlocal seq
         while True:
@@ -236,7 +276,7 @@ def _run_reference(self, chains: Dict[int, List[_RunTask]]) -> None:
                 # schedules are unchanged.
                 key=lambda w: (
                     w.session.klass,
-                    self.policy.priority(w.session, w.task, w.seq),
+                    priority(w.session, w.task, w.seq),
                     w.seq,
                 ),
             )

@@ -22,10 +22,9 @@ Qualification (checked once; any miss disqualifies):
 
 * no cache plane — so runtime chains are the plan chains verbatim: no
   single-flight rewrite, no dependency edges, no wakeups;
-* the policy is exactly :class:`~repro.query.scheduler.FIFOPolicy` or
-  :class:`~repro.query.scheduler.DeadlinePolicy` — both keys are static
+* the policy is ``"fifo"`` or ``"edf"`` — both keys are static
   per session (``(seq,)`` / ``(deadline, seq)``), so lazy invalidation
-  and priority callbacks vanish into one float per session;
+  and per-grant priorities vanish into one float per session;
 * every session runs one context and every task requests one unit — true
   for all ``contexts=1`` admissions — so "fits" degenerates to
   ``free > 0`` and capacity parking cannot occur;
@@ -42,7 +41,7 @@ Bit-parity with the rescan-loop oracle is by construction:
 * the single ``seq`` counter increments on every submission *and* every
   grant, so all tie-breaks agree;
 * grants pick the globally minimal ``(k0, seq)`` over the per-resource
-  ready heaps — the same total order the policy callbacks produce;
+  ready heaps — the same total order the oracle's priorities produce;
 * completions pop in ``(end, seq)`` order and replicate
   ``SimClock.charge`` / ``advance_to`` float-for-float, including the
   "charge exact duration when the task started at the current instant"
@@ -164,21 +163,18 @@ def _lower_plan(plan: "QueryPlan", disk_shards: int) -> Optional[_Chain]:
 
 def lower_fleet(executor: "ConcurrentExecutor") -> Optional[_Fleet]:
     """Lower a qualifying fleet to arrays; ``None`` to use the heap core."""
-    from repro.query.scheduler import DeadlinePolicy, FIFOPolicy
-
     if executor.cache is not None:
         return None  # single-flight rewrite / wakeups need the general core
     if executor._admission is not None:
         return None  # open-loop admission control needs the general cores
     if executor._failure_events:
         return None  # failure timelines interleave with the general cores
-    policy_type = type(executor.policy)
-    if policy_type is not FIFOPolicy and policy_type is not DeadlinePolicy:
-        return None  # dynamic (or custom) priorities need lazy invalidation
+    if executor.policy not in ("fifo", "edf"):
+        return None  # dynamic priorities need lazy invalidation
     sessions = executor._sessions
     if not sessions:
         return None
-    edf = policy_type is DeadlinePolicy
+    edf = executor.policy == "edf"
     disk_shards = executor.store.array.n_shards
     pools = executor._pools
     chains: List[_Chain] = []

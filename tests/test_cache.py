@@ -15,9 +15,10 @@ from repro.cache import (
     TierManager,
     policy_named,
 )
+from repro.cache.plane import RAM_BANDWIDTH
 from repro.clock import SimClock
 from repro.storage.sharding import ShardedDiskArray
-from repro.units import GB, MB
+from repro.units import MB
 
 
 # ---------------------------------------------------------------------------
@@ -197,11 +198,11 @@ class TestTierManager:
         tiers = self._manager(promote_accesses=3)
         clock = SimClock()
         array = ShardedDiskArray(1, clock=clock)
-        tiers.record_access("s", 0, 1.0 * MB)
+        tiers.record_access("s", "fmt", 0, 1.0 * MB)
         tiers.sweep(clock, array)
         assert not tiers.is_fast("s", 0)
         for _ in range(3):
-            tiers.record_access("s", 0, 1.0 * MB)
+            tiers.record_access("s", "fmt", 0, 1.0 * MB)
         tiers.sweep(clock, array)
         assert tiers.is_fast("s", 0)
         assert tiers.promotions == 1
@@ -210,7 +211,7 @@ class TestTierManager:
         tiers = self._manager(promote_accesses=1)
         clock = SimClock()
         array = ShardedDiskArray(1, clock=clock)
-        tiers.record_access("s", 0, 8.0 * MB)
+        tiers.record_access("s", "fmt", 0, 8.0 * MB)
         before = clock.now
         tiers.sweep(clock, array)
         assert clock.now > before
@@ -225,7 +226,7 @@ class TestTierManager:
         array = ShardedDiskArray(2, clock=clock)
         array.adopt("s", "fmt", 0, shard=0, nbytes=8e6)
         array.degrade_shard(0, 8.0)
-        tiers.record_access("s", 0, 8e6)
+        tiers.record_access("s", "fmt", 0, 8e6)
         tiers.sweep(clock, array)
         assert tiers.is_fast("s", 0)
         bandwidth, overhead = array.read_params_at(0)
@@ -233,12 +234,70 @@ class TestTierManager:
         assert array.busy_migrate_seconds == [8e6 / bandwidth + overhead,
                                               0.0]
 
+    def test_promotion_reads_the_copy_a_served_read_goes_to(self):
+        """Raw key on shards (3, 0) with the primary degraded 8x: a served
+        read goes to shard 0, and so do the promotion's cost and books."""
+        tiers = self._manager(promote_accesses=1)
+        clock = SimClock()
+        array = ShardedDiskArray(4, clock=clock, replication=2,
+                                 placement="hash")
+        array.adopt("s", "raw", 0, shard=3, nbytes=8e6, replicas=(0,))
+        array.degrade_shard(3, 8.0)
+        assert array.effective_read_shard("s", "raw", 0) == 0
+        tiers.record_access("s", "raw", 0, 8e6)
+        tiers.sweep(clock, array)
+        assert tiers.is_fast("s", 0)
+        served = array.read_seconds(0, 8e6)
+        assert array.busy_migrate_seconds == [served, 0.0, 0.0, 0.0]
+        fast = tiers.config.fast
+        assert clock.spent("migrate") == served + (
+            8e6 / fast.write_bandwidth + fast.request_overhead)
+
+    def test_migrations_book_the_raw_key_not_the_first_format(self):
+        """Round-robin puts segment 0's encoded key on shard 0 and its raw
+        key on shard 1: promotion and demotion both run on shard 1."""
+        tiers = self._manager(promote_accesses=1, demote_accesses=1)
+        clock = SimClock()
+        array = ShardedDiskArray(2, clock=clock, placement="round-robin")
+        array.place("s", "encoded", 0, 1e6)
+        array.place("s", "raw", 0, 8e6)
+        assert array.replicas("s", "raw", 0) == (1,)
+        tiers.record_access("s", "raw", 0, 8e6)
+        tiers.sweep(clock, array)
+        assert tiers.is_fast("s", 0)
+        promoted = array.busy_migrate_seconds[1]
+        assert array.busy_migrate_seconds == [0.0, array.read_seconds(1, 8e6)]
+        tiers.sweep(clock, array)
+        assert tiers.demotions == 1
+        assert array.busy_migrate_seconds == [
+            0.0, promoted + array.write_seconds(1, 8e6)]
+
+    def test_a_raw_key_with_no_readable_copy_stays_put(self):
+        """Failures destroyed every copy of one raw key: its segment is
+        not promoted (nothing to read), and a promoted one is not demoted
+        (nowhere to write back); neither is charged."""
+        tiers = self._manager(promote_accesses=1, demote_accesses=1)
+        clock = SimClock()
+        array = ShardedDiskArray(2, clock=clock)
+        array.adopt("s", "raw", 0, shard=0, nbytes=1e6)
+        array.adopt("s", "raw", 1, shard=1, nbytes=1e6)
+        tiers.record_access("s", "raw", 0, 1e6)
+        tiers.sweep(clock, array)
+        assert tiers.is_fast("s", 0)
+        array.fail_shard(0)
+        tiers.record_access("s", "raw", 1, 1e6)
+        array.fail_shard(1)
+        before = clock.now
+        assert tiers.sweep(clock, array) == (0, 0)
+        assert tiers.is_fast("s", 0) and not tiers.is_fast("s", 1)
+        assert clock.now == before
+
     def test_demotion_charges_fast_leg_plus_slow_leg(self):
         """A demotion's clock charge is the fast tier's read leg plus the
         slow leg the array books as the shard's migrate time, one sum."""
         tiers = self._manager(promote_accesses=1, demote_accesses=1)
         nbytes = 103_413_500.0
-        tiers.record_access("s", 0, nbytes)
+        tiers.record_access("s", "fmt", 0, nbytes)
         tiers.sweep(SimClock(), ShardedDiskArray(1))
         assert tiers.is_fast("s", 0)
         # A fresh clock and array hold the demotion's charges alone.
@@ -256,7 +315,7 @@ class TestTierManager:
         tiers = self._manager(promote_accesses=1, demote_accesses=1)
         clock = SimClock()
         array = ShardedDiskArray(1, clock=clock)
-        tiers.record_access("s", 0, 1.0 * MB)
+        tiers.record_access("s", "fmt", 0, 1.0 * MB)
         tiers.sweep(clock, array)
         assert tiers.is_fast("s", 0)
         # No further accesses: heat decays to zero, next sweeps demote.
@@ -269,8 +328,8 @@ class TestTierManager:
         tiers = self._manager(promote_accesses=1, capacity_bytes=1.5 * MB)
         clock = SimClock()
         array = ShardedDiskArray(1, clock=clock)
-        tiers.record_access("s", 0, 1.0 * MB)
-        tiers.record_access("s", 1, 1.0 * MB)
+        tiers.record_access("s", "fmt", 0, 1.0 * MB)
+        tiers.record_access("s", "fmt", 1, 1.0 * MB)
         tiers.sweep(clock, array)
         assert tiers.promoted_segments == 1
         assert tiers.fast_bytes <= 1.5 * MB
@@ -284,7 +343,7 @@ class TestTierManager:
                                               disk.request_overhead)
         assert (slow_bw, slow_ovh) == (disk.read_bandwidth,
                                        disk.request_overhead)
-        tiers.record_access("s", 0, 1.0 * MB)
+        tiers.record_access("s", "fmt", 0, 1.0 * MB)
         tiers.sweep(clock, array)
         fast_bw, fast_ovh = tiers.read_params("s", 0, disk.read_bandwidth,
                                               disk.request_overhead)
@@ -294,7 +353,7 @@ class TestTierManager:
         tiers = self._manager(promote_accesses=1)
         clock = SimClock()
         array = ShardedDiskArray(1, clock=clock)
-        tiers.record_access("s", 0, 1.0 * MB)
+        tiers.record_access("s", "fmt", 0, 1.0 * MB)
         tiers.sweep(clock, array)
         migrated_before = tiers.migration_seconds
         assert tiers.invalidate("s", 0) == 1
@@ -310,8 +369,8 @@ class TestTierManager:
 
 class TestCachePlane:
     def test_hit_seconds_scale_with_ram_bandwidth(self):
-        plane = CachePlane(CacheConfig(ram_bandwidth=1.0 * GB))
-        assert plane.hit_seconds(1.0 * GB) == pytest.approx(1.0)
+        plane = CachePlane(CacheConfig())
+        assert plane.hit_seconds(RAM_BANDWIDTH) == pytest.approx(1.0)
 
     def test_stats_snapshot_shape(self):
         plane = CachePlane(CacheConfig(tiering=TierConfig()))
@@ -329,7 +388,7 @@ class TestCachePlane:
         rkey = plane.result_key("s", 0, "jackson", "NN", "f", "1")
         plane.frames.put(fkey, 10.0, 1.0)
         plane.results.commit(rkey, 0.1, nbytes=np.zeros(2).nbytes)
-        plane.tiers.record_access("s", 0, 10.0)
+        plane.tiers.record_access("s", "fmt", 0, 10.0)
         assert plane.invalidate("s", 0) == 2
         assert fkey not in plane.frames
         assert plane.tiers.accesses("s", 0) == 0

@@ -10,7 +10,7 @@ from repro.operators.library import default_library
 from repro.query.cascade import QUERY_A, QUERY_B
 from repro.query.scheduler import OperatorContextPool
 from repro.storage.disk import DiskBandwidthPool
-from repro.units import DAY, KB, MB
+from repro.units import DAY, KB
 
 LIB_NAMES = ("Diff", "S-NN", "NN")
 SPAN = 32.0
@@ -57,13 +57,13 @@ class TestParity:
     def test_cold_cache_single_query_is_bit_identical(self, tmp_path,
                                                       reference):
         _, single, _ = reference
-        store = _build(tmp_path / "w",
-                       CacheConfig(single_flight=False))
+        store = _build(tmp_path / "w", CacheConfig())
         result = store.execute("A", dataset="jackson", accuracy=0.8,
                                t0=0.0, t1=SPAN)
         assert result.positives_per_stage == single.positives_per_stage
         assert result.segments_per_stage == single.segments_per_stage
-        # No committed entries and no dedup: even the timing matches.
+        # No committed entries, and one query repeats no retrieval or
+        # consume to deduplicate: even the timing matches.
         assert result.compute_seconds == single.compute_seconds
 
     @pytest.mark.parametrize("config", [
@@ -72,9 +72,8 @@ class TestParity:
         CacheConfig(policy="cost"),
         CacheConfig(frame_capacity_bytes=64.0 * KB,
                     result_capacity_bytes=1.0 * KB),  # heavy eviction
-        CacheConfig(single_flight=False),
         CacheConfig(tiering=TierConfig(promote_accesses=1)),
-    ], ids=["lru", "lfu", "cost", "tiny", "no-single-flight", "tiering"])
+    ], ids=["lru", "lfu", "cost", "tiny", "tiering"])
     def test_outputs_identical_under_16_concurrent_queries(
             self, tmp_path, reference, config):
         _, _, many = reference
@@ -149,13 +148,6 @@ class TestSingleFlight:
         follow = executor.admit(QUERY_A, "jackson", 0.8, 0.0, SPAN)
         executor.run()
         assert follow.finished_at >= lead.finished_at
-
-    def test_disabled_single_flight_runs_everything(self, tmp_path):
-        store = _build(tmp_path / "w", CacheConfig(single_flight=False))
-        specs = [dict(query="A", dataset="jackson", accuracy=0.8,
-                      t0=0.0, t1=SPAN) for _ in range(4)]
-        store.execute_many(specs, **_pools())
-        assert store.cache_stats().single_flight_hits == 0
 
 
 class TestInvalidation:

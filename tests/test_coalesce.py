@@ -13,7 +13,7 @@ from repro.core.coalesce import (
 from repro.core.consumption import ConsumptionPlanner
 from repro.errors import BudgetError
 from repro.ingest.budget import IngestBudget, cores_required
-from repro.operators.library import Consumer, default_library
+from repro.operators.library import Consumer
 from repro.profiler.coding_profiler import CodingProfiler
 from repro.profiler.profiler import OperatorProfiler
 from repro.retrieval.speed import retrieval_speed

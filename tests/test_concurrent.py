@@ -10,12 +10,7 @@ from repro.errors import QueryError
 from repro.operators.library import default_library
 from repro.query.alternatives import one_to_one_scheme
 from repro.query.cascade import QUERY_A, QUERY_B
-from repro.query.scheduler import (
-    DeadlinePolicy,
-    FIFOPolicy,
-    FairSharePolicy,
-    OperatorContextPool,
-)
+from repro.query.scheduler import OperatorContextPool
 from repro.storage.disk import DiskBandwidthPool
 
 from oracles import _execute_sequential
@@ -187,7 +182,7 @@ class TestStreamAlias:
 
 class TestPolicies:
     def test_fifo_finishes_identical_queries_in_admit_order(self, store):
-        ex = store.executor(decoder_pool=DecoderPool(1), policy=FIFOPolicy())
+        ex = store.executor(decoder_pool=DecoderPool(1), policy="fifo")
         for _ in range(4):
             ex.admit(QUERY_B, "dashcam", 0.9, 0.0, 64.0)
         outcomes = ex.run()
@@ -203,8 +198,8 @@ class TestPolicies:
         return next(o for o in outcomes if o.session is light).latency
 
     def test_fair_share_protects_the_light_query(self, store):
-        fifo = self._last_light_latency(store, FIFOPolicy())
-        fair = self._last_light_latency(store, FairSharePolicy())
+        fifo = self._last_light_latency(store, "fifo")
+        fair = self._last_light_latency(store, "fair")
         assert fair <= fifo
 
     def test_deadline_policy_prioritizes_dated_query(self, store):
@@ -217,10 +212,15 @@ class TestPolicies:
             outcomes = ex.run()
             return next(o for o in outcomes if o.session is dated)
 
-        fifo = run(FIFOPolicy())
-        edf = run(DeadlinePolicy())
+        fifo = run("fifo")
+        edf = run("edf")
         assert edf.latency < fifo.latency
         assert edf.deadline_met is not None
+
+    @pytest.mark.parametrize("policy", ["lifo", "FIFO", None])
+    def test_unknown_policy_name_is_rejected(self, store, policy):
+        with pytest.raises(QueryError, match="unknown scheduling policy"):
+            store.executor(policy=policy)
 
     def test_deadline_outcome_reported(self, store):
         ex = store.executor()

@@ -5,7 +5,7 @@ import pytest
 from repro.core.consumption import ConsumptionPlanner
 from repro.core.knobs import boundary_search_run_bound, exhaustive_run_bound
 from repro.errors import ConfigurationError
-from repro.operators.library import Consumer, default_library
+from repro.operators.library import Consumer
 from repro.profiler.profiler import OperatorProfiler
 
 CONSUMERS = [

@@ -31,7 +31,7 @@ from repro.core.evolve import (
 from repro.core.store import VStore
 from repro.operators.library import Consumer, default_library
 from repro.query.cascade import QUERY_A, QUERY_B
-from repro.query.scheduler import FIFOPolicy, OperatorContextPool
+from repro.query.scheduler import OperatorContextPool
 from repro.storage.disk import DiskBandwidthPool
 
 from oracles import reference_loop
@@ -75,7 +75,7 @@ def _run_trace(workdir) -> dict:
         assert jobs, "the drifted mix must require new formats"
 
         ex = store.executor(
-            policy=FIFOPolicy(),
+            policy="fifo",
             disk_pool=DiskBandwidthPool(1),
             decoder_pool=DecoderPool(1),
             operator_pool=OperatorContextPool(2),

@@ -9,7 +9,6 @@ from repro.errors import ErosionError
 from repro.operators.library import Consumer
 from repro.profiler.coding_profiler import CodingProfiler
 from repro.profiler.profiler import OperatorProfiler
-from repro.units import DAY, TB
 
 
 @pytest.fixture(scope="module")

@@ -35,15 +35,12 @@ from repro.query.cascade import QUERY_A, QUERY_B, cascade_for
 from repro.query.scheduler import (
     BackgroundJob,
     ConcurrentExecutor,
-    DeadlinePolicy,
-    FIFOPolicy,
-    FairSharePolicy,
     OperatorContextPool,
     QueryPlan,
     ResourceTask,
     StagePlan,
-    WeightedFairSharePolicy,
 )
+from repro.query.workload import QueryMixEntry, TenantSpec
 from repro.storage.disk import DiskBandwidthPool
 
 from oracles import fastpath_loop, reference_loop
@@ -72,7 +69,7 @@ def stores(tmp_path_factory):
 # ---------------------------------------------------------------------------
 
 
-POLICIES = (FIFOPolicy, FairSharePolicy, DeadlinePolicy)
+POLICIES = ("fifo", "fair", "edf")
 
 
 @settings(max_examples=25, deadline=None,
@@ -87,7 +84,7 @@ def test_heap_core_matches_reference_on_random_fleets(stores, data):
     """
     shards = data.draw(st.sampled_from((1, 4)), label="shards")
     store = stores[shards]
-    policy_cls = data.draw(st.sampled_from(POLICIES), label="policy")
+    policy = data.draw(st.sampled_from(POLICIES), label="policy")
     with_cache = data.draw(st.booleans(), label="cache")
     disk_channels = data.draw(st.sampled_from((None, 1, 2)), label="disk")
     decoder_ctx = data.draw(st.sampled_from((None, 1, 2)), label="decoder")
@@ -110,7 +107,7 @@ def test_heap_core_matches_reference_on_random_fleets(stores, data):
         cache = CachePlane(CacheConfig()) if with_cache else None
         ex = ConcurrentExecutor(
             store.configuration, store.library, store.segments,
-            policy=policy_cls(),
+            policy=policy,
             disk_pool=(DiskBandwidthPool(disk_channels)
                        if disk_channels else None),
             decoder_pool=DecoderPool(decoder_ctx) if decoder_ctx else None,
@@ -126,7 +123,7 @@ def test_heap_core_matches_reference_on_random_fleets(stores, data):
     runs = [run()]
     with reference_loop():
         ref_ex, ref_out = run()
-    if (not with_cache and policy_cls in (FIFOPolicy, DeadlinePolicy)
+    if (not with_cache and policy in ("fifo", "edf")
             and all(a[3] == 1 for a in admissions)):
         with fastpath_loop():
             runs.append(run())
@@ -168,7 +165,7 @@ def test_deep_fifo_fleet_matches_fastpath_per_session(stores):
 
     def run():
         ex = store.executor(
-            cache=None, metrics=None, policy=FIFOPolicy(),
+            cache=None, metrics=None, policy="fifo",
             disk_pool=DiskBandwidthPool(1), decoder_pool=DecoderPool(2),
             operator_pool=OperatorContextPool(4),
         )
@@ -304,14 +301,16 @@ def _inject(ex, core: str, edges):
     """Add dependency edges — runtime task ``(waiter, i)`` waits on ``(qid,
     j)`` for each ``((waiter, i), (qid, j))`` — the way the single-flight
     dedup adds them: to the production lowering, or to the oracle's
-    runtime chains.  Returns each session's runtime tasks."""
+    runtime chains.  Returns each session's first task as a ``(resource,
+    units)`` pair."""
     if core == "reference":
         chains = ex._runtime_chains()
         for (waiter, i), (qid, j) in edges:
             task = chains[waiter][i]
             task.deps = task.deps + (chains[qid][j].uid,)
         ex._runtime_chains = lambda: chains
-        return chains
+        return {q: (tasks[0].resource, tasks[0].units)
+                for q, tasks in chains.items()}
     fleet = ex._lower()
     for (waiter, i), (qid, j) in edges:
         uid = fleet.base[waiter] + i % fleet.chains[waiter].n
@@ -319,7 +318,7 @@ def _inject(ex, core: str, edges):
         fleet.dependents.setdefault(
             fleet.base[qid] + j % fleet.chains[qid].n, []).append(uid)
     ex._lower = lambda: fleet
-    return [chain.tasks for chain in fleet.chains]
+    return [(chain.names[0], chain.units[0]) for chain in fleet.chains]
 
 
 def _loop(core: str):
@@ -333,12 +332,12 @@ def test_deadlock_error_names_blocked_sessions(stores, core):
     ex = store.executor()
     ex.admit(QUERY_B, "dashcam", 0.9, 0.0, 8.0)
     with pytest.raises(QueryError) as err, _loop(core):
-        chains = _inject(ex, core, [((0, 0), (0, -1))])
+        heads = _inject(ex, core, [((0, 0), (0, -1))])
         ex.run()
-    first = chains[0][0]
+    resource, units = heads[0]
     message = str(err.value)
     assert "deadlock" in message
-    assert f"(q0, {first.resource}, {first.units})" in message
+    assert f"(q0, {resource}, {units})" in message
 
 
 def test_blocked_triples_sorted(stores):
@@ -349,11 +348,11 @@ def test_blocked_triples_sorted(stores):
         ex.admit(QUERY_B, "dashcam", 0.9, 0.0, 8.0)
         ex.admit(QUERY_A, "jackson", 0.9, 0.0, 8.0)
         with pytest.raises(QueryError) as err, _loop(core):
-            chains = _inject(ex, core, [((1, 0), (0, -1)),
-                                        ((0, 0), (1, -1))])
+            heads = _inject(ex, core, [((1, 0), (0, -1)),
+                                       ((0, 0), (1, -1))])
             ex.run()
-        triples = ", ".join(f"(q{q}, {chains[q][0].resource}, "
-                            f"{chains[q][0].units})" for q in (0, 1))
+        triples = ", ".join(f"(q{q}, {heads[q][0]}, {heads[q][1]})"
+                            for q in (0, 1))
         assert str(err.value).endswith(f"(qid, resource, units): {triples}")
 
 
@@ -376,8 +375,8 @@ def _plan(*tasks: ResourceTask) -> QueryPlan:
                                        touched=len(tasks), positives=0),))
 
 
-def _replay(store, chains, deps=(), policy=FIFOPolicy, decoder=None,
-            operators=None, **admit):
+def _replay(store, chains, deps=(), policy="fifo", decoder=None,
+            operators=None, tenants=(), **admit):
     """Run hand-built chains (one ``_plan`` per session, ``admit``'s
     per-session keyword lists alongside) on the production loop and the
     oracle; require identical traces and per-session floats, and return
@@ -385,7 +384,7 @@ def _replay(store, chains, deps=(), policy=FIFOPolicy, decoder=None,
     j))`` dependency edges, as the single-flight dedup would add them."""
     def run(core):
         ex = store.executor(
-            cache=None, metrics=None, policy=policy(),
+            cache=None, metrics=None, policy=policy, tenants=tenants,
             decoder_pool=DecoderPool(decoder) if decoder else None,
             operator_pool=(OperatorContextPool(operators) if operators
                            else None),
@@ -422,7 +421,7 @@ class TestReadyHeapIndex:
         """EDF on one decoder: the earliest deadline wins, and equal
         deadlines go in submission (seq) order."""
         ex = _replay(stores[1], [[_task("decoder", 1.0)]] * 3,
-                     policy=DeadlinePolicy, decoder=1,
+                     policy="edf", decoder=1,
                      deadline=[5.0, 1.0, 1.0])
         assert [q for q, _, _ in _events(ex, "start")] == [1, 2, 0]
 
@@ -435,8 +434,10 @@ class TestReadyHeapIndex:
             stores[1],
             [[_task("decoder", 3.0)], [_task("decoder", 1.0)],
              [_task("decoder", 1.0)], [_task("operators", 2.0)]],
-            policy=lambda: WeightedFairSharePolicy(weights={"bronze": 10.0}),
-            decoder=1, tenant=["bronze", "gold", "bronze", "gold"],
+            policy="wfair", decoder=1,
+            tenants=[TenantSpec("bronze", weight=10.0, mix=(
+                QueryMixEntry(query="A", dataset="jackson"),))],
+            tenant=["bronze", "gold", "bronze", "gold"],
         )
         decoder = [(q, t) for q, t, r in _events(ex, "start")
                    if r == "decoder"]
@@ -487,7 +488,7 @@ class TestReadyHeapIndex:
              [_task("operators", 1.0), _task("operators", 1.0)],
              [_task("operators", 1.0), _task("decoder", 1.0)],
              [_task("decoder", 1.0)]],
-            policy=DeadlinePolicy, decoder=1, operators=1,
+            policy="edf", decoder=1, operators=1,
             deadline=[9.0, 8.0, 7.0, 1.0], arrival=[None, None, None, 0.5],
         )
         starts = [(q, t) for q, t, _ in _events(ex, "start")]

@@ -26,23 +26,14 @@ from repro.codec.decoder import DecoderPool
 from repro.core.store import VStore
 from repro.operators.library import default_library
 from repro.query.cascade import QUERY_A, QUERY_B
-from repro.query.scheduler import (
-    DeadlinePolicy,
-    FIFOPolicy,
-    FairSharePolicy,
-    OperatorContextPool,
-)
+from repro.query.scheduler import OperatorContextPool
 from repro.storage.disk import DiskBandwidthPool
 
 from oracles import reference_loop
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
-POLICIES = {
-    "fifo": FIFOPolicy,
-    "fair": FairSharePolicy,
-    "edf": DeadlinePolicy,
-}
+POLICIES = ("fifo", "fair", "edf")
 
 
 #: Shard widths each policy's trace is pinned at: the single-disk layout
@@ -84,7 +75,7 @@ def _round(value: float) -> float:
 def _run_trace(store, policy_name: str) -> dict:
     """One canonical contended run; returns the JSON-ready payload."""
     ex = store.executor(
-        policy=POLICIES[policy_name](),
+        policy=policy_name,
         disk_pool=DiskBandwidthPool(1),
         decoder_pool=DecoderPool(1),
         operator_pool=OperatorContextPool(2),

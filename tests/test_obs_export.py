@@ -25,7 +25,7 @@ from repro.obs.export import (
 )
 from repro.operators.library import default_library
 from repro.query.cascade import QUERY_A, QUERY_B
-from repro.query.scheduler import FIFOPolicy, OperatorContextPool
+from repro.query.scheduler import OperatorContextPool
 from repro.storage.disk import DiskBandwidthPool
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -49,7 +49,7 @@ def traced_run(tmp_path_factory):
         store.ingest("jackson", n_segments=4)
         store.ingest("dashcam", n_segments=4)
         ex = store.executor(
-            policy=FIFOPolicy(),
+            policy="fifo",
             disk_pool=DiskBandwidthPool(1),
             decoder_pool=DecoderPool(1),
             operator_pool=OperatorContextPool(2),

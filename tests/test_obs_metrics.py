@@ -132,8 +132,6 @@ def test_histogram_bucket_boundary_indexing_is_stable():
     exactly on a bucket boundary into the adjacent bucket from float
     error in ``log``.  The nudge-and-verify index must satisfy the
     canonical bound function for every boundary value."""
-    import math
-
     h = Histogram("edges")
     for k in range(-24, 25):
         v = h._bucket_upper(k)  # exactly on the boundary of bucket k

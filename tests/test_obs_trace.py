@@ -32,21 +32,12 @@ from repro.obs.trace import (
 )
 from repro.operators.library import default_library
 from repro.query.cascade import QUERY_A, QUERY_B
-from repro.query.scheduler import (
-    DeadlinePolicy,
-    FIFOPolicy,
-    FairSharePolicy,
-    OperatorContextPool,
-)
+from repro.query.scheduler import OperatorContextPool
 from repro.storage.disk import DiskBandwidthPool
 
 from oracles import fastpath_loop, reference_loop
 
-POLICIES = {
-    "fifo": FIFOPolicy,
-    "fair": FairSharePolicy,
-    "edf": DeadlinePolicy,
-}
+POLICIES = ("fifo", "fair", "edf")
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +54,7 @@ def obs_store(tmp_path_factory):
 
 def _contended_executor(store, policy_name: str):
     ex = store.executor(
-        policy=POLICIES[policy_name](),
+        policy=policy_name,
         disk_pool=DiskBandwidthPool(1),
         decoder_pool=DecoderPool(1),
         operator_pool=OperatorContextPool(2),
@@ -79,7 +70,7 @@ def _fastpath_fleet(store, policy_name: str):
     engine = store.engine("jackson")
     plan = engine.plan(QUERY_A, 0.9, store.segments, 0.0, 16.0)
     ex = store.executor(
-        policy=POLICIES[policy_name](),
+        policy=policy_name,
         disk_pool=DiskBandwidthPool(1),
         decoder_pool=DecoderPool(1),
         operator_pool=OperatorContextPool(2),

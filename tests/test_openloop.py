@@ -27,14 +27,11 @@ from repro.query.cascade import QUERY_B, cascade_for
 from repro.query.scheduler import (
     AdmissionConfig,
     BackgroundJob,
-    DeadlinePolicy,
-    FIFOPolicy,
-    FairSharePolicy,
     OperatorContextPool,
     ResourceTask,
-    WeightedFairSharePolicy,
 )
 from repro.query.workload import ArrivalSpec, QueryMixEntry, TenantSpec
+from repro.storage.disk import DiskBandwidthPool
 from repro.storage.failures import FAILURE_ACTIONS, FailureEvent
 
 from oracles import reference_loop
@@ -59,6 +56,13 @@ def make_ex(store, **kwargs):
 
 def admit_b(ex, **kwargs):
     return ex.admit(QUERY_B, "dashcam", 0.9, 0.0, 16.0, **kwargs)
+
+
+def tenant_spec(name, **kwargs):
+    """A tenant for ``ConcurrentExecutor(tenants=...)``, which reads only
+    its ``weight`` and ``quota``; the mix is what ``serve`` would draw."""
+    mix = (QueryMixEntry(query="B", dataset="dashcam"),)
+    return TenantSpec(name, mix=mix, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -192,10 +196,8 @@ def test_wfair_admission_shares_by_weight(store):
     entirely before bronze's second query gets a slot."""
     ex = make_ex(
         store,
-        admission=AdmissionConfig(
-            max_in_flight=1, queue_policy="wfair",
-            tenant_weights={"gold": 10.0, "bronze": 1.0},
-        ),
+        admission=AdmissionConfig(max_in_flight=1, queue_policy="wfair"),
+        tenants=[tenant_spec("gold", weight=10.0), tenant_spec("bronze")],
     )
     admit_b(ex)  # qid 0: warm-up blocker, anonymous tenant
     sessions = [admit_b(ex, tenant="gold") for _ in range(3)]
@@ -208,11 +210,43 @@ def test_wfair_admission_shares_by_weight(store):
     assert order == [1, 4, 2, 3, 5, 6]
 
 
+@pytest.mark.parametrize("max_in_flight, order", [
+    (1, [0, 1, 4, 2, 3, 7, 5, 6, 8]),
+    (2, [0, 1, 4, 5, 2, 6, 3, 8, 7]),
+])
+def test_wfair_admission_reads_weight_and_quota_from_the_record(
+        store, max_in_flight, order):
+    """Gold (weight 4, quota 1) and bronze queue behind an anonymous
+    blocker, a late query each arriving at 0.5 s, under the FIFO executor
+    policy.  The entry orders pinned here are the ones the same fleet
+    gave when weight and quota were ``AdmissionConfig`` fields; with two
+    slots, gold's quota keeps its queries from overlapping."""
+    ex = make_ex(
+        store,
+        admission=AdmissionConfig(max_in_flight=max_in_flight,
+                                  queue_policy="wfair"),
+        tenants=[tenant_spec("gold", weight=4.0, quota=1)],
+    )
+    admit_b(ex)
+    for name in ("gold",) * 3 + ("bronze",) * 3:
+        admit_b(ex, tenant=name)
+    for name in ("gold", "bronze"):
+        ex.admit(QUERY_B, "dashcam", 0.9, 0.0, 8.0, tenant=name,
+                 arrival=0.5)
+    out = ex.run()
+    assert [o.session.qid for o in sorted(
+        out, key=lambda o: (o.session.entered_at, o.session.qid))] == order
+    gold = sorted((o.session for o in out if o.session.tenant == "gold"),
+                  key=lambda s: s.entered_at)
+    for prev, nxt in zip(gold, gold[1:]):
+        assert prev.finished_at <= nxt.entered_at
+
+
 def test_tenant_quota_never_blocks_other_tenants(store):
     ex = make_ex(
         store,
-        admission=AdmissionConfig(max_in_flight=4,
-                                  tenant_quotas={"gold": 1}),
+        admission=AdmissionConfig(max_in_flight=4),
+        tenants=[tenant_spec("gold", quota=1)],
     )
     gold = [admit_b(ex, tenant="gold") for _ in range(3)]
     bronze = [admit_b(ex, tenant="bronze") for _ in range(3)]
@@ -264,12 +298,39 @@ def test_admission_config_validation():
         AdmissionConfig(max_in_flight=0)
     with pytest.raises(QueryError):
         AdmissionConfig(queue_policy="lifo")
-    with pytest.raises(QueryError):
-        AdmissionConfig(tenant_quotas={"t": 0})
-    with pytest.raises(QueryError):
-        AdmissionConfig(tenant_weights={"t": 0.0})
-    with pytest.raises(QueryError):
-        WeightedFairSharePolicy(weights={"t": -1.0})
+
+
+def _import_fifo_policy():
+    from repro.query.scheduler import FIFOPolicy  # noqa: F401
+
+
+#: Scheduling vocabulary that went: policies are names, a tenant's weight
+#: and quota live only on its record, and single-flight dedup comes with
+#: every cache plane.
+REMOVED = {
+    "FIFOPolicy-import": (ImportError, _import_fifo_policy),
+    "AdmissionConfig-tenant_weights": (
+        TypeError, lambda: AdmissionConfig(tenant_weights={"gold": 2.0})),
+    "AdmissionConfig-tenant_quotas": (
+        TypeError, lambda: AdmissionConfig(tenant_quotas={"gold": 1})),
+    "CacheConfig-single_flight": (
+        TypeError, lambda: CacheConfig(single_flight=False)),
+    "CacheConfig-ram_bandwidth": (
+        TypeError, lambda: CacheConfig(ram_bandwidth=1e9)),
+}
+
+
+@pytest.mark.parametrize("error, call", list(REMOVED.values()),
+                         ids=list(REMOVED))
+def test_the_scheduling_vocabulary_is_one_record(error, call):
+    with pytest.raises(error):
+        call()
+
+
+def test_duplicate_tenant_records_are_rejected(store):
+    with pytest.raises(QueryError, match="duplicate tenant"):
+        make_ex(store, tenants=[tenant_spec("gold"),
+                                tenant_spec("gold", weight=2.0)])
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +395,7 @@ def test_serve_end_to_end_is_deterministic(store):
         report = store.serve(
             tenants, horizon=40.0, seed=9,
             admission=AdmissionConfig(max_in_flight=4, queue_policy="edf"),
-            policy=WeightedFairSharePolicy(),
+            policy="wfair",
             decoder_pool=DecoderPool(1),
         )
         return report
@@ -348,8 +409,50 @@ def test_serve_end_to_end_is_deterministic(store):
                       o.queued_seconds) for o in r.outcomes]
     assert key(a) == key(b)
     assert a.slo == b.slo
-    # Quotas/weights flow from the TenantSpec into the admission config.
     assert a.stats.makespan > 0
+
+
+@pytest.fixture(scope="module")
+def nn_store(tmp_path_factory):
+    s = VStore(workdir=str(tmp_path_factory.mktemp("wfair")),
+               library=default_library(names=("Diff", "S-NN", "NN")))
+    s.configure()
+    s.ingest("jackson", n_segments=8)
+    yield s
+    s.close()
+
+
+def test_serve_wfair_applies_tenant_weight(nn_store):
+    """``serve(policy="wfair")`` ranks by each TenantSpec's weight.
+
+    Two tenants run query A over 8 segments, each arriving at 1 q/s for
+    30 s, on one decoder, one disk channel and two operator contexts.
+    Weighting gold 8x moves every outcome and cuts gold's p50 from
+    9.53 s to 3.25 s: the numbers the same run gave when the weight had
+    to be passed to the policy object, which ``serve`` never did.
+    """
+    mix = (QueryMixEntry(query="A", dataset="jackson", t0=0.0, t1=64.0),)
+
+    def run(gold_weight):
+        tenants = [TenantSpec(name, arrivals=ArrivalSpec(rate=1.0), mix=mix,
+                              weight=weight)
+                   for name, weight in (("gold", gold_weight),
+                                        ("bronze", 1.0))]
+        result = nn_store.serve(
+            tenants, horizon=30.0, seed=1, policy="wfair",
+            disk_pool=DiskBandwidthPool(1), decoder_pool=DecoderPool(1),
+            operator_pool=OperatorContextPool(2),
+        )
+        return ([(o.session.qid, o.session.finished_at)
+                 for o in result.outcomes],
+                {t.tenant: t.p50_latency for t in result.slo.tenants})
+
+    (flat, flat_p50), (weighted, weighted_p50) = run(1.0), run(8.0)
+    assert len(flat) == len(weighted) == 66
+    assert flat != weighted
+    assert flat_p50["gold"] == pytest.approx(9.5349, abs=1e-4)
+    assert weighted_p50["gold"] == pytest.approx(3.2541, abs=1e-4)
+    assert weighted_p50["bronze"] > flat_p50["bronze"]
 
 
 # ---------------------------------------------------------------------------
@@ -357,12 +460,7 @@ def test_serve_end_to_end_is_deterministic(store):
 # ---------------------------------------------------------------------------
 
 
-POLICIES = (
-    FIFOPolicy,
-    FairSharePolicy,
-    DeadlinePolicy,
-    lambda: WeightedFairSharePolicy(weights={"gold": 2.0}),
-)
+POLICIES = ("fifo", "fair", "edf", "wfair")
 
 
 #: Instants arrivals, job arrivals and failure events are drawn from.
@@ -391,9 +489,11 @@ def test_heap_core_matches_reference_on_open_loop_fleets(store, data):
     failure events the failure timeline; both draw their instants from
     the arrival grid so they collide with arrivals and completions.  A
     cache plane adds single-flight dependency edges, and gangs of 1-3
-    operator contexts park on a bounded operator pool.
+    operator contexts park on a bounded operator pool.  Gold's weight and
+    quota come through its tenant record, which both the ``"wfair"``
+    executor key and the admission queue read.
     """
-    policy_factory = data.draw(st.sampled_from(POLICIES), label="policy")
+    policy = data.draw(st.sampled_from(POLICIES), label="policy")
     decoder_ctx = data.draw(st.sampled_from((None, 1, 2)), label="decoder")
     op_ctx = data.draw(st.sampled_from((None, 2, 4)), label="operators")
     with_cache = data.draw(st.booleans(), label="cache")
@@ -402,12 +502,14 @@ def test_heap_core_matches_reference_on_open_loop_fleets(store, data):
             max_in_flight=data.draw(st.sampled_from((1, 2, 4))),
             queue_policy=data.draw(
                 st.sampled_from(("arrival", "edf", "wfair"))),
-            tenant_quotas=data.draw(st.sampled_from((None, {"gold": 1}))),
-            tenant_weights=data.draw(
-                st.sampled_from((None, {"gold": 4.0}))),
         )
     else:
         admission = None
+    tenants = [tenant_spec(
+        "gold",
+        weight=data.draw(st.sampled_from((1.0, 2.0, 4.0)), label="weight"),
+        quota=data.draw(st.sampled_from((None, 1)), label="quota"),
+    )]
     n = data.draw(st.integers(1, 5), label="queries")
     admissions = []
     for _ in range(n):
@@ -440,10 +542,11 @@ def test_heap_core_matches_reference_on_open_loop_fleets(store, data):
         ex = store.executor(
             cache=CachePlane(CacheConfig()) if with_cache else None,
             metrics=None,
-            policy=policy_factory(),
+            policy=policy,
             decoder_pool=DecoderPool(decoder_ctx) if decoder_ctx else None,
             operator_pool=OperatorContextPool(op_ctx) if op_ctx else None,
             admission=admission,
+            tenants=tenants,
         )
         for qname, dataset, arrival, tenant, deadline, contexts in admissions:
             ex.admit(cascade_for(qname), dataset, 0.9, 0.0, 16.0,

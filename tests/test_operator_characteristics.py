@@ -1,7 +1,5 @@
 """Per-operator characteristics the paper's observations rely on."""
 
-from fractions import Fraction
-
 import pytest
 
 from repro.operators.color import ColorOperator

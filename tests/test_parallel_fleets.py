@@ -19,7 +19,6 @@ from repro.core.store import VStore
 from repro.errors import QueryError, StorageError
 from repro.operators.library import default_library
 from repro.query.parallel import merge_reports, run_fleets
-from repro.query.scheduler import FairSharePolicy
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +65,7 @@ class TestDeterminism:
             assert _no_wall(s) == _no_wall(f)
 
     def test_executor_kwargs_reach_the_workers(self, store):
-        reports = run_fleets(store, FLEETS[:2], 2, policy=FairSharePolicy())
+        reports = run_fleets(store, FLEETS[:2], 2, policy="fair")
         assert all(r.policy == "fair" for r in reports)
 
     def test_store_survives_the_forks(self, store):

@@ -5,9 +5,6 @@ through the planners, asserting the paper's structural invariants (R1-R4,
 golden format, monotone budget responses) rather than specific outcomes.
 """
 
-from fractions import Fraction
-
-import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.codec.model import DEFAULT_CODEC

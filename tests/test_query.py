@@ -7,7 +7,6 @@ from repro.query.alternatives import (
     n_to_n_scheme,
     one_to_n_scheme,
     one_to_one_scheme,
-    vstore_scheme,
 )
 from repro.query.cascade import (
     QUERY_A,

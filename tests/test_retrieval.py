@@ -247,7 +247,7 @@ class TestRoutedAssessParity:
                 store.put(enc.encode(Segment("cam", i), f, 0.4))
         plane = CachePlane(CacheConfig(tiering=TierConfig()))
         for _ in range(plane.tiers.config.promote_accesses):
-            plane.tiers.record_access("cam", 2, 1e6)
+            plane.tiers.record_access("cam", "fmt", 2, 1e6)
         assert plane.tiers.sweep(SimClock(), array) == (1, 0)
         assert plane.tiers.is_fast("cam", 2)
 

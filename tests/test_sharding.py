@@ -16,7 +16,6 @@ from repro.core.store import VStore
 from repro.errors import StorageError
 from repro.operators.library import default_library
 from repro.query.cascade import QUERY_A
-from repro.query.scheduler import FIFOPolicy
 from repro.retrieval.reader import SegmentReader
 from repro.storage.disk import DiskBandwidthPool, DiskModel
 from repro.storage.kvstore import KVStore
@@ -25,10 +24,8 @@ from repro.storage.sharding import (
     HashPlacement,
     LocalityAwarePlacement,
     PlacementPolicy,
-    RoundRobinPlacement,
     ShardedDiskArray,
     placement_named,
-    plan_rebalance,
 )
 
 from repro.video.coding import Coding, RAW
@@ -476,7 +473,7 @@ class TestEndToEnd:
                         shards=shards, placement="round-robin") as store:
                 store.configure()
                 store.ingest("jackson", n_segments=4)
-                ex = store.executor(policy=FIFOPolicy(),
+                ex = store.executor(policy="fifo",
                                     disk_pool=DiskBandwidthPool(1))
                 for _ in range(8):
                     ex.admit(QUERY_A, "jackson", 0.9, 0.0, 32.0)

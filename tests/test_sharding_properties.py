@@ -242,7 +242,7 @@ def test_fail_rebuild_interleavings_keep_books_consistent(ops, n_shards,
     """reassign/migrate/forget interleaved with shard failures and replica
     rebuilds conserve bytes and keep locate/assignments consistent, and
     the final books replay through ``adopt`` as a store reopen does."""
-    from repro.errors import ShardFailedError, StorageError
+    from repro.errors import StorageError
 
     array = ShardedDiskArray(n_shards, placement="round-robin",
                              replication=min(replication, n_shards))
