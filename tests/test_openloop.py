@@ -322,7 +322,7 @@ REMOVED = {
 
 @pytest.mark.parametrize("error, call", list(REMOVED.values()),
                          ids=list(REMOVED))
-def test_the_scheduling_vocabulary_is_one_record(error, call):
+def test_removed_scheduling_and_cache_options_raise(error, call):
     with pytest.raises(error):
         call()
 
