@@ -38,6 +38,7 @@ from repro.core.store import VStore
 from repro.storage.sharding import PLACEMENTS
 from repro.ingest.budget import IngestBudget
 from repro.operators.library import TABLE2_ORDER, default_library
+from repro.query.scheduler import POLICIES as EXECUTOR_POLICIES
 from repro.units import DAY, TB, fmt_bytes
 from repro.video.datasets import DATASETS
 
@@ -420,8 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "'fail@10:0,degrade@10:1:8,recover@60:0' "
                         "(action@t:shard[:factor]); prints an availability "
                         "report alongside the SLO table")
-    p.add_argument("--policy", choices=("fifo", "fair", "edf", "wfair"),
-                   default="fifo",
+    p.add_argument("--policy", choices=EXECUTOR_POLICIES, default="fifo",
                    help="resource scheduling policy inside the executor")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_serve)
