@@ -89,6 +89,16 @@ def _build_store(args: argparse.Namespace) -> VStore:
     )
 
 
+def _require_segments(store: VStore, args: argparse.Namespace) -> None:
+    """Refuse a workdir holding no segment of ``--dataset`` before running."""
+    if args.dataset not in store.segments.streams():
+        raise SystemExit(
+            f"no segments of {args.dataset!r} in workdir {args.workdir}; "
+            f"ingest first: repro ingest --workdir {args.workdir} "
+            f"--dataset {args.dataset} --segments N"
+        )
+
+
 def _add_store_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--operators",
@@ -163,6 +173,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 def cmd_execute(args: argparse.Namespace) -> int:
     store = _build_store(args)
     with store:
+        _require_segments(store, args)
         store.configure()
         for run in range(max(1, args.repeat)):
             result = store.execute(args.query, dataset=args.dataset,
@@ -231,6 +242,7 @@ def _run_observed_fleet(store: VStore, args: argparse.Namespace) -> None:
 def cmd_trace(args: argparse.Namespace) -> int:
     store = _build_store(args)
     with store:
+        _require_segments(store, args)
         store.configure()
         _run_observed_fleet(store, args)
         obs = store.observability()
@@ -248,6 +260,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
     store = _build_store(args)
     with store:
+        _require_segments(store, args)
         store.configure()
         _run_observed_fleet(store, args)
         print(format_metrics_table(store.metrics.snapshot()))
@@ -277,6 +290,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
                                     queue_policy=args.queue_policy)
     store = _build_store(args)
     with store:
+        _require_segments(store, args)
         store.configure()
         report = store.serve(tenants, horizon=args.horizon, seed=args.seed,
                              admission=admission, failures=args.failures,
@@ -288,9 +302,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
             print()
             print(format_availability_table(report.availability))
         stats = report.stats
-        print(f"executor [{stats.core}]: {stats.events} events in "
-              f"{stats.total_wall_seconds:.3f}s real "
-              f"({stats.events_per_second:,.0f} events/s)")
+        print(f"executor [{stats.core}]: {stats.events} events "
+              f"({stats.events_per_second:,.0f} events/s over the admit "
+              f"and run walls)")
+        phases = ", ".join(f"{name} {seconds:.3f}s"
+                           for name, seconds in report.phases.items())
+        print(f"host time: {sum(report.phases.values()):.3f}s ({phases})")
     return 0
 
 

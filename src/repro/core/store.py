@@ -17,8 +17,9 @@ the subpackages, but the facade covers the common paths.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from time import perf_counter
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
@@ -82,6 +83,13 @@ class RunResult:
     #: Resilience numbers when the run carried a failure campaign;
     #: ``None`` for failure-free runs.
     availability: Optional["AvailabilityReport"] = None
+    #: Host seconds of the run's phases, in order: ``workload``
+    #: (:meth:`VStore.serve`'s workload build; 0.0 for other entry
+    #: points), ``admit`` (releasing the previous run, building the
+    #: executor and admitting: planning, campaign events, background
+    #: jobs), ``run`` (``executor.run()``) and ``observe`` (the drift
+    #: fold, the store's metric observers, the availability report).
+    phases: Dict[str, float] = field(default_factory=dict)
 
     @cached_property
     def slo(self) -> "SLOReport":
@@ -93,6 +101,14 @@ class RunResult:
         return slo_report(self.outcomes,
                           queue_timeline=self.admission_timeline,
                           makespan=self.stats.makespan)
+
+
+#: The keys an admit spec may carry: ``ConcurrentExecutor.admit``'s
+#: parameters.
+_SPEC_KEYS = frozenset((
+    "query", "dataset", "accuracy", "t0", "t1", "stream", "scheme",
+    "contexts", "deadline", "plan", "arrival", "tenant",
+))
 
 
 class VStore:
@@ -420,15 +436,21 @@ class VStore:
         timeline), the run's :class:`~repro.query.scheduler.ExecutorStats`,
         and — for campaign runs — the
         :class:`~repro.analysis.availability.AvailabilityReport`
-        (data-loss check, degraded-window slowdown, rebuild time).
+        (data-loss check, degraded-window slowdown, rebuild time).  Its
+        ``phases`` give the host seconds of the workload build, admission,
+        the executor run and the observation folds.
         """
         from repro.query.workload import build_workload, workload_specs
 
         self._check_open()
-        arrivals = build_workload(tenants, horizon, seed)
+        wall0 = perf_counter()
+        specs = workload_specs(build_workload(tenants, horizon, seed))
+        workload_seconds = perf_counter() - wall0
         campaign = None if failures is None else self._as_campaign(failures)
-        return self._run(workload_specs(arrivals), campaign=campaign,
-                         admission=admission, tenants=tenants, **kwargs)
+        result = self._run(specs, campaign=campaign, admission=admission,
+                           tenants=tenants, **kwargs)
+        result.phases["workload"] = workload_seconds
+        return result
 
     def _as_campaign(self, failures):
         """Coerce ``failures`` into a FailureCampaign valid for this array."""
@@ -486,14 +508,18 @@ class VStore:
         detector and the store-level metric planes — observation only, it
         cannot change the outcomes — and becomes :attr:`last_run`.  The
         previous run is released before anything is admitted, so its
-        outcomes never stay alive through this one.
+        outcomes never stay alive through this one.  The result's
+        ``phases`` time the three steps in host seconds.
         """
+        wall0 = perf_counter()
         self.last_run = None
         executor = self.executor(**executor_kwargs)
         self._admit_specs(executor, specs, campaign)
         for job in jobs:
             executor.admit_job(job)
+        wall1 = perf_counter()
         outcomes = executor.run()
+        wall2 = perf_counter()
         self.drift.observe_run(outcomes)
         # Executor aggregates were folded in by run() itself; the store
         # adds what the executor cannot see.
@@ -512,13 +538,17 @@ class VStore:
             availability = availability_report(
                 campaign, self.disk_array, outcomes
             )
+        stats = executor.stats()
+        phases = {"workload": 0.0, "admit": wall1 - wall0,
+                  "run": wall2 - wall1, "observe": perf_counter() - wall2}
         self.last_run = RunResult(
             outcomes=outcomes,
-            stats=executor.stats(),
+            stats=stats,
             events=executor.trace_events,
             started_at=executor.started_at,
             admission_timeline=executor.admission_timeline,
             availability=availability,
+            phases=phases,
         )
         return self.last_run
 
@@ -567,28 +597,37 @@ class VStore:
                     for job in rebuild_jobs(self.segments, work):
                         executor.admit_job(job, arrival=event.t)
 
+        admit = executor.admit
         for spec in specs:
             if pending:
                 fire_until(float(spec["arrival"]))
-            spec = dict(spec)
-            query = spec.pop("query")
+            if not spec.keys() <= _SPEC_KEYS:
+                raise TypeError(
+                    f"unknown spec keys {sorted(spec.keys() - _SPEC_KEYS)}; "
+                    f"a spec takes {sorted(_SPEC_KEYS)}"
+                )
+            query = spec["query"]
             if isinstance(query, str):
                 query = cascade_for(query)
-            key = None
-            if spec.get("plan") is None:
+            get = spec.get
+            stream, scheme = get("stream"), get("scheme")
+            contexts, plan = get("contexts", 1), get("plan")
+            key = memo = None
+            if plan is None:
                 # AlternativeScheme holds a list, so it is keyed by
                 # identity; the memo keeps it alive so the id stays unique.
-                scheme = spec.get("scheme")
                 key = (query, spec["dataset"], spec["accuracy"], spec["t0"],
-                       spec["t1"], spec.get("stream"),
-                       spec.get("contexts", 1), id(scheme))
-                if key in plans:
-                    spec["plan"] = plans[key][1]
-            session = executor.admit(
-                query, spec.pop("dataset"), spec.pop("accuracy"),
-                spec.pop("t0"), spec.pop("t1"), **spec
+                       spec["t1"], stream, contexts, id(scheme))
+                memo = plans.get(key)
+                if memo is not None:
+                    plan = memo[1]
+            session = admit(
+                query, spec["dataset"], spec["accuracy"], spec["t0"],
+                spec["t1"], stream=stream, scheme=scheme, contexts=contexts,
+                deadline=get("deadline"), plan=plan, arrival=get("arrival"),
+                tenant=get("tenant"),
             )
-            if key is not None:
+            if key is not None and memo is None:
                 plans[key] = (scheme, session.plan)
         if campaign is not None:
             fire_until(float("inf"))

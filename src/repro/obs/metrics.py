@@ -27,6 +27,7 @@ of the overhead gate); everything else keeps working.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List
 
@@ -81,8 +82,6 @@ class Histogram:
     min: float = math.inf
     max: float = -math.inf
     buckets: Dict[int, int] = field(default_factory=dict)
-    _uppers: Dict[int, float] = field(default_factory=dict, compare=False,
-                                      repr=False)
 
     _LOG_BASE = math.log(10.0) / BUCKETS_PER_DECADE
     _UNDERFLOW = -(10 ** 9)  # bucket index reserved for values <= 0
@@ -92,9 +91,15 @@ class Histogram:
 
     def observe_many(self, values: Iterable[float]) -> None:
         """Record observations in order, in one pass: the same state as
-        observing them one at a time, without the per-value call."""
+        observing them one at a time, without the per-value call.
+
+        A value inside :data:`_TABLE`'s range finds its bucket by bisection
+        over the table's bounds — the canonical index
+        :meth:`_bucket_index` computes, without a logarithm.
+        """
         count, total, lo, hi = self.count, self.total, self.min, self.max
         buckets = self.buckets
+        first, last = _TABLE_FIRST, len(_TABLE) - 1
         for value in values:
             count += 1
             total += value
@@ -102,8 +107,13 @@ class Histogram:
                 lo = value
             if value > hi:
                 hi = value
-            idx = (self._UNDERFLOW if value <= 0.0
-                   else self._bucket_index(value))
+            if value <= 0.0:
+                idx = self._UNDERFLOW
+            else:
+                # _TABLE[at - 1] < value <= _TABLE[at]: bucket first + at.
+                at = bisect_left(_TABLE, value)
+                idx = (first + at if 0 < at <= last
+                       else self._bucket_index(value))
             buckets[idx] = buckets.get(idx, 0) + 1
         self.count, self.total, self.min, self.max = count, total, lo, hi
 
@@ -129,11 +139,11 @@ class Histogram:
 
     def _bucket_upper(self, idx: int) -> float:
         """Canonical upper bound of bucket ``idx`` (its reported value),
-        computed once per index this histogram touches."""
-        upper = self._uppers.get(idx)
-        if upper is None:
-            upper = self._uppers[idx] = math.exp(idx * self._LOG_BASE)
-        return upper
+        ``exp(idx * LOG_BASE)``; :data:`_TABLE` holds it in its range."""
+        at = idx - _TABLE_FIRST
+        if 0 <= at < len(_TABLE):
+            return _TABLE[at]
+        return math.exp(idx * self._LOG_BASE)
 
     @property
     def mean(self) -> float:
@@ -178,6 +188,13 @@ class Histogram:
     @property
     def p99(self) -> float:
         return self.quantile(0.99)
+
+
+#: Canonical upper bounds ``exp(idx * LOG_BASE)`` of the buckets from
+#: ``_TABLE_FIRST`` on, covering (1e-9, 1e9].
+_TABLE_FIRST = -9 * BUCKETS_PER_DECADE
+_TABLE = [math.exp(idx * Histogram._LOG_BASE)
+          for idx in range(_TABLE_FIRST, 9 * BUCKETS_PER_DECADE + 1)]
 
 
 class MetricsRegistry:

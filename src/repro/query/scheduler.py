@@ -166,10 +166,6 @@ class OperatorContextPool:
             raise QueryError(f"need at least one operator context: {self.contexts}")
 
 
-#: Resource names the executor schedules on.  ``"cache"`` is the RAM tier
-#: serving decoded-frame hits; it is always uncontended.
-RESOURCES: Tuple[str, ...] = ("disk", "decoder", "operators", "cache")
-
 #: Fleets up to this many queries record per-event ``trace_events`` by
 #: default (``ConcurrentExecutor(trace=None)``).  Larger fleets skip the
 #: per-event dict allocation — at 4096 queries the trace list alone
@@ -182,7 +178,11 @@ class ResourceTask:
     """One schedulable unit of a query's serial task chain."""
 
     kind: str  # "retrieve" | "consume"
-    resource: str  # one of RESOURCES
+    #: The pool the task runs on: ``"disk"`` (the shard's I/O pool, one
+    #: of ``ShardedDiskArray.io_resources()``), ``"decoder"``,
+    #: ``"operators"``, or ``"cache"`` (the uncontended RAM tier serving
+    #: decoded-frame hits).
+    resource: str
     units: int  # pool units held while running
     duration: float  # simulated seconds of service
     category: str  # SimClock category ("disk" | "decode" | "consume" | "cache")
@@ -611,7 +611,8 @@ class ExecutorStats:
     busy_seconds: Dict[str, float]  # unit-seconds of service per resource
     core: str = "heap"  # executor core that produced the run
     events: int = 0  # task start/finish events of the run
-    wall_seconds: float = 0.0  # real (host) seconds spent inside run()
+    #: Host seconds of run()'s lowering, drain and metrics fold.
+    wall_seconds: float = 0.0
     #: Real seconds spent planning and admitting the fleet (``admit`` /
     #: ``admit_job`` calls) before :meth:`ConcurrentExecutor.run` — the
     #: host-side cost ``wall_seconds`` alone silently excluded.
@@ -619,7 +620,10 @@ class ExecutorStats:
 
     @property
     def total_wall_seconds(self) -> float:
-        """Honest end-to-end host time: plan/admit plus the run loop."""
+        """Host time inside ``admit``/``admit_job`` calls plus run()'s
+        timed window.  A store run's whole host time, the workload build,
+        the outcome fold and the store's observers included, is the sum
+        of its ``RunResult.phases``."""
         return self.wall_seconds + self.admit_wall_seconds
 
     @property
@@ -877,21 +881,10 @@ class ConcurrentExecutor:
             raise QueryError(f"need at least one context: {contexts}")
         self._check_timing(arrival, deadline)
         wall0 = perf_counter()
-        if plan is not None:
-            contexts = plan.contexts
-        # A gang larger than the shared pool can never be granted; clamp so
-        # the stage dispatch and the resource request agree.
-        effective_contexts = self._pools["operators"].clamp(contexts)
-        if plan is not None and effective_contexts != plan.contexts:
-            # A clamped gang would re-dispatch deduplicated consumes over
-            # fewer contexts than the plan's durations assume — a silent
-            # simulation error, so refuse instead.
-            raise QueryError(
-                f"precomputed plan was dispatched over {plan.contexts} "
-                f"contexts but the operator pool clamps to "
-                f"{effective_contexts}; re-plan with fewer contexts"
-            )
         if plan is None:
+            # A gang larger than the shared pool can never be granted;
+            # clamp so the stage dispatch and the resource request agree.
+            contexts = self._pools["operators"].clamp(contexts)
             plan = self._engine(dataset).plan(
                 query,
                 accuracy,
@@ -900,39 +893,48 @@ class ConcurrentExecutor:
                 t1,
                 stream=stream,
                 scheme=scheme,
-                contexts=effective_contexts,
+                contexts=contexts,
             )
-        elif id(plan) not in self._checked_plans:
-            for task in plan.tasks:
-                _check_duration(task, "precomputed plan")
-                pool = self._pools.get(task.resource)
-                if (pool is not None and pool.capacity is not None
-                        and task.units > pool.capacity):
-                    raise QueryError(
-                        f"precomputed plan needs {task.units} units of "
-                        f"{task.resource!r} but the pool holds only "
-                        f"{pool.capacity}; re-plan with fewer contexts"
-                    )
-            self._checked_plans[id(plan)] = plan
+        else:
+            if id(plan) not in self._checked_plans:
+                self._check_plan(plan)
+            contexts = plan.contexts
+        # Positional: QuerySession's field order, finished_at left None.
         session = QuerySession(
-            qid=len(self._sessions),
-            query=query,
-            dataset=dataset,
-            stream=plan.stream,
-            accuracy=accuracy,
-            t0=t0,
-            t1=t1,
-            contexts=effective_contexts,
-            deadline=deadline,
-            plan=plan,
-            admitted_at=self.clock.now,
-            arrival_at=arrival,
-            tenant=tenant,
-            tenant_state=self._tenant_state_for(tenant),
+            len(self._sessions), query, dataset, plan.stream, accuracy, t0,
+            t1, contexts, deadline, plan, self.clock.now, None, arrival,
+            tenant, self._tenant_state_for(tenant),
         )
         self._sessions.append(session)
         self._admit_wall_seconds += perf_counter() - wall0
         return session
+
+    def _check_plan(self, plan: QueryPlan) -> None:
+        """Check a precomputed plan against this executor's pools, once.
+
+        Its gang must fit the operator pool unclamped — a clamped gang
+        would re-dispatch deduplicated consumes over fewer contexts than
+        the plan's durations assume, a silent simulation error — and every
+        task must fit its pool with a finite, non-negative duration.
+        """
+        effective_contexts = self._pools["operators"].clamp(plan.contexts)
+        if effective_contexts != plan.contexts:
+            raise QueryError(
+                f"precomputed plan was dispatched over {plan.contexts} "
+                f"contexts but the operator pool clamps to "
+                f"{effective_contexts}; re-plan with fewer contexts"
+            )
+        for task in plan.tasks:
+            _check_duration(task, "precomputed plan")
+            pool = self._pools.get(task.resource)
+            if (pool is not None and pool.capacity is not None
+                    and task.units > pool.capacity):
+                raise QueryError(
+                    f"precomputed plan needs {task.units} units of "
+                    f"{task.resource!r} but the pool holds only "
+                    f"{pool.capacity}; re-plan with fewer contexts"
+                )
+        self._checked_plans[id(plan)] = plan
 
     def _check_timing(self, arrival: Optional[float],
                       deadline: Optional[float]) -> None:
@@ -1254,7 +1256,7 @@ class ConcurrentExecutor:
         # access stats marked hot (the migration I/O is on the clock).
         if self.cache is not None and self.cache.tiers is not None:
             self.cache.sweep_tiers(self.clock, self.store.array)
-        return [self._outcome(s) for s in self._sessions]
+        return self._outcomes()
 
     def _lower(self) -> _Fleet:
         """Lower every admitted session's chain to flat arrays.
@@ -1654,23 +1656,32 @@ class ConcurrentExecutor:
                 f"and nothing running"
             )
 
-    def _outcome(self, session: QuerySession) -> QueryOutcome:
+    def _outcomes(self) -> List[QueryOutcome]:
+        """Every session's outcome, in admission order.
+
+        What an outcome takes from its plan (label, video seconds, the
+        per-stage positives and segments) is read once per plan; each
+        outcome gets its own copies of the two per-stage dicts.
+        """
         from repro.query.engine import ExecutionResult
 
-        latency = session.finished_at - session.arrival_at
-        video = session.plan.video_seconds
-        return QueryOutcome(
-            session=session,
-            result=ExecutionResult(
-                query=session.plan.label,
-                dataset=session.dataset,
-                video_seconds=video,
-                compute_seconds=latency,
-                speed=float("inf") if latency <= 0 else video / latency,
-                positives_per_stage=session.plan.positives_per_stage,
-                segments_per_stage=session.plan.segments_per_stage,
-            ),
-        )
+        per_plan: Dict[int, tuple] = {}
+        outcomes = []
+        for session in self._sessions:
+            plan = session.plan
+            fields = per_plan.get(id(plan))
+            if fields is None:
+                fields = per_plan[id(plan)] = (
+                    plan.label, plan.video_seconds, plan.positives_per_stage,
+                    plan.segments_per_stage)
+            label, video, positives, segments = fields
+            latency = session.finished_at - session.arrival_at
+            outcomes.append(QueryOutcome(session, ExecutionResult(
+                label, session.dataset, video, latency,
+                math.inf if latency <= 0 else video / latency,
+                dict(positives), dict(segments),
+            )))
+        return outcomes
 
     # -- accounting --------------------------------------------------------
 

@@ -300,9 +300,11 @@ def build_workload(tenants: Sequence[TenantSpec], horizon: float,
 
     Each tenant draws its arrival times and mix choices from its own
     ``(seed, tenant name)``-derived generator — adding a tenant never
-    perturbs another's stream.  The merged list is sorted by ``(t,
-    tenant, index)``, so equal-instant arrivals across tenants order
-    deterministically too.
+    perturbs another's stream.  A tenant's mix choices are one
+    ``choice(..., size=n)`` call, which consumes the generator's uniforms
+    in the order ``n`` single-draw calls would and so picks the same
+    entries.  The merged list is sorted by ``(t, tenant, index)``, so
+    equal-instant arrivals across tenants order deterministically too.
     """
     if not tenants:
         raise QueryError("workload needs at least one tenant")
@@ -311,21 +313,18 @@ def build_workload(tenants: Sequence[TenantSpec], horizon: float,
         raise QueryError(f"duplicate tenant names: {sorted(names)}")
     merged: List[Tuple[float, str, int, Arrival]] = []
     for tenant in tenants:
-        times = generate_arrivals(tenant.arrivals, horizon,
-                                  (seed, tenant.name))
-        mix_rng = rng_for("workload", "mix", seed, tenant.name)
-        weights = [e.weight for e in tenant.mix]
+        name, mix, slo = tenant.name, tenant.mix, tenant.slo_seconds
+        times = generate_arrivals(tenant.arrivals, horizon, (seed, name))
+        mix_rng = rng_for("workload", "mix", seed, name)
+        weights = [e.weight for e in mix]
         total = sum(weights)
         probs = [w / total for w in weights]
-        for i, t in enumerate(times):
-            choice = int(mix_rng.choice(len(tenant.mix), p=probs))
-            entry = tenant.mix[choice]
-            deadline = (t + tenant.slo_seconds
-                        if tenant.slo_seconds is not None else None)
-            merged.append((t, tenant.name, i,
-                           Arrival(t=t, tenant=tenant.name, entry=entry,
-                                   deadline=deadline)))
-    merged.sort(key=lambda item: item[:3])
+        picks = mix_rng.choice(len(mix), size=len(times), p=probs).tolist()
+        for i, (t, pick) in enumerate(zip(times, picks)):
+            merged.append((t, name, i, Arrival(
+                t, name, mix[pick], None if slo is None else t + slo)))
+    # (t, tenant, index) is unique, so the sort never compares Arrivals.
+    merged.sort()
     return [item[3] for item in merged]
 
 

@@ -7,7 +7,9 @@ scalar segment reader (``assess`` and the clock-charging ``read``) lives
 in :mod:`.reader`; import it as ``from oracles import reader``.  Operator
 scoring recomputed on every probe lives in :mod:`.scoring`; import it as
 ``from oracles import scoring``.  The per-track clip build lives in
-:mod:`.content`; import it as ``from oracles import content``.
+:mod:`.content`; import it as ``from oracles import content``.  The
+workload build drawing one query-mix choice per arrival lives in
+:mod:`.workload`; import it as ``from oracles import workload``.
 """
 
 from .executor import _execute_sequential, reference_loop

@@ -120,6 +120,35 @@ def test_serve_through_a_failure_campaign(tmp_path, capsys):
     assert "Open-loop run:" in out and "miss%" in out  # SLO table
     assert "availability" in out and "replicas rebuilt" in out
     assert "executor [heap]:" in out
+    assert "host time:" in out
+    for phase in ("workload", "admit", "run", "observe"):
+        assert f"{phase} " in out.split("host time:")[1]
+
+
+@pytest.mark.parametrize("command", [["serve"], ["execute", "A"],
+                                     ["trace", "summary"], ["metrics"]])
+def test_commands_on_a_workdir_without_segments_say_to_ingest(
+        tmp_path, command):
+    workdir = str(tmp_path / "empty")
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--workdir", workdir, "--dataset", "dashcam"])
+    message = exc.value.code
+    assert isinstance(message, str) and "\n" not in message
+    assert workdir in message
+    assert (f"repro ingest --workdir {workdir} --dataset dashcam "
+            f"--segments N") in message
+
+
+def test_lost_replicas_still_surface_from_serve(tmp_path):
+    """The ingest hint is no blanket catch of StorageError: a campaign
+    that loses every copy of a segment still raises its own error."""
+    from repro.errors import ReplicaUnavailableError
+
+    store = ["--operators", "Motion,License,OCR", "--shards", "2",
+             "--workdir", str(tmp_path / "store")]
+    assert main(["ingest", *store, "--segments", "2"]) == 0
+    with pytest.raises(ReplicaUnavailableError):
+        main(["serve", *store, "--horizon", "5", "--failures", "fail@0:0"])
 
 
 @pytest.mark.parametrize("command", ["execute", "serve", "trace", "metrics"])

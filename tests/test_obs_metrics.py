@@ -152,6 +152,29 @@ def test_histogram_bucket_index_matches_bounds_for_random_values():
         assert h._bucket_upper(idx - 1) < v <= h._bucket_upper(idx)
 
 
+def test_observe_many_buckets_like_the_logarithm_path():
+    """Bisection over the bounds table puts every value in the bucket
+    ``_bucket_index`` computes: each boundary, its neighbouring floats,
+    and values past either end of the table."""
+    import math
+    import random
+
+    values = [0.0, -1.0, 1e-300, 1e-12, 1e12, 1e300]
+    for k in range(-9 * BUCKETS_PER_DECADE - 2, 9 * BUCKETS_PER_DECADE + 3):
+        edge = Histogram("e")._bucket_upper(k)
+        values += [edge, math.nextafter(edge, 0.0),
+                   math.nextafter(edge, math.inf)]
+    rng = random.Random(7)
+    values += [10.0 ** rng.uniform(-11, 11) for _ in range(2000)]
+    bisected = Histogram("b")
+    bisected.observe_many(values)
+    logged = Histogram("l")
+    for v in values:
+        idx = logged._UNDERFLOW if v <= 0.0 else logged._bucket_index(v)
+        logged.buckets[idx] = logged.buckets.get(idx, 0) + 1
+    assert bisected.buckets == logged.buckets
+
+
 def test_registry_snapshot_is_deterministic_and_sorted():
     r = MetricsRegistry()
     r.gauge("z").set(1.0)

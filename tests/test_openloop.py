@@ -412,6 +412,54 @@ def test_serve_end_to_end_is_deterministic(store):
     assert a.stats.makespan > 0
 
 
+def test_serve_phases_account_for_its_host_time(store):
+    """RunResult.phases (workload, admit, run, observe) are non-negative
+    and add up to within 3% of the host time around a warm serve().  The
+    least gap of three runs is taken, since a preempted process only
+    adds, and each report is dropped before the next serve() so that
+    freeing it is not charged to the next run's outer timer."""
+    from time import perf_counter
+
+    tenants = [
+        TenantSpec(name="gold", arrivals=ArrivalSpec(rate=2.0),
+                   mix=(QueryMixEntry(query="B", dataset="dashcam"),
+                        QueryMixEntry(query="B", dataset="jackson")),
+                   slo_seconds=8.0),
+    ]
+    serve = lambda: store.serve(tenants, horizon=20.0, seed=4,
+                                decoder_pool=DecoderPool(1))
+    serve()  # cold planning would dwarf every other phase
+    gaps = []
+    for _ in range(3):
+        wall0 = perf_counter()
+        report = serve()
+        outer = perf_counter() - wall0
+        assert list(report.phases) == ["workload", "admit", "run",
+                                       "observe"]
+        assert all(seconds >= 0.0 for seconds in report.phases.values())
+        assert report.phases["workload"] > 0.0
+        gaps.append(abs(outer - sum(report.phases.values())) / outer)
+        del report
+    assert min(gaps) <= 0.03
+    store.execute_many([dict(query="B", dataset="dashcam", accuracy=0.9,
+                             t0=0.0, t1=16.0)])
+    assert store.last_run.phases["workload"] == 0.0
+
+
+def test_admission_rejects_unknown_spec_keys(store):
+    """A spec takes exactly admit()'s parameters; any other key raises."""
+    import inspect
+
+    from repro.core.store import _SPEC_KEYS
+    from repro.query.scheduler import ConcurrentExecutor
+
+    admit = inspect.signature(ConcurrentExecutor.admit).parameters
+    assert _SPEC_KEYS == set(admit) - {"self"}
+    spec = dict(query="B", dataset="dashcam", accuracy=0.9, t0=0.0, t1=16.0)
+    with pytest.raises(TypeError, match="colour"):
+        store.execute_many([spec, dict(spec, colour="red")])
+
+
 @pytest.fixture(scope="module")
 def nn_store(tmp_path_factory):
     s = VStore(workdir=str(tmp_path_factory.mktemp("wfair")),

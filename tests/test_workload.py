@@ -8,9 +8,12 @@ benchmark and its BENCH.json cells rest on.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import workload as per_arrival
 
 from repro.errors import QueryError
 from repro.query.workload import (
@@ -161,6 +164,65 @@ def test_mix_weights_shift_the_choice_distribution():
     picks = [a.entry for a in build_workload([spec], 100.0, seed=11)]
     n_heavy = sum(1 for e in picks if e is heavy)
     assert n_heavy > 0.7 * len(picks)  # 90% expected; wide margin
+
+
+#: (kind, arrival process, horizon, arrivals per tenant or None for "many"):
+#: every ArrivalSpec kind at a horizon that yields no arrival and at one
+#: that yields many; the trace kind replays exactly 0, 1 and 200
+#: timestamps, at equal instants for both tenants.
+PARITY_CASES = [
+    ("poisson", ArrivalSpec(kind="poisson", rate=3.0), 1e-6, 0),
+    ("poisson", ArrivalSpec(kind="poisson", rate=3.0), 60.0, None),
+    ("bursty", ArrivalSpec(kind="bursty", rate=1.0, rate_burst=6.0,
+                           dwell_calm=4.0, dwell_burst=1.0), 1e-6, 0),
+    ("bursty", ArrivalSpec(kind="bursty", rate=1.0, rate_burst=6.0,
+                           dwell_calm=4.0, dwell_burst=1.0), 60.0, None),
+    ("diurnal", ArrivalSpec(kind="diurnal", rate=3.0, period=20.0,
+                            amplitude=0.6), 1e-6, 0),
+    ("diurnal", ArrivalSpec(kind="diurnal", rate=3.0, period=20.0,
+                            amplitude=0.6), 60.0, None),
+    ("trace", ArrivalSpec(kind="trace"), 60.0, 0),
+    ("trace", ArrivalSpec(kind="trace", trace=(7.5,)), 60.0, 1),
+    ("trace", ArrivalSpec(kind="trace",
+                          trace=tuple(0.25 * i for i in range(200))),
+     60.0, 200),
+]
+
+
+def _uneven_mix(rng):
+    """1-8 distinct entries with weights from 0.1 to 9."""
+    return tuple(
+        QueryMixEntry(query="AB"[i % 2], dataset="jackson", t0=8.0 * i,
+                      t1=8.0 * i + 16.0,
+                      weight=rng.choice((0.1, 0.5, 1.0, 2.5, 9.0)))
+        for i in range(rng.randint(1, 8))
+    )
+
+
+@pytest.mark.parametrize("kind,arrivals,horizon,expected", PARITY_CASES,
+                         ids=[f"{c[0]}-{'many' if c[3] is None else c[3]}"
+                              for c in PARITY_CASES])
+def test_build_workload_matches_per_arrival_draws(kind, arrivals, horizon,
+                                                  expected):
+    """One mix draw per tenant picks what one draw per arrival picked:
+    the same times, tenants, entry objects, deadlines and order."""
+    for seed in range(50):
+        rng = random.Random(seed)
+        tenants = [
+            TenantSpec(name="gold", arrivals=arrivals,
+                       mix=_uneven_mix(rng), slo_seconds=5.0),
+            TenantSpec(name="bronze", arrivals=arrivals,
+                       mix=_uneven_mix(rng)),
+        ]
+        got = build_workload(tenants, horizon, seed)
+        want = per_arrival.build_workload(tenants, horizon, seed)
+        if expected is not None:
+            assert len(want) == 2 * expected
+        else:
+            assert len(want) > 10
+        assert [(a.t, a.tenant, a.deadline) for a in got] == \
+            [(a.t, a.tenant, a.deadline) for a in want]
+        assert all(g.entry is w.entry for g, w in zip(got, want))
 
 
 def test_build_workload_validation():
