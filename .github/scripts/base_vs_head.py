@@ -17,7 +17,12 @@ NAME picks the snippet:
   the event loop shows;
 * ``fleet`` — the executor's drain loop on a closed FIFO fleet: build a
   4-shard store of 8 jackson segments, plan query A once, and time
-  ``execute_many`` of 4,096 specs carrying that plan.
+  ``execute_many`` of 4,096 specs carrying that plan;
+* ``plan`` — planning from a fresh store's segment books: build a
+  4-shard, replication-2 store of 4 jackson aliases x 8 segments, run
+  ``execute_many`` of 12 distinct whole-stream specs (A at 0.8 and 0.9,
+  B at 0.9, on each alias) once, and time a second, identical call,
+  which plans every spec again over a warm stage-outcome memo.
 
 The snippets use only API that both sides have.  BASE_REF's ``src/`` is
 exported with ``git archive`` into a temporary directory; the working
@@ -92,6 +97,23 @@ store.execute_many(specs, **pools)
 print(time.perf_counter() - t0)
 store.close()"""
 
+PLAN = """import tempfile, time
+from repro.core.store import VStore
+store = VStore(workdir=tempfile.mkdtemp(), shards=4, replication=2)
+store.configure()
+streams = [f"cam{i}" for i in range(4)]
+for stream in streams:
+    store.ingest("jackson", n_segments=8, stream=stream)
+specs = [dict(query=query, dataset="jackson", accuracy=accuracy, t0=0.0,
+              t1=64.0, stream=stream)
+         for stream in streams
+         for query, accuracy in (("A", 0.8), ("A", 0.9), ("B", 0.9))]
+store.execute_many(specs)
+t0 = time.perf_counter()
+store.execute_many(specs)
+print(time.perf_counter() - t0)
+store.close()"""
+
 #: NAME -> (table title, snippet)
 SNIPPETS = {
     "derive": ("Cold `derive_configuration` (default library), host s",
@@ -100,6 +122,8 @@ SNIPPETS = {
               SERVE),
     "fleet": ("Closed FIFO fleet (`execute_many` of 4,096 planned specs), "
               "host s", FLEET),
+    "plan": ("Fresh-store planning (second `execute_many` of 12 distinct "
+             "specs over 4 aliases), host s", PLAN),
 }
 
 

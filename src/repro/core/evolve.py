@@ -417,18 +417,19 @@ def reencode_jobs(
     from repro.query.scheduler import BackgroundJob, ResourceTask
 
     jobs: List[BackgroundJob] = []
-    indices = store.indices(stream, source)
+    if not targets:
+        return jobs
+    # Each golden segment is looked up and routed once, for every target.
+    metas = store.meta_many(stream, source, store.indices(stream, source))
     for target in targets:
         tasks: List[ResourceTask] = []
-        for index in indices:
-            meta = store.meta(stream, source, index)
+        for meta in metas:
             # Read from the serving shard as a foreground read would, with
             # any degrade factor folded into the bandwidth.
             tasks.append(ResourceTask(
                 kind="read", resource="disk", units=1,
-                duration=store.array.read_seconds(
-                    store.shard_of(stream, source, index), meta.size_bytes
-                ),
+                duration=store.array.read_seconds(meta.shard,
+                                                  meta.size_bytes),
                 category="disk", operator="reencode", shard=meta.shard,
             ))
             if not source.coding.raw:

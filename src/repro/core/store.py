@@ -83,11 +83,14 @@ class RunResult:
     #: Resilience numbers when the run carried a failure campaign;
     #: ``None`` for failure-free runs.
     availability: Optional["AvailabilityReport"] = None
-    #: Host seconds of the run's phases, in order: ``workload``
+    #: Host seconds of the run's disjoint phases, in order: ``workload``
     #: (:meth:`VStore.serve`'s workload build; 0.0 for other entry
-    #: points), ``admit`` (releasing the previous run, building the
-    #: executor and admitting: planning, campaign events, background
-    #: jobs), ``run`` (``executor.run()``) and ``observe`` (the drift
+    #: points), ``plan`` (inside ``QueryEngine.plan`` while admitting:
+    #: the plan memo's misses), ``admit`` (the rest of admission:
+    #: releasing the previous run, building the executor, the plan-memo
+    #: walk, campaign events, background jobs), ``lower`` (lowering the
+    #: fleet's chains), ``run`` (the rest of ``executor.run()``: the
+    #: drain and the executor's metrics fold) and ``observe`` (the drift
     #: fold, the store's metric observers, the availability report).
     phases: Dict[str, float] = field(default_factory=dict)
 
@@ -437,8 +440,9 @@ class VStore:
         and — for campaign runs — the
         :class:`~repro.analysis.availability.AvailabilityReport`
         (data-loss check, degraded-window slowdown, rebuild time).  Its
-        ``phases`` give the host seconds of the workload build, admission,
-        the executor run and the observation folds.
+        ``phases`` give the host seconds of the workload build, planning,
+        the rest of admission, lowering, the rest of the executor run and
+        the observation folds.
         """
         from repro.query.workload import build_workload, workload_specs
 
@@ -509,7 +513,8 @@ class VStore:
         cannot change the outcomes — and becomes :attr:`last_run`.  The
         previous run is released before anything is admitted, so its
         outcomes never stay alive through this one.  The result's
-        ``phases`` time the three steps in host seconds.
+        ``phases`` time the three steps in host seconds, planning split
+        out of admission and lowering out of the run.
         """
         wall0 = perf_counter()
         self.last_run = None
@@ -539,8 +544,11 @@ class VStore:
                 campaign, self.disk_array, outcomes
             )
         stats = executor.stats()
-        phases = {"workload": 0.0, "admit": wall1 - wall0,
-                  "run": wall2 - wall1, "observe": perf_counter() - wall2}
+        plan, lower = stats.plan_wall_seconds, stats.lower_wall_seconds
+        phases = {"workload": 0.0, "plan": plan,
+                  "admit": wall1 - wall0 - plan, "lower": lower,
+                  "run": wall2 - wall1 - lower,
+                  "observe": perf_counter() - wall2}
         self.last_run = RunResult(
             outcomes=outcomes,
             stats=stats,

@@ -11,7 +11,7 @@ motion, License spots plate regions, OCR recognizes the characters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.errors import QueryError
 
@@ -55,13 +55,18 @@ QUERY_B = QueryCascade(
 )
 
 
+#: The benchmark cascades by name.
+_CASCADES: Dict[str, QueryCascade] = {"A": QUERY_A, "B": QUERY_B}
+
+
 def cascade_for(name: str) -> QueryCascade:
     """Look up one of the benchmark cascades by name ("A" or "B")."""
-    cascades = {"A": QUERY_A, "B": QUERY_B}
     try:
-        return cascades[name]
+        return _CASCADES[name]
     except KeyError:
-        raise QueryError(f"unknown query {name!r}; known: A, B") from None
+        raise QueryError(
+            f"unknown query {name!r}; known: {', '.join(_CASCADES)}"
+        ) from None
 
 
 def stages_with_coverage(selectivities: List[float]) -> List[float]:

@@ -231,9 +231,11 @@ class QueryEngine:
         fidelity) per memo — per store for the engines a
         :class:`~repro.core.store.VStore` builds, per engine otherwise.
         Retrieval costs, shard routing and cache hits are assessed afresh
-        on every call.  A segment is clipped at most once per call,
-        however many stages miss the memo on it; the clips are dropped
-        when the call returns.
+        on every call, each segment of a stage routed once (its
+        :class:`~repro.storage.segment_store.StoredSegment`'s ``shard``
+        costs the read and names the retrieve task's pool).  A segment is
+        clipped at most once per call, however many stages miss the memo
+        on it; the clips are dropped when the call returns.
         """
         from repro.query.scheduler import (
             QueryPlan,
@@ -325,7 +327,7 @@ class QueryEngine:
                     operator=name,
                     access=access,
                     hit=cache_hit,
-                    shard=store.shard_of(stream, fmt, segment.index),
+                    shard=retrieved.stored.shard,
                 ))
             # A stage with fewer segments than contexts can never load the
             # extra contexts (least-loaded dispatch leaves them idle), and

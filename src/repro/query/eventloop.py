@@ -7,10 +7,8 @@ ready queue (a plain queue for single-class FIFO fleets without gangs
 or dependency edges, a heap otherwise).  This module holds what that
 loop reads:
 
-* :class:`_RunTask` — a planned task as actually scheduled in one run.
-  Without a cache plane it mirrors the planned
-  :class:`~repro.query.scheduler.ResourceTask`, routed onto its pool;
-  with one, the single-flight dedup may rewrite it (see
+* :class:`_RunTask` — a planned task as actually scheduled in a run with
+  a cache plane, where the single-flight dedup may rewrite it (see
   ``ConcurrentExecutor._runtime_chains``);
 * :class:`Chain` — one serial task chain as parallel arrays: pool index,
   routed pool name, duration, units, clock category, trace fields and
@@ -21,13 +19,14 @@ loop reads:
   on that task's pool when the task is submitted); a background job's
   weighted-fair key (:meth:`Chain.attained`) is built the same way when a
   run asks for it;
-* :func:`plan_chain` — lowers a plan once and caches the chain on the
-  plan, keyed on the stage tuple's identity and the executor's pool
-  layout, so a fleet admitting one plan thousands of times lowers it
-  once.  With a cache plane attached, chains are lowered per session
-  from the single-flight runtime tasks instead: every completion then
-  carries cache bookkeeping, and the single-flight dedup rewrites every
-  repeat of a plan into a follower of the first.
+* :func:`plan_chain` — lowers a plan once, straight from its planned
+  tasks (no per-task intermediate), and caches the chain on the plan,
+  keyed on the stage tuple's identity and the executor's pool layout,
+  so a fleet admitting one plan thousands of times lowers it once.
+  With a cache plane attached, chains are lowered per session from the
+  single-flight runtime tasks instead: every completion then carries
+  cache bookkeeping, and the single-flight dedup rewrites every repeat
+  of a plan into a follower of the first.
 
 Accumulation *order* is what float parity with the rescan-loop oracle
 (``tests/oracles``) depends on, and every array here is built in chain
@@ -63,14 +62,13 @@ _CACHE_ATTR = "_lowered_chain"
 
 @dataclass
 class _RunTask:
-    """A planned task as actually scheduled in one run.
+    """A planned task as actually scheduled in a run with a cache plane.
 
-    Without a cache plane this mirrors the planned :class:`ResourceTask`
-    exactly.  With one, the executor's single-flight transformation may
-    rewrite a retrieval that duplicates an earlier query's in-flight miss
-    into a RAM-tier read that *depends on* the leader's task, and zero the
-    deduplicated share of a stage consume — so the runtime resource,
-    duration and dependency edges live here, while the plan stays intact.
+    The executor's single-flight transformation may rewrite a retrieval
+    that duplicates an earlier query's in-flight miss into a RAM-tier
+    read that *depends on* the leader's task, and zero the deduplicated
+    share of a stage consume — so the runtime resource, duration and
+    dependency edges live here, while the plan stays intact.
     """
 
     task: "ResourceTask"  # the planned task (kept for reference/accounting)
@@ -99,16 +97,23 @@ class _RunTask:
 
 
 class Chain:
-    """One task chain as parallel arrays (see the module docstring)."""
+    """One task chain as parallel arrays (see the module docstring).
+
+    ``tasks`` are the chain's tasks in order — a plan's planned tasks
+    (:class:`~repro.query.scheduler.ResourceTask`) or a cache-plane run's
+    :class:`_RunTask` rewrites, read for their duration, units, clock
+    category, kind and operator — and ``names`` the pool each runs on.
+    """
 
     __slots__ = ("res", "names", "dur", "units", "cat", "kind", "op",
                  "post", "service", "fair", "wide", "n")
 
-    def __init__(self, tasks: Sequence[_RunTask], pool_index: Dict[str, int],
+    def __init__(self, tasks: Sequence, names: List[str],
+                 pool_index: Dict[str, int],
                  post: Sequence[Optional[Callable[[], None]]]) -> None:
-        self.names = [t.resource for t in tasks]  # routed pool names
+        self.names = names  # routed pool names
         res: List[int] = []
-        for name in self.names:
+        for name in names:
             r = pool_index.get(name)
             if r is None:
                 raise QueryError(f"task needs unknown resource {name!r}")
@@ -162,14 +167,9 @@ def plan_chain(plan: "QueryPlan", layout: Tuple[str, ...],
     if (cached is not None and cached[0] is plan.stages
             and cached[1] == layout):
         return cached[2]
-    tasks = []
-    for uid, task in enumerate(plan.tasks):
-        name = task.resource
-        if name == "disk":
-            name = io_resource(task.shard)
-        tasks.append(_RunTask(task=task, resource=name, units=task.units,
-                              duration=task.duration, category=task.category,
-                              uid=uid))
-    chain = Chain(tasks, pool_index, [t.on_done for t in plan.tasks])
+    tasks = plan.tasks
+    names = [io_resource(t.shard) if t.resource == "disk" else t.resource
+             for t in tasks]
+    chain = Chain(tasks, names, pool_index, [t.on_done for t in tasks])
     object.__setattr__(plan, _CACHE_ATTR, (plan.stages, layout, chain))
     return chain

@@ -617,6 +617,13 @@ class ExecutorStats:
     #: ``admit_job`` calls) before :meth:`ConcurrentExecutor.run` — the
     #: host-side cost ``wall_seconds`` alone silently excluded.
     admit_wall_seconds: float = 0.0
+    #: The part of ``admit_wall_seconds`` spent inside
+    #: :meth:`QueryEngine.plan <repro.query.engine.QueryEngine.plan>`
+    #: (admissions that passed no precomputed plan).
+    plan_wall_seconds: float = 0.0
+    #: The part of ``wall_seconds`` spent lowering the fleet's chains to
+    #: flat arrays, before the drain.
+    lower_wall_seconds: float = 0.0
 
     @property
     def total_wall_seconds(self) -> float:
@@ -812,6 +819,8 @@ class ConcurrentExecutor:
         self._ran = False
         self._wall_seconds = 0.0
         self._admit_wall_seconds = 0.0
+        self._plan_wall_seconds = 0.0
+        self._lower_wall_seconds = 0.0
         self._frame_followers: Dict[tuple, int] = {}
         #: Precomputed plans (by id, holding the plan so the id stays
         #: unique) whose tasks already passed admission's checks: a fleet
@@ -885,7 +894,9 @@ class ConcurrentExecutor:
             # A gang larger than the shared pool can never be granted;
             # clamp so the stage dispatch and the resource request agree.
             contexts = self._pools["operators"].clamp(contexts)
-            plan = self._engine(dataset).plan(
+            engine = self._engine(dataset)
+            plan0 = perf_counter()
+            plan = engine.plan(
                 query,
                 accuracy,
                 self.store,
@@ -895,6 +906,7 @@ class ConcurrentExecutor:
                 scheme=scheme,
                 contexts=contexts,
             )
+            self._plan_wall_seconds += perf_counter() - plan0
         else:
             if id(plan) not in self._checked_plans:
                 self._check_plan(plan)
@@ -1242,7 +1254,10 @@ class ConcurrentExecutor:
             if self._trace_mode is None else self._trace_mode
         )
         wall0 = perf_counter()
-        self._drain(self._lower())
+        fleet = self._lower()
+        self._lower_wall_seconds = perf_counter() - wall0
+        self._drain(fleet)
+        del fleet  # free the per-session arrays before the outcome fold
         self._drained_at = self.clock.now
         if self.metrics is not None:
             # Fold aggregates inside the timed window so the CI overhead
@@ -1287,7 +1302,7 @@ class ConcurrentExecutor:
         for session in self._sessions:
             tasks = runtime[session.qid]
             chains.append(Chain(
-                tasks, pool_index,
+                tasks, [rt.resource for rt in tasks], pool_index,
                 [partial(self._task_completed, rt) for rt in tasks],
             ))
             for rt in tasks:
@@ -1697,4 +1712,6 @@ class ConcurrentExecutor:
             events=self._events,
             wall_seconds=self._wall_seconds,
             admit_wall_seconds=self._admit_wall_seconds,
+            plan_wall_seconds=self._plan_wall_seconds,
+            lower_wall_seconds=self._lower_wall_seconds,
         )

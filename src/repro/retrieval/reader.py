@@ -83,13 +83,16 @@ class SegmentReader:
         stride = DEFAULT_CODEC.consumer_stride(
             self.fmt.fidelity, self.consumer_fidelity.sampling
         )
-        metas = [self.store.meta(stream, self.fmt, i) for i in indices]
+        metas = self.store.meta_many(stream, self.fmt, indices)
         n_frames = np.asarray([m.n_frames for m in metas], dtype=np.int64)
         if self.fmt.is_raw:
             n_stored = np.maximum(1, n_frames)
             consumed = -(-n_stored // stride)  # == len(range(0, n, stride))
             frame_bytes = DEFAULT_CODEC.raw_frame_bytes(self.fmt.fidelity)
-            params = [self._disk_params(stream, i) for i in indices]
+            # Each segment was routed once, by meta_many(): its shard
+            # serves the read.
+            params = [self._disk_params(stream, m.index, m.shard)
+                      for m in metas]
             seconds = raw_read_seconds(
                 n_stored, consumed, frame_bytes,
                 np.asarray([p[0] for p in params]),
@@ -121,16 +124,17 @@ class SegmentReader:
             for meta, n, s in zip(metas, consumed.tolist(), seconds.tolist())
         ]
 
-    def _disk_params(self, stream: str, index: int) -> Tuple[float, float]:
-        """(bandwidth, request overhead) serving this segment's raw reads.
+    def _disk_params(self, stream: str, index: int,
+                     shard: int) -> Tuple[float, float]:
+        """(bandwidth, request overhead) serving this segment's raw reads
+        off ``shard``, the shard its reads route to.
 
-        These are the serving shard's parameters (see
-        :mod:`repro.storage.sharding`); hot segments promoted to the fast
-        tier (:mod:`repro.cache.tiers`) stream at fast-tier bandwidth.
+        These are the serving shard's parameters with any degrade factor
+        folded in (see :mod:`repro.storage.sharding`); hot segments
+        promoted to the fast tier (:mod:`repro.cache.tiers`) stream at
+        fast-tier bandwidth.
         """
-        bandwidth, overhead = self.store.disk_params_for(
-            stream, self.fmt, index
-        )
+        bandwidth, overhead = self.store.array.read_params_at(shard)
         if self.cache is not None and self.cache.tiers is not None:
             return self.cache.tiers.read_params(
                 stream, index, bandwidth, overhead,

@@ -1,9 +1,19 @@
 """Segment store: the video index built on the key-value backend.
 
 Keys are ``{stream}/{format-label}/{segment-index}``.  Each value is a small
-JSON metadata record optionally followed by the segment payload.  The store
-tracks per-(stream, format) footprints so storage-cost experiments can read
-them off without scanning.
+JSON metadata record optionally followed by the segment payload.
+
+The log is the only durable truth, but lookups do not decode it: the
+store keeps *books* in memory, one decoded record per key, grouped per
+(stream, format) with the group's byte total.  The one scan at open
+builds them (the paper's VStore reads its LMDB index through a memory
+map; this stand-in decodes each record once instead of once per lookup).
+Every writer — ``put``, ``delete``, ``commit_replica``, ``rebalance`` and
+the epoch rollback at open — updates them in the same call that appends
+to the log, so ``meta``, ``indices``, ``formats``, ``segment_count``,
+``footprint`` and ``total_bytes`` answer from memory and equal, value and
+type alike, what decoding the log returns.  The log is read back only
+for a payload: ``payload()``, and the rewrite of a materialized record.
 
 Store-level records live under the reserved ``__vstore__/`` key prefix
 (stream names may not start with it); today that holds the committed
@@ -19,7 +29,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 from urllib.parse import quote, unquote
 
 from repro.codec.encoder import EncodedSegment
@@ -57,6 +67,78 @@ class StoredSegment:
     @property
     def segment(self) -> Segment:
         return Segment(self.stream, self.index, self.seconds)
+
+
+class _Record(NamedTuple):
+    """One segment's metadata record, decoded: what the log's JSON holds.
+
+    ``shard`` and ``replicas`` are the persisted placement (the array's
+    effective routing may differ, see :meth:`SegmentStore.meta`);
+    ``replicas`` is ``None`` when the record lists no copy set and
+    ``epoch`` ``None`` when it carries no epoch tag.  ``late_replicas``
+    keeps the record's key order: a copy set that ``commit_replica``
+    added to an epoch-tagged record follows the epoch.
+    """
+
+    size_bytes: int
+    n_frames: int
+    activity: float
+    seconds: float
+    payload: bool
+    shard: int
+    replicas: Optional[Tuple[int, ...]]
+    epoch: Optional[int]
+    late_replicas: bool = False
+
+
+def _logged(value):
+    """A scalar as decoding its JSON text returns it (a float subclass
+    such as ``numpy.float64`` reads back as a plain ``float``)."""
+    return float(value) if isinstance(value, float) else value
+
+
+def _encode(record: _Record) -> bytes:
+    """The record's JSON head and separator, as the log stores them."""
+    meta = {
+        "size_bytes": record.size_bytes,
+        "n_frames": record.n_frames,
+        "activity": record.activity,
+        "seconds": record.seconds,
+        "payload": record.payload,
+        "shard": record.shard,
+    }
+    if record.replicas is not None and not record.late_replicas:
+        meta["replicas"] = list(record.replicas)
+    if record.epoch is not None:
+        meta["epoch"] = record.epoch
+    if record.late_replicas:
+        meta["replicas"] = list(record.replicas)
+    return json.dumps(meta).encode("utf-8") + _SEPARATOR
+
+
+def _decode(blob: bytes) -> _Record:
+    head, _, _ = blob.partition(_SEPARATOR)
+    meta = json.loads(head.decode("utf-8"))
+    replicas = meta.get("replicas")
+    epoch = meta.get("epoch")
+    late = (replicas is not None and epoch is not None
+            and list(meta).index("replicas") > list(meta).index("epoch"))
+    return _Record(
+        meta["size_bytes"], meta["n_frames"], meta["activity"],
+        meta["seconds"], meta["payload"], meta["shard"],
+        None if replicas is None else tuple(replicas), epoch, late,
+    )
+
+
+class _Bucket:
+    """The books of one (stream, format): records by segment index, and
+    their summed size."""
+
+    __slots__ = ("records", "nbytes")
+
+    def __init__(self) -> None:
+        self.records: Dict[int, _Record] = {}
+        self.nbytes = 0
 
 
 # Keys are "/"-structured, the two format labels are " "-joined, and label
@@ -109,15 +191,13 @@ class SegmentStore:
         self.kv = kv
         self.array = array
         self.cache = None  # Optional[repro.cache.plane.CachePlane]
-        self._footprint: Dict[Tuple[str, str], int] = {}
-        self._count: Dict[Tuple[str, str], int] = {}
-        self._rollback_uncommitted()
-        self._load_footprints()
-
-    def _data_keys(self, prefix: str = "") -> List[str]:
-        """All segment keys (skips the reserved ``__vstore__/`` records)."""
-        return [key for key in self.kv.keys(prefix)
-                if not key.startswith(_META_PREFIX)]
+        #: The books: (stream, escaped format text) -> its bucket.  An
+        #: emptied bucket is dropped, so a long-lived store aging footage
+        #: away keeps no zero-byte entries.
+        self._buckets: Dict[Tuple[str, str], _Bucket] = {}
+        blob = kv.get_optional(_EPOCH_KEY)
+        self._committed = 0 if blob is None else int(blob.decode("utf-8"))
+        self._open()
 
     def _invalidate_cache(self, stream: str, index: int) -> None:
         if self.cache is not None:
@@ -128,8 +208,7 @@ class SegmentStore:
     @property
     def committed_epoch(self) -> int:
         """The highest format epoch whose segments survive a reopen."""
-        blob = self.kv.get_optional(_EPOCH_KEY)
-        return 0 if blob is None else int(blob.decode("utf-8"))
+        return self._committed
 
     def begin_epoch(self) -> int:
         """The epoch an evolution job should tag its writes with.
@@ -138,7 +217,7 @@ class SegmentStore:
         committed simply leaves segments above ``committed_epoch``, which
         the next open rolls back.
         """
-        return self.committed_epoch + 1
+        return self._committed + 1
 
     def commit_epoch(self, epoch: int) -> None:
         """Persist that every segment of ``epoch`` is complete (flushes).
@@ -146,41 +225,37 @@ class SegmentStore:
         After this point a reopen keeps the epoch's segments; before it,
         they are rolled back as half-migrated.
         """
-        if epoch < self.committed_epoch:
+        if epoch < self._committed:
             raise StorageError(
                 f"cannot commit epoch {epoch}: epoch "
-                f"{self.committed_epoch} is already committed"
+                f"{self._committed} is already committed"
             )
         self.kv.put(_EPOCH_KEY, str(int(epoch)).encode("utf-8"))
         self.kv.flush()
+        self._committed = int(epoch)
 
-    def _rollback_uncommitted(self) -> None:
-        """Drop segments written under an epoch that never committed.
+    def _open(self) -> None:
+        """Build the books and the array's placements: the one log scan.
 
         An interrupted evolution run leaves a half-migrated format: some
         segments re-encoded at epoch N+1, the rest missing.  Serving such
         a format would silently violate the consumers' retrieval contract,
-        so every segment tagged above the committed epoch is deleted at
-        open — before footprints and shard placements are loaded, as if
-        the aborted migration never happened.
+        so every segment tagged above the committed epoch is deleted here,
+        as if the aborted migration never happened; every other record is
+        booked and its persisted copy set adopted by the array.
         """
-        committed = self.committed_epoch
-        for key in self._data_keys():
-            if self._read_meta(key).get("epoch", 0) > committed:
+        for key in self.kv.keys():
+            if key.startswith(_META_PREFIX):
+                continue
+            record = _decode(self.kv.get(key))
+            if (record.epoch or 0) > self._committed:
                 self.kv.delete(key)
-
-    def _load_footprints(self) -> None:
-        for key in self._data_keys():
+                continue
             stream, fmt_text, index = self._split_key(key)
-            meta = self._read_meta(key)
-            bucket = (stream, fmt_text)
-            self._footprint[bucket] = (
-                self._footprint.get(bucket, 0) + meta["size_bytes"]
-            )
-            self._count[bucket] = self._count.get(bucket, 0) + 1
+            self._book(stream, fmt_text, index, record)
             self.array.adopt(stream, fmt_text, index,
-                             meta["shard"], meta["size_bytes"],
-                             replicas=tuple(meta.get("replicas", ())))
+                             record.shard, record.size_bytes,
+                             replicas=record.replicas or ())
 
     @staticmethod
     def _key_text(stream: str, fmt_text: str, index: int) -> str:
@@ -188,18 +263,60 @@ class SegmentStore:
         return f"{stream}/{fmt_text}/{index:012d}"
 
     @staticmethod
-    def _key(stream: str, fmt: StorageFormat, index: int) -> str:
-        return SegmentStore._key_text(stream, _fmt_key(fmt), index)
-
-    @staticmethod
     def _split_key(key: str) -> Tuple[str, str, int]:
         stream, fmt_text, index_text = key.rsplit("/", 2)
         return stream, fmt_text, int(index_text)
 
-    def _read_meta(self, key: str) -> dict:
-        blob = self.kv.get(key)
-        head, _, _ = blob.partition(_SEPARATOR)
-        return json.loads(head.decode("utf-8"))
+    # -- the books --------------------------------------------------------------
+
+    def _book(self, stream: str, fmt_text: str, index: int,
+              record: _Record) -> None:
+        """Enter (or replace) one key's record."""
+        bucket = self._buckets.get((stream, fmt_text))
+        if bucket is None:
+            bucket = self._buckets[(stream, fmt_text)] = _Bucket()
+        old = bucket.records.get(index)
+        bucket.records[index] = record
+        bucket.nbytes += record.size_bytes - (
+            0 if old is None else old.size_bytes)
+
+    def _unbook(self, stream: str, fmt_text: str, index: int) -> None:
+        bucket = self._buckets[(stream, fmt_text)]
+        record = bucket.records.pop(index)
+        if bucket.records:
+            bucket.nbytes -= record.size_bytes
+        else:
+            del self._buckets[(stream, fmt_text)]
+
+    def _record(self, stream: str, fmt_text: str,
+                index: int) -> Optional[_Record]:
+        bucket = self._buckets.get((stream, fmt_text))
+        return None if bucket is None else bucket.records.get(index)
+
+    def _missing(self, stream: str, fmt_text: str,
+                 index: int) -> StorageError:
+        """The error a lookup of an absent segment raises: it names
+        (stream, format, index) instead of leaking the KV backend's
+        raw-key error."""
+        return StorageError(
+            f"no stored segment: stream={stream!r} "
+            f"format={_parse_fmt(fmt_text).label!r} index={index}"
+        )
+
+    def _require(self, stream: str, fmt_text: str, index: int) -> _Record:
+        record = self._record(stream, fmt_text, index)
+        if record is None:
+            raise self._missing(stream, fmt_text, index)
+        return record
+
+    def _rewrite(self, stream: str, fmt_text: str, index: int,
+                 old: _Record, record: _Record) -> None:
+        """Log a changed record, keeping its payload, and book it."""
+        key = self._key_text(stream, fmt_text, index)
+        body = (self.kv.get(key).partition(_SEPARATOR)[2]
+                if old.payload else b"")
+        self.kv.put(key, _encode(record) + body)
+        self._book(stream, fmt_text, index, record)
 
     # -- writes -----------------------------------------------------------------
 
@@ -228,130 +345,97 @@ class SegmentStore:
         self.array.place(stream, fmt_text, index, encoded.size_bytes,
                          encoded.activity)
         replicas = self.array.replicas(stream, fmt_text, index)
-        meta = {
-            "size_bytes": encoded.size_bytes,
-            "n_frames": encoded.n_frames,
-            "activity": encoded.activity,
-            "seconds": encoded.segment.seconds,
-            "payload": encoded.payload is not None,
-            "shard": replicas[0],
-        }
-        if len(replicas) > 1:
-            meta["replicas"] = list(replicas)
-        if epoch is not None:
-            meta["epoch"] = int(epoch)
-        blob = json.dumps(meta).encode("utf-8") + _SEPARATOR
-        if encoded.payload is not None:
-            blob += encoded.payload
-        key = self._key(stream, encoded.fmt, index)
-        existed = key in self.kv
-        self.kv.put(key, blob)
+        record = _Record(
+            encoded.size_bytes, encoded.n_frames,
+            _logged(encoded.activity), _logged(encoded.segment.seconds),
+            encoded.payload is not None, replicas[0],
+            replicas if len(replicas) > 1 else None,
+            None if epoch is None else int(epoch),
+        )
+        self.kv.put(self._key_text(stream, fmt_text, index),
+                    _encode(record) + (encoded.payload or b""))
         if charge:
             # A replicated write pays every copy's spindle.
             for target in replicas:
                 self.array.write_at(target, encoded.size_bytes)
-        self._invalidate_cache(encoded.segment.stream, encoded.segment.index)
-        bucket = (encoded.segment.stream, _fmt_key(encoded.fmt))
-        if existed:
-            # Overwrite: footprint was already counted; recompute lazily.
-            self._footprint[bucket] = self._recount_footprint(bucket)
-            self._count[bucket] = sum(
-                1 for _ in self.kv.keys(f"{bucket[0]}/{bucket[1]}/")
-            )
-        else:
-            self._footprint[bucket] = self._footprint.get(bucket, 0) + encoded.size_bytes
-            self._count[bucket] = self._count.get(bucket, 0) + 1
-
-    def _recount_footprint(self, bucket: Tuple[str, str]) -> int:
-        prefix = f"{bucket[0]}/{bucket[1]}/"
-        return sum(self._read_meta(k)["size_bytes"] for k in self.kv.keys(prefix))
+        self._invalidate_cache(stream, index)
+        self._book(stream, fmt_text, index, record)
 
     # -- reads ------------------------------------------------------------------
 
-    def _require(self, stream: str, fmt: StorageFormat, index: int) -> str:
-        """The segment's key, or a StorageError naming what is missing.
-
-        Guards every point lookup so a missing segment surfaces as a
-        store-level error naming (stream, format, index) instead of
-        leaking the KV backend's raw-key error.
-        """
-        key = self._key(stream, fmt, index)
-        if key not in self.kv:
-            raise StorageError(
-                f"no stored segment: stream={stream!r} "
-                f"format={fmt.label!r} index={index}"
-            )
-        return key
-
     def meta(self, stream: str, fmt: StorageFormat, index: int) -> StoredSegment:
-        """Fetch one segment's metadata (charges no disk time: reads are
-        the executor's retrieve tasks).
+        """Fetch one segment's metadata from the books (charges no disk
+        time: reads are the executor's retrieve tasks).
 
         The reported shard is the array's *effective* assignment, not the
         raw persisted field — a store written on a wider array folds onto
         the current shard count at open, and the metadata record may
-        still carry the out-of-range original.
+        still carry the out-of-range original.  Under shard failures it
+        is the fastest surviving replica (see :meth:`shard_of`), so a
+        caller routing this segment's reads takes ``shard`` as it is.
         """
-        meta = self._read_meta(self._require(stream, fmt, index))
-        return StoredSegment(
-            stream=stream,
-            index=index,
-            fmt=fmt,
-            size_bytes=meta["size_bytes"],
-            n_frames=meta["n_frames"],
-            activity=meta["activity"],
-            seconds=meta["seconds"],
-            has_payload=meta["payload"],
-            shard=self.shard_of(stream, fmt, index),
-        )
+        return self.meta_many(stream, fmt, (index,))[0]
+
+    def meta_many(self, stream: str, fmt: StorageFormat,
+                  indices: Sequence[int]) -> List[StoredSegment]:
+        """:meth:`meta` of each of ``indices``, in order: the planner looks
+        up a stage's segments in one call."""
+        fmt_text = _fmt_key(fmt)
+        bucket = self._buckets.get((stream, fmt_text))
+        records = {} if bucket is None else bucket.records
+        route = self.array.effective_read_shard
+        out = []
+        for index in indices:
+            record = records.get(index)
+            if record is None:
+                raise self._missing(stream, fmt_text, index)
+            shard = route(stream, fmt_text, index)
+            out.append(StoredSegment(
+                stream, index, fmt, record.size_bytes, record.n_frames,
+                record.activity, record.seconds, record.payload,
+                0 if shard is None else shard,
+            ))
+        return out
 
     def contains(self, stream: str, fmt: StorageFormat, index: int) -> bool:
-        return self._key(stream, fmt, index) in self.kv
+        return self._record(stream, _fmt_key(fmt), index) is not None
 
     def payload(self, stream: str, fmt: StorageFormat, index: int) -> Optional[bytes]:
-        """The raw payload bytes of a materialized segment, if present."""
-        blob = self.kv.get(self._require(stream, fmt, index))
+        """The raw payload bytes of a materialized segment, if present
+        (read back from the log)."""
+        fmt_text = _fmt_key(fmt)
+        self._require(stream, fmt_text, index)
+        blob = self.kv.get(self._key_text(stream, fmt_text, index))
         _, _, body = blob.partition(_SEPARATOR)
         return body or None
 
     def indices(self, stream: str, fmt: StorageFormat) -> List[int]:
         """Sorted indices of stored segments for (stream, format)."""
-        prefix = f"{stream}/{_fmt_key(fmt)}/"
-        return [self._split_key(k)[2] for k in self.kv.keys(prefix)]
+        bucket = self._buckets.get((stream, _fmt_key(fmt)))
+        return [] if bucket is None else sorted(bucket.records)
 
     def formats(self, stream: str) -> List[StorageFormat]:
-        """All storage formats holding at least one segment of ``stream``."""
-        seen = {}
-        for key in self.kv.keys(f"{stream}/"):
-            _, fmt_text, _ = self._split_key(key)
-            seen.setdefault(fmt_text, _parse_fmt(fmt_text))
-        return list(seen.values())
+        """All storage formats holding at least one segment of ``stream``,
+        in key order."""
+        texts = sorted((fmt_text for s, fmt_text in self._buckets
+                        if s == stream), key=lambda text: text + "/")
+        return [_parse_fmt(text) for text in texts]
 
     def streams(self) -> List[str]:
         """Sorted stream names with at least one stored segment."""
-        return sorted({stream for stream, _ in self._footprint})
+        return sorted({stream for stream, _ in self._buckets})
 
     # -- deletes ------------------------------------------------------------------
 
     def delete(self, stream: str, fmt: StorageFormat, index: int) -> bool:
         """Delete one segment (erosion executes through this)."""
-        key = self._key(stream, fmt, index)
-        if key not in self.kv:
+        fmt_text = _fmt_key(fmt)
+        if self._record(stream, fmt_text, index) is None:
             return False
-        size = self._read_meta(key)["size_bytes"]
-        self.kv.delete(key)
-        self.array.forget(stream, _fmt_key(fmt), index)
+        self.kv.delete(self._key_text(stream, fmt_text, index))
+        self.array.forget(stream, fmt_text, index)
         self._invalidate_cache(stream, index)
-        bucket = (stream, _fmt_key(fmt))
-        remaining = self._count.get(bucket, 0) - 1
-        if remaining <= 0:
-            # Prune the emptied bucket: a long-lived store aging footage
-            # away must not accumulate zero-byte accounting entries.
-            self._footprint.pop(bucket, None)
-            self._count.pop(bucket, None)
-        else:
-            self._footprint[bucket] = self._footprint.get(bucket, 0) - size
-            self._count[bucket] = remaining
+        self._unbook(stream, fmt_text, index)
         return True
 
     # -- accounting -------------------------------------------------------------------
@@ -359,17 +443,18 @@ class SegmentStore:
     def footprint(self, stream: str, fmt: Optional[StorageFormat] = None) -> int:
         """Stored bytes for a stream, optionally limited to one format."""
         if fmt is not None:
-            return self._footprint.get((stream, _fmt_key(fmt)), 0)
-        return sum(
-            size for (s, _), size in self._footprint.items() if s == stream
-        )
+            bucket = self._buckets.get((stream, _fmt_key(fmt)))
+            return 0 if bucket is None else bucket.nbytes
+        return sum(bucket.nbytes for (s, _), bucket in self._buckets.items()
+                   if s == stream)
 
     def segment_count(self, stream: str, fmt: StorageFormat) -> int:
-        return self._count.get((stream, _fmt_key(fmt)), 0)
+        bucket = self._buckets.get((stream, _fmt_key(fmt)))
+        return 0 if bucket is None else len(bucket.records)
 
     def total_bytes(self) -> int:
         """Stored bytes across all streams and formats."""
-        return sum(self._footprint.values())
+        return sum(bucket.nbytes for bucket in self._buckets.values())
 
     # -- sharding ---------------------------------------------------------------
 
@@ -388,15 +473,6 @@ class SegmentStore:
         shard = self.array.effective_read_shard(stream, _fmt_key(fmt), index)
         return 0 if shard is None else shard
 
-    def disk_params_for(self, stream: str, fmt: StorageFormat,
-                        index: int) -> Tuple[float, float]:
-        """(read bandwidth, request overhead) serving one segment's reads.
-
-        Routes through :meth:`shard_of`, so a degraded shard's factor is
-        folded into the bandwidth and failed shards are bypassed.
-        """
-        return self.array.read_params_at(self.shard_of(stream, fmt, index))
-
     def commit_replica(self, stream: str, fmt_text: str, index: int,
                        shard: int) -> None:
         """Record a rebuilt replica and persist it, without charging I/O.
@@ -407,14 +483,13 @@ class SegmentStore:
         replica map and the metadata record's shard/replica fields.
         """
         self.array.add_replica(stream, fmt_text, index, shard)
-        key = self._key_text(stream, fmt_text, index)
-        blob = self.kv.get(key)
-        head, _, body = blob.partition(_SEPARATOR)
-        meta = json.loads(head.decode("utf-8"))
+        old = self._require(stream, fmt_text, index)
         replicas = self.array.replicas(stream, fmt_text, index)
-        meta["shard"] = replicas[0]
-        meta["replicas"] = list(replicas)
-        self.kv.put(key, json.dumps(meta).encode("utf-8") + _SEPARATOR + body)
+        self._rewrite(stream, fmt_text, index, old, old._replace(
+            shard=replicas[0], replicas=replicas,
+            late_replicas=old.late_replicas or (
+                old.replicas is None and old.epoch is not None),
+        ))
 
     def rebalance(self) -> RebalanceReport:
         """Move segments between shards until byte loads are balanced.
@@ -445,20 +520,15 @@ class SegmentStore:
         seconds = 0.0
         bytes_moved = 0.0
         for (stream, fmt_text, index), src, dst in moves:
-            key = self._key_text(stream, fmt_text, index)
-            blob = self.kv.get(key)
-            head, _, body = blob.partition(_SEPARATOR)
-            meta = json.loads(head.decode("utf-8"))
-            nbytes = meta["size_bytes"]
+            old = self._require(stream, fmt_text, index)
+            nbytes = old.size_bytes
             seconds += array.migrate(src, dst, nbytes)
             array.reassign(stream, fmt_text, index, dst)
-            meta["shard"] = dst
-            if "replicas" in meta:
-                meta["replicas"] = list(
-                    array.replicas(stream, fmt_text, index)
-                )
-            self.kv.put(key, json.dumps(meta).encode("utf-8")
-                        + _SEPARATOR + body)
+            replicas = old.replicas
+            if replicas is not None:
+                replicas = array.replicas(stream, fmt_text, index)
+            self._rewrite(stream, fmt_text, index, old,
+                          old._replace(shard=dst, replicas=replicas))
             bytes_moved += nbytes
         return RebalanceReport(
             moves=len(moves), bytes_moved=bytes_moved, seconds=seconds,

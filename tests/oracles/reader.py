@@ -44,7 +44,8 @@ def assess(self: SegmentReader, stream: str, index: int) -> RetrievedClip:
         n_stored = max(1, meta.n_frames)
         consumed = len(range(0, n_stored, stride))
         frame_bytes = DEFAULT_CODEC.raw_frame_bytes(self.fmt.fidelity)
-        bandwidth, overhead = self._disk_params(stream, index)
+        bandwidth, overhead = self._disk_params(
+            stream, index, self.store.shard_of(stream, self.fmt, index))
         # Either scan the whole segment sequentially or read sampled
         # frames individually, whichever is cheaper (cf. DiskModel).
         scan = (n_stored * frame_bytes / bandwidth + overhead)

@@ -121,7 +121,7 @@ def test_serve_through_a_failure_campaign(tmp_path, capsys):
     assert "availability" in out and "replicas rebuilt" in out
     assert "executor [heap]:" in out
     assert "host time:" in out
-    for phase in ("workload", "admit", "run", "observe"):
+    for phase in ("workload", "plan", "admit", "lower", "run", "observe"):
         assert f"{phase} " in out.split("host time:")[1]
 
 

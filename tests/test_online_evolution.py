@@ -255,8 +255,8 @@ def test_reencode_reads_fold_in_a_degraded_shard(tmp_path):
         reads = [task for task in job.tasks if task.kind == "read"]
         assert len(reads) == N_SEGMENTS
         for index, task in enumerate(reads):
-            bandwidth, overhead = segments.disk_params_for("jackson", golden,
-                                                           index)
+            bandwidth, overhead = segments.array.read_params_at(
+                segments.shard_of("jackson", golden, index))
             size = segments.meta("jackson", golden, index).size_bytes
             assert task.duration == size / bandwidth + overhead
 

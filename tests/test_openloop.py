@@ -413,8 +413,9 @@ def test_serve_end_to_end_is_deterministic(store):
 
 
 def test_serve_phases_account_for_its_host_time(store):
-    """RunResult.phases (workload, admit, run, observe) are non-negative
-    and add up to within 3% of the host time around a warm serve().  The
+    """RunResult.phases (workload, plan, admit, lower, run, observe) are
+    non-negative and add up to within 3% of the host time around a warm
+    serve().  The
     least gap of three runs is taken, since a preempted process only
     adds, and each report is dropped before the next serve() so that
     freeing it is not charged to the next run's outer timer."""
@@ -434,10 +435,14 @@ def test_serve_phases_account_for_its_host_time(store):
         wall0 = perf_counter()
         report = serve()
         outer = perf_counter() - wall0
-        assert list(report.phases) == ["workload", "admit", "run",
-                                       "observe"]
+        assert list(report.phases) == ["workload", "plan", "admit",
+                                       "lower", "run", "observe"]
         assert all(seconds >= 0.0 for seconds in report.phases.values())
         assert report.phases["workload"] > 0.0
+        # No plan outlives a run, so a warm serve() still plans (over
+        # the store's warm stage-outcome memo) and lowers.
+        assert report.phases["plan"] == report.stats.plan_wall_seconds > 0
+        assert report.phases["lower"] == report.stats.lower_wall_seconds > 0
         gaps.append(abs(outer - sum(report.phases.values())) / outer)
         del report
     assert min(gaps) <= 0.03

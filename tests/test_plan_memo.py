@@ -396,6 +396,55 @@ def test_warm_store_plans_equal_a_fresh_stores(tmp_path_factory,
     warm.close()
 
 
+def test_plans_from_written_books_equal_plans_after_reopen(tmp_path,
+                                                         query_library):
+    """The segment store's books, kept in memory by every writer since
+    the store opened, plan what books rebuilt from the log at ``reopen``
+    plan, and hold the same records: after ingest, an ``evolve_online``
+    (epoch-tagged re-encodes, the epoch commit, retirement deletes), a
+    failure campaign whose rebuilt replicas commit, and a
+    ``rebalance()``."""
+    phase1 = derive_configuration(query_library, consumers=[
+        Consumer(name, accuracy)
+        for name in PHASE1_OPERATORS for accuracy in ACCURACIES])
+    store = VStore(workdir=str(tmp_path), library=query_library,
+                   shards=SHARDS, replication=REPLICATION)
+    store.adopt(phase1)
+    store.ingest("jackson", n_segments=SEGMENTS)
+    decisions = decide_consumers(
+        query_library,
+        [Consumer(name, accuracy)
+         for name in PHASE2_OPERATORS for accuracy in ACCURACIES],
+        clock=store.clock,
+        known={d.consumer: d for d in store.configuration.decisions})
+    store.adopt(legacy_configuration(store.configuration, decisions))
+    report = store.evolve_online(consumers=list(
+        store.configuration.consumers), **_executor_kwargs())
+    assert report.reencoded_segments > 0 and report.retired_segments > 0
+    served = store.serve(SERVE_TENANTS, SERVE_HORIZON, seed=3,
+                         failures="fail@2:0,degrade@2:1:4,recover@12:0,"
+                                  "recover@12:1",
+                         **_executor_kwargs())
+    assert served.availability.replicas_rebuilt > 0
+    assert store.disk_array.healthy
+    assert store.rebalance().moves > 0
+    before = _plans(store, ALL_SPECS), _books(store.segments)
+    store.reopen()
+    assert (_plans(store, ALL_SPECS), _books(store.segments)) == before
+    store.close()
+
+
+def _books(segments):
+    """A segment store's records, and the formats and bytes it answers
+    per stream from them."""
+    records = {(stream, fmt_text, index): record
+               for (stream, fmt_text), bucket in segments._buckets.items()
+               for index, record in bucket.records.items()}
+    return records, [(stream, segments.formats(stream),
+                      segments.footprint(stream))
+                     for stream in segments.streams()]
+
+
 @CACHE_CONFIGS
 def test_datasets_on_one_stream_never_share_outcomes(
         tmp_path, query_library, configuration, cache_config):

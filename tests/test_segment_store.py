@@ -1,14 +1,22 @@
 """Segment store: per-format indexing and footprint accounting."""
 
+import dataclasses
+import os
+import shutil
+import tempfile
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro.clock import SimClock
 from repro.codec.encoder import Encoder
 from repro.errors import StorageError
 from repro.storage.kvstore import KVStore
 from repro.storage.segment_store import (
+    _EPOCH_KEY,
     SegmentStore,
+    StoredSegment,
     _escape_label,
     _fmt_key,
     _parse_fmt,
@@ -143,15 +151,13 @@ class TestBucketPruning:
         store.put(_encode(FMT_A, 1))
         store.put(_encode(FMT_B, 0))
         store.delete("cam", FMT_A, 0)
-        assert len(store._footprint) == 2  # bucket still half full
+        assert len(store._buckets) == 2  # bucket still half full
         store.delete("cam", FMT_A, 1)
-        assert len(store._footprint) == 1  # FMT_A bucket gone, not zeroed
-        assert len(store._count) == 1
+        assert len(store._buckets) == 1  # FMT_A bucket gone, not zeroed
         assert store.footprint("cam", FMT_A) == 0
         assert store.segment_count("cam", FMT_A) == 0
         store.delete("cam", FMT_B, 0)
-        assert store._footprint == {}
-        assert store._count == {}
+        assert store._buckets == {}
         assert store.total_bytes() == 0
 
     def test_reingest_after_prune_counts_fresh(self, store):
@@ -205,3 +211,182 @@ class TestFormatKeyRoundtrip:
         assert sorted(f.label for f in store.formats("cam")) == sorted(
             [FMT_A.label, FMT_B.label]
         )
+
+
+# -- the books are the log ----------------------------------------------------
+
+SMALL = Fidelity.parse("worst-60p-1/30-50%")  # byte-sized payloads
+BOOK_FORMATS = (StorageFormat(SMALL, RAW), StorageFormat(SMALL, Coding("fast", 10)),
+                StorageFormat(SMALL, Coding("fast", 100)))
+BOOK_STREAMS = ("cam", "dash")
+BOOK_INDICES = range(4)
+
+_keys = st.tuples(st.sampled_from(BOOK_STREAMS), st.sampled_from(BOOK_FORMATS),
+                  st.sampled_from(BOOK_INDICES))
+#: ("put", key, activity, seconds, with a payload, epoch-tagged), and the
+#: other writers; a put over a stored key overwrites it.
+_steps = st.one_of(
+    st.tuples(st.just("put"), _keys, st.sampled_from((0.1, 0.5, 0.9)),
+              st.sampled_from((8.0, 4.0)), st.booleans(), st.booleans()),
+    st.tuples(st.just("delete"), _keys),
+    st.tuples(st.just("commit_replica"), _keys, st.integers(0, 3)),
+    st.just(("rebalance",)),
+    st.just(("commit_epoch",)),
+    st.just(("reopen",)),
+)
+
+
+def _open(path, replication):
+    kv = KVStore(path)
+    return kv, SegmentStore(kv, ShardedDiskArray(4, replication=replication))
+
+
+def _typed(value):
+    """``value`` with each field's type beside it, so that comparing two
+    of these compares types as well as values."""
+    if isinstance(value, StoredSegment):
+        return [(f.name, type(getattr(value, f.name)), getattr(value, f.name))
+                for f in dataclasses.fields(value)]
+    if isinstance(value, list):
+        return [_typed(v) for v in value]
+    return type(value), value
+
+
+def _answers(store):
+    """Everything a store answers from its books, over every key the
+    steps can touch."""
+    out = {"total": _typed(store.total_bytes()), "streams": store.streams()}
+    for stream in BOOK_STREAMS:
+        out["formats", stream] = store.formats(stream)
+        out["footprint", stream] = _typed(store.footprint(stream))
+        for fmt in BOOK_FORMATS:
+            out["indices", stream, fmt] = _typed(store.indices(stream, fmt))
+            out["footprint", stream, fmt] = _typed(store.footprint(stream, fmt))
+            out["count", stream, fmt] = _typed(store.segment_count(stream, fmt))
+            for index in BOOK_INDICES:
+                out["meta", stream, fmt, index] = (
+                    _typed(store.meta(stream, fmt, index))
+                    if store.contains(stream, fmt, index) else None)
+    return out
+
+
+def _records(store):
+    return {(stream, fmt_text, index): _typed(list(record))
+            for (stream, fmt_text), bucket in store._buckets.items()
+            for index, record in bucket.records.items()}
+
+
+def _assert_books_are_the_log(store, path, model):
+    """The live store answers what a fresh store over (a copy of) its log
+    answers, and what the steps put there.
+
+    The copy commits the in-flight epoch first, so the fresh store keeps
+    an uncommitted epoch's records, as the live store does until it is
+    reopened; the rollback itself is checked against ``model``.
+    """
+    store.kv.flush()
+    copy = path + ".copy"
+    shutil.copyfile(path, copy)
+    with KVStore(copy) as kv:
+        kv.put(_EPOCH_KEY, str(store.begin_epoch()).encode("utf-8"))
+        fresh = SegmentStore(kv, ShardedDiskArray(
+            4, replication=store.array.replication))
+        assert _answers(store) == _answers(fresh)
+        assert _records(store) == _records(fresh)
+    os.remove(copy)
+    for stream in BOOK_STREAMS:
+        for fmt in BOOK_FORMATS:
+            for index in BOOK_INDICES:
+                encoded = model.get((stream, fmt, index))
+                if encoded is None:
+                    assert not store.contains(stream, fmt, index)
+                    continue
+                meta = store.meta(stream, fmt, index)
+                assert (meta.size_bytes, meta.n_frames, meta.activity,
+                        meta.seconds, meta.has_payload) == (
+                    encoded.size_bytes, encoded.n_frames, encoded.activity,
+                    encoded.segment.seconds, encoded.payload is not None)
+                assert store.payload(stream, fmt, index) == encoded.payload
+                assert meta.shard == store.shard_of(stream, fmt, index)
+    assert store.total_bytes() == sum(e.size_bytes for e in model.values())
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(steps=st.lists(_steps, min_size=1, max_size=20),
+       replication=st.sampled_from((1, 2)))
+@example(steps=[  # a rebalance moves a materialized segment, a rebuilt
+    # copy commits to an epoch-tagged one, and a delete empties a bucket
+    ("put", ("cam", BOOK_FORMATS[0], 0), 0.5, 8.0, True, False),
+    ("put", ("cam", BOOK_FORMATS[0], 2), 0.5, 8.0, False, True),
+    ("rebalance",),
+    ("commit_replica", ("cam", BOOK_FORMATS[0], 0), 3),
+    ("commit_replica", ("cam", BOOK_FORMATS[0], 2), 3),
+    ("commit_epoch",),
+    ("put", ("dash", BOOK_FORMATS[2], 1), 0.9, 8.0, False, False),
+    ("delete", ("dash", BOOK_FORMATS[2], 1)),
+    ("reopen",),
+], replication=2)
+@example(steps=[  # a committed segment, overwritten in an epoch that a
+    # reopen rolls back: the key is gone, not restored
+    ("put", ("cam", BOOK_FORMATS[1], 0), 0.5, 8.0, True, False),
+    ("put", ("cam", BOOK_FORMATS[1], 0), 0.9, 4.0, False, True),
+    ("commit_replica", ("cam", BOOK_FORMATS[1], 0), 3),
+    ("reopen",),
+], replication=2)
+@example(steps=[  # an unreplicated epoch-tagged record gains a copy set,
+    # which its record then lists after the epoch
+    ("put", ("cam", BOOK_FORMATS[0], 1), 0.5, 8.0, True, True),
+    ("commit_replica", ("cam", BOOK_FORMATS[0], 1), 0),
+    ("commit_replica", ("cam", BOOK_FORMATS[0], 1), 2),
+    ("rebalance",),
+    ("commit_epoch",),
+    ("reopen",),
+], replication=1)
+def test_books_equal_a_fresh_store_over_the_same_log(steps, replication):
+    """Every writer keeps the books equal to the log: after each step,
+    every lookup equals, value and type alike, a fresh store's over the
+    same log, and the books hold exactly the records it decodes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "segments.log")
+        kv, store = _open(path, replication)
+        model = {}  # (stream, fmt, index) -> the EncodedSegment put there
+        pending = set()  # keys whose latest put an uncommitted epoch tags
+        try:
+            for step in steps:
+                kind = step[0]
+                if kind == "put":
+                    key, activity, seconds, payload, tagged = step[1:]
+                    stream, fmt, index = key
+                    encoded = Encoder(clock=SimClock()).encode(
+                        Segment(stream, index, seconds), fmt,
+                        activity=activity, materialize=payload)
+                    store.put(encoded, epoch=(store.begin_epoch() if tagged
+                                              else None))
+                    model[key] = encoded
+                    (pending.add if tagged else pending.discard)(key)
+                elif kind == "delete":
+                    key = step[1]
+                    assert store.delete(*key) == (key in model)
+                    model.pop(key, None)
+                    pending.discard(key)
+                elif kind == "commit_replica":
+                    (stream, fmt, index), shard = step[1:]
+                    fmt_text = _fmt_key(fmt)
+                    if ((stream, fmt, index) in model and shard not in
+                            store.array.replicas(stream, fmt_text, index)):
+                        store.commit_replica(stream, fmt_text, index, shard)
+                elif kind == "rebalance":
+                    store.rebalance()
+                elif kind == "commit_epoch":
+                    store.commit_epoch(store.begin_epoch())
+                    pending.clear()
+                else:  # reopen: an uncommitted epoch's segments roll back
+                    kv.close()
+                    kv, store = _open(path, replication)
+                    for key in pending:
+                        del model[key]
+                    pending.clear()
+                _assert_books_are_the_log(store, path, model)
+        finally:
+            kv.close()

@@ -19,7 +19,7 @@ from repro.query.cascade import QUERY_A
 from repro.retrieval.reader import SegmentReader
 from repro.storage.disk import DiskBandwidthPool, DiskModel
 from repro.storage.kvstore import KVStore
-from repro.storage.segment_store import SegmentStore
+from repro.storage.segment_store import SegmentStore, _fmt_key
 from repro.storage.sharding import (
     HashPlacement,
     LocalityAwarePlacement,
@@ -237,8 +237,7 @@ class TestStoreIntegration:
         store.put(_encode(FMT_A, 0))
         assert store.shard_of("cam", FMT_A, 0) == 0
         store.delete("cam", FMT_A, 0)
-        assert store.array.locate("cam", store._key("cam", FMT_A, 0)
-                                  .split("/")[1], 0) is None
+        assert store.array.locate("cam", _fmt_key(FMT_A), 0) is None
         assert store.array.shard_bytes == [0.0] * store.n_shards
 
     def test_placement_survives_reopen(self, tmp_path):
@@ -291,10 +290,13 @@ class TestStoreIntegration:
         store = SegmentStore(kv, array)
         store.put(_encode(FMT_B, 0))  # shard 0
         store.put(_encode(FMT_B, 1))  # shard 1
-        assert store.disk_params_for("cam", FMT_B, 0) == (
-            disks[0].read_bandwidth, disks[0].request_overhead
-        )
-        assert store.disk_params_for("cam", FMT_B, 1) == (2e8, 5e-4)
+
+        def params(index):
+            return array.read_params_at(store.meta("cam", FMT_B, index).shard)
+
+        assert params(0) == (disks[0].read_bandwidth,
+                             disks[0].request_overhead)
+        assert params(1) == (2e8, 5e-4)
         kv.close()
 
 
